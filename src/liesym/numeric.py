@@ -84,9 +84,6 @@ class GeodesicTrace:
     step: float
     samples: list
 
-    def states(self):
-        return self.samples
-
 
 def integrate_geodesic(system: GeodesicSystem, function_bindings: dict,
                        initial_position, initial_velocity,

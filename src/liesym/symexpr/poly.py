@@ -104,12 +104,6 @@ def monomial_key(mono):
     return tuple((a.key(), e) for a, e in mono)
 
 
-def monomial_degree(mono, atoms=None):
-    if atoms is None:
-        return sum(e for _, e in mono)
-    return sum(e for a, e in mono if a in atoms)
-
-
 def monomial_free_symbols(mono):
     out = frozenset()
     for a, _ in mono:
@@ -379,15 +373,6 @@ def _lcm_int(a, b):
 
 POLY_ZERO = Poly()
 POLY_ONE = Poly.const(1)
-
-
-def poly_from_univariate(coeffs, atom: Atom) -> Poly:
-    """Rebuild a Poly from a degree -> Poly mapping in `atom`."""
-    out = Poly()
-    apoly = Poly.atom(atom)
-    for d, c in coeffs.items():
-        out = out + c * (apoly ** d)
-    return out
 
 
 def poly_divexact(p: Poly, d: Poly) -> Poly:

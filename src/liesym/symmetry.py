@@ -9,9 +9,12 @@ Residual conventions:
     iff the field generates a point symmetry.
 
 Determining equations come from collecting the residuals (with unknown
-coefficient functions kept as opaque atoms) over velocity monomials;
-the solver substitutes a finite ansatz and extracts the exact rational
-nullspace.
+coefficient functions kept as opaque atoms) over velocity monomials.
+Each equation is linear in the unknown jets, so the solver expands the
+unknowns in a finite ansatz on canonical forms alone: the equation's
+numerator is split by unknown jet once, each basis derivative is
+canonicalized once, and the rows are the kernel-monomial coefficients
+of their products.  It returns the exact rational nullspace.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from .symexpr import (
 )
 from .symexpr.canonical import canonical_ratfunc
 from .symexpr.nodes import as_expr
+from .symexpr.poly import POLY_ONE, Poly, poly_divexact, poly_gcd
 
 UNKNOWN_XI = "xi"
 
@@ -310,88 +314,131 @@ def default_ansatz(chart: CoordChart, degree: int = 2,
     return Ansatz(tuple(basis), degree=degree, kernels=tuple(kernel_names))
 
 
-def _check_derivative_closure(ansatz: Ansatz, chart: CoordChart):
+def _check_derivative_closure(ansatz: Ansatz, chart: CoordChart, derivative):
+    args = (chart.param, *chart.coords)
     allowed = set()
-    for b in ansatz.basis:
-        allowed |= canonical_ratfunc(b).atoms()
-    for v in (chart.param, *chart.coords):
+    for k in range(len(ansatz.basis)):
+        allowed |= derivative(k, (0,) * len(args)).atoms()
+    for v in args:
         allowed |= canonical_ratfunc(Sym(v)).atoms()
-    for b in ansatz.basis:
-        for v in (chart.param, *chart.coords):
-            extra = canonical_ratfunc(differentiate(b, v)).atoms() - allowed
+    for k, b in enumerate(ansatz.basis):
+        for i, v in enumerate(args):
+            orders = tuple(int(j == i) for j in range(len(args)))
+            extra = derivative(k, orders).atoms() - allowed
             if extra:
                 raise AnsatzError(
                     f"ansatz is not derivative-closed: d/d{v} of {b} introduces {sorted(a.key() for a in extra)}"
                 )
 
 
+def _basis_derivatives(basis, args):
+    """derivative(k, orders) -> canonical RatFunc of d^orders basis[k].
+
+    Each derivative is taken from the next-lower order and cached by
+    (k, orders), so every one is differentiated and canonicalized once."""
+    cache = {}
+
+    def entry(k, orders):
+        hit = cache.get((k, orders))
+        if hit is None:
+            if any(orders):
+                i = max(j for j, o in enumerate(orders) if o)
+                lower = orders[:i] + (orders[i] - 1,) + orders[i + 1:]
+                tree = differentiate(entry(k, lower)[0], args[i])
+            else:
+                tree = basis[k]
+            hit = cache[(k, orders)] = (tree, canonical_ratfunc(tree))
+        return hit
+
+    return lambda k, orders: entry(k, orders)[1]
+
+
+def _mentions_unknown(atom, names) -> bool:
+    if atom.kind == "op":
+        return atom.payload[0] in names
+    if atom.kind == "fn":
+        return any(_mentions_unknown(a, names) for a in atom.payload[1].atoms())
+    if atom.kind == "pow":
+        return any(_mentions_unknown(a, names) for a in atom.payload[0].atoms())
+    return False
+
+
+def _split_by_unknown(rf, names, args) -> dict:
+    """Coefficients A[(name, orders)] of a canonical equation num/den that
+    is linear and homogeneous in the unknown jets: num = sum A * jet."""
+    for a in rf.atoms():
+        if a.kind == "op" and a.payload[0] in names and a.payload[1] != args:
+            raise AnsatzError(f"unexpected unknown arguments {a.payload[1]}")
+    nonlinear = AnsatzError("determining equations must be linear in the unknowns")
+    if any(_mentions_unknown(a, names) for a in rf.den.atoms()):
+        raise nonlinear
+    parts = {}
+    for mono, coeff in rf.num.terms.items():
+        jet = None
+        rest = []
+        for atom, exp in mono:
+            if not _mentions_unknown(atom, names):
+                rest.append((atom, exp))
+            elif atom.kind == "op" and jet is None and exp == 1:
+                jet = (atom.payload[0], atom.payload[2])
+            else:
+                raise nonlinear
+        if jet is None:
+            raise AnsatzError("inhomogeneous term in a determining equation")
+        parts.setdefault(jet, {})[tuple(rest)] = coeff
+    return {jet: Poly(terms) for jet, terms in parts.items()}
+
+
+def _poly_lcm(polys) -> Poly:
+    out = POLY_ONE
+    for p in polys:
+        out = out * poly_divexact(p, poly_gcd(out, p))
+    return out
+
+
 def solve_determining(system: DeterminingSystem, ansatz: Ansatz) -> list:
-    """Substitute the ansatz, collect over all kernel monomials, and
-    return the exact nullspace rendered as vector fields (reduced
-    echelon pivot order)."""
+    """Expand each unknown in the ansatz, collect over all kernel
+    monomials, and return the exact nullspace rendered as vector fields
+    (reduced echelon pivot order).
+
+    Rows are assembled on canonical forms: each equation's numerator is
+    split once into coefficients A of the unknown jets d^a u; with the
+    basis derivatives d^a b_k brought over one common denominator, the
+    coefficient of each kernel monomial in sum A * d^a b_k gives one row
+    over the columns (u, k)."""
     if not ansatz.basis:
         raise AnsatzError("empty ansatz")
     chart = system.chart
-    _check_derivative_closure(ansatz, chart)
+    args = (chart.param, *chart.coords)
+    derivative = _basis_derivatives(ansatz.basis, args)
+    _check_derivative_closure(ansatz, chart, derivative)
     nb = len(ansatz.basis)
     unknowns = list(system.unknowns)
-    col_of = {}
-    coeff_syms = []
-    for u in unknowns:
-        for k in range(nb):
-            col_of[(u, k)] = len(coeff_syms)
-            coeff_syms.append(f"_c_{u}_{k}")
-    col_of_sym = {name: i for i, name in enumerate(coeff_syms)}
-
-    args = (chart.param, *chart.coords)
-    deriv_cache = {}
-
-    def basis_derivative(k, orders):
-        key = (k, orders)
-        if key not in deriv_cache:
-            e = ansatz.basis[k]
-            for sym, order in zip(args, orders):
-                for _ in range(order):
-                    e = differentiate(e, sym)
-            deriv_cache[key] = e
-        return deriv_cache[key]
+    names = set(unknowns)
+    col_of = {(u, k): i * nb + k for i, u in enumerate(unknowns) for k in range(nb)}
 
     rows = []
     for eq in system.equations:
-        bindings = {}
-        for a in canonical_ratfunc(eq).atoms():
-            if a.kind == "op" and a.payload[0] in system.unknowns:
-                name, aargs, orders = a.payload
-                if aargs != args:
-                    raise AnsatzError(f"unexpected unknown arguments {aargs}")
-                replacement = Add.of(*[
-                    Mul.of(Sym(coeff_syms[col_of[(name, k)]]), basis_derivative(k, orders))
-                    for k in range(nb)
-                ])
-                bindings[Op(name, aargs, orders)] = replacement
-        substituted = substitute(eq, bindings)
-        rf = canonical_ratfunc(substituted)
+        coeffs = _split_by_unknown(canonical_ratfunc(eq), names, args)
+        terms = [
+            (col_of[(name, k)], A, d)
+            for (name, orders), A in coeffs.items()
+            for k in range(nb)
+            if not (d := derivative(k, orders)).is_zero()
+        ]
+        dens = {d.den.key(): d.den for _, _, d in terms}
+        lcm = _poly_lcm(dens.values())
+        cofactor = {key: poly_divexact(lcm, den) for key, den in dens.items()}
         buckets = {}
-        for mono, coeff in rf.num.terms.items():
-            cpart = None
-            rest = []
-            for atom, exp in mono:
-                if atom.kind == "sym" and atom.payload in col_of_sym:
-                    if cpart is not None or exp != 1:
-                        raise AnsatzError("determining equations must be linear in the unknowns")
-                    cpart = atom.payload
-                else:
-                    rest.append((atom, exp))
-            if cpart is None:
-                raise AnsatzError("inhomogeneous term in a determining equation")
-            col = col_of_sym[cpart]
-            buckets.setdefault(tuple(rest), {}).setdefault(col, Fraction(0))
-            buckets[tuple(rest)][col] += coeff
+        for col, A, d in terms:
+            for mono, c in (A * (d.num * cofactor[d.den.key()])).terms.items():
+                row = buckets.setdefault(mono, {})
+                row[col] = row.get(col, 0) + c
         for row in buckets.values():
             row = {c: v for c, v in row.items() if v}
             if row:
                 rows.append(row)
-    basis_vectors = sparse_nullspace(rows, len(coeff_syms))
+    basis_vectors = sparse_nullspace(rows, len(col_of))
     fields = []
     for i, vec in enumerate(basis_vectors):
         comps = []

@@ -1,11 +1,14 @@
 """Input formats, CLI exit codes, and report determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import liesym
 from liesym.cli import main
 from liesym.errors import FormatError
 from liesym.files import load_generators, load_metric, generators_to_text
@@ -242,9 +245,12 @@ class TestCliReports:
 
 
 def test_console_entry_point():
+    # the child imports the same liesym as this process, installed or not
+    src = str(Path(liesym.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     out = subprocess.run(
         [sys.executable, "-m", "liesym.cli", "--help"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
     )
     assert out.returncode == 0
     assert "analyze" in out.stdout

@@ -23,6 +23,7 @@ from liesym.symexpr import (
 from liesym.symexpr.canonical import canonical_ratfunc
 from liesym.symmetry import (
     Ansatz,
+    DeterminingSystem,
     default_ansatz,
     determining_system,
     noether_first_integral,
@@ -384,3 +385,45 @@ class TestAnsatz:
         ds = determining_system(vb_general, "noether")
         with pytest.raises(AnsatzError):
             solve_determining(ds, Ansatz((), degree=0))
+
+
+class TestDeterminingEquationShape:
+    """solve_determining rejects equations that are not linear and
+    homogeneous in the unknown jets with the declared arguments."""
+
+    UNKNOWNS = {"xi": ("s", "x"), "eta1": ("s", "x")}
+
+    @classmethod
+    def _solve(cls, *equations, functions=UNKNOWNS):
+        chart = CoordChart("s", ("x",))
+        system = DeterminingSystem(
+            chart, "liepoint",
+            tuple(parse_expr(e, functions) for e in equations),
+            tuple((0, (k,)) for k in range(len(equations))),
+            tuple(cls.UNKNOWNS),
+        )
+        return solve_determining(system, default_ansatz(chart, 1))
+
+    def test_linear_homogeneous_accepted(self):
+        # xi_s = 0 and eta1 = 0 leave xi = c0 + c1*x
+        sols = self._solve("D(xi, s)", "eta1(s, x)")
+        assert len(sols) == 2
+
+    @pytest.mark.parametrize("eq", [
+        "xi(s, x)^2",
+        "xi(s, x)*D(eta1, x)",
+        "sin(xi(s, x))",
+        "D(xi, s)/xi(s, x)",
+    ])
+    def test_nonlinear_rejected(self, eq):
+        with pytest.raises(AnsatzError, match="linear in the unknowns"):
+            self._solve(eq)
+
+    def test_inhomogeneous_rejected(self):
+        with pytest.raises(AnsatzError, match="inhomogeneous"):
+            self._solve("xi(s, x) + 1")
+
+    @pytest.mark.parametrize("eq", ["xi(s)", "eta1(x, s)"])
+    def test_wrong_unknown_arguments_rejected(self, eq):
+        with pytest.raises(AnsatzError, match="unexpected unknown arguments"):
+            self._solve(eq, functions=None)
