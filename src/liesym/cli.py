@@ -117,16 +117,25 @@ def _mode_of(args) -> str:
     return "liepoint"
 
 
+def _verification_target(metric, mode: str):
+    """The metric for Noether checks, or its geodesic system for Lie
+    point checks, derived once per command and shared by every field."""
+    return metric if mode == "noether" else geodesic_system(metric)
+
+
+def _verify_all(fields, target, mode: str) -> list:
+    verify = verify_noether if mode == "noether" else verify_liepoint
+    return [verify(f, target) for f in fields]
+
+
 def cmd_analyze(args) -> int:
     metric = load_metric(args.metric)
     mode = _mode_of(args)
-    system = determining_system(metric, mode)
+    target = _verification_target(metric, mode)
+    system = determining_system(target, mode)
     ansatz = default_ansatz(metric.chart, args.ansatz_degree)
     fields = solve_determining(system, ansatz)
-    reports = []
-    for f in fields:
-        rep = verify_noether(f, metric) if mode == "noether" else verify_liepoint(f, metric)
-        reports.append(rep)
+    reports = _verify_all(fields, target, mode)
     payload = analyze_payload(mode, metric, reports, system, len(fields), ansatz)
     if args.format == "json":
         sys.stdout.write(dumps_json(payload))
@@ -143,10 +152,7 @@ def cmd_verify(args) -> int:
     metric = load_metric(args.metric)
     fields = load_generators(args.generators, metric.chart, metric.functions)
     mode = _mode_of(args)
-    reports = []
-    for f in fields:
-        rep = verify_noether(f, metric) if mode == "noether" else verify_liepoint(f, metric)
-        reports.append(rep)
+    reports = _verify_all(fields, _verification_target(metric, mode), mode)
     payload = verify_payload(mode, metric, reports)
     sys.stdout.write(verify_text(payload, reports))
     return EXIT_OK if payload["all_pass"] else EXIT_VERIFICATION

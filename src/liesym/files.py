@@ -24,7 +24,12 @@ from .charts import CoordChart
 from .errors import ChartError, FormatError
 from .geometry import Metric
 from .jets import BundleVectorField
-from .symexpr import ExprSyntaxError, Num, parse_expr
+from .symexpr import ExprSyntaxError, Num, parse_expr, to_canonical
+
+# What the expression kernel raises for input it cannot represent:
+# ZeroDivisionError for a zero denominator (1/0), ValueError for an even
+# root of a negative rational ((-4)^(1/2)).
+_KERNEL_ERRORS = (ZeroDivisionError, ValueError)
 
 
 def resolve_input_path(path) -> Path:
@@ -97,8 +102,8 @@ def load_metric(path) -> Metric:
         if i > j:
             raise FormatError(path, lineno, "specify the upper triangle only (i <= j)")
         try:
-            e = parse_expr(expr_text, functions)
-        except ExprSyntaxError as exc:
+            e = to_canonical(parse_expr(expr_text, functions))
+        except (ExprSyntaxError, *_KERNEL_ERRORS) as exc:
             raise FormatError(path, lineno, str(exc))
         comps[i][j] = e
         comps[j][i] = e
@@ -168,7 +173,7 @@ def load_generators(path, chart: CoordChart, functions=None) -> list:
             raise FormatError(path, lineno, f"undeclared symbols: {sorted(stray)}")
         try:
             f = BundleVectorField(chart, exprs[0], tuple(exprs[1:]), name=name)
-        except ChartError as exc:
+        except (ChartError, *_KERNEL_ERRORS) as exc:
             raise FormatError(path, lineno, str(exc))
         fields.append(f)
     if not fields:

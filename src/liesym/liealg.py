@@ -5,6 +5,12 @@ solvability, Killing form and semisimplicity, radical via the Cartan
 orthogonality criterion, Levi split verification, adjoint matrices and
 closed-form adjoint exponentials.
 
+Structure-constant tables are sparse (sl(4) has 114 nonzero constants
+out of 15^3), so the algebra keeps, next to the dense table c, the list
+of nonzero (k, c_ij^k) for each pair (i, j).  The antisymmetry and
+Jacobi checks, the Killing form, brackets and adjoint matrices run over
+those nonzero constants only; every sum they skip has a zero factor.
+
 Adjoint convention: Ad(exp(q X_i)) X_j expands with the alternating
 series X_j - q [X_i, X_j] + (q^2/2) [X_i, [X_i, X_j]] - ..., and the
 AdjointMap matrix stores images by rows, so coefficient vectors
@@ -15,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .errors import (
@@ -85,9 +92,19 @@ class LieAlgebra:
     def dim(self) -> int:
         return len(self.basis)
 
+    @cached_property
+    def nonzero(self):
+        """nonzero[i][j] = ((k, c[i][j][k]), ...) over the k with
+        c[i][j][k] != 0, in ascending k."""
+        return tuple(
+            tuple(tuple((k, x) for k, x in enumerate(row) if x) for row in plane)
+            for plane in self.c
+        )
+
     def bracket_coeffs(self, u, v):
         """Coefficients of [sum u_i X_i, sum v_j X_j]."""
         m = self.dim
+        nz = self.nonzero
         out = [Fraction(0)] * m
         for i in range(m):
             if not u[i]:
@@ -96,9 +113,8 @@ class LieAlgebra:
                 if not v[j]:
                     continue
                 uv = u[i] * v[j]
-                for k in range(m):
-                    if self.c[i][j][k]:
-                        out[k] += uv * self.c[i][j][k]
+                for k, x in nz[i][j]:
+                    out[k] += uv * x
         return out
 
     def names(self):
@@ -136,37 +152,42 @@ def structure_constants(basis) -> LieAlgebra:
 
 
 def _validate_structure(g: LieAlgebra):
+    """Antisymmetry c_ij^k = -c_ji^k and the Jacobi identity
+    sum_l c_ij^l c_lk^t + c_jk^l c_li^t + c_ki^l c_lj^t = 0 for every
+    ordered (i, j, k) and every target t.  The sums run over nonzero
+    constants; a term they skip is a product with a zero factor."""
     m = g.dim
     c = g.c
+    nz = g.nonzero
     for i in range(m):
         for j in range(m):
-            for k in range(m):
-                if c[i][j][k] != -c[j][i][k]:
+            # an entry nonzero on one side only is met from that side
+            for k, x in nz[i][j]:
+                if c[j][i][k] != -x:
                     raise NonClosureError("antisymmetry violated in structure constants")
     for i in range(m):
         for j in range(m):
             for k in range(m):
-                for target in range(m):
-                    total = Fraction(0)
-                    for l in range(m):
-                        total += c[i][j][l] * c[l][k][target]
-                        total += c[j][k][l] * c[l][i][target]
-                        total += c[k][i][l] * c[l][j][target]
-                    if total:
-                        raise NonClosureError("Jacobi identity violated")
+                total = {}
+                for a, b, d in ((i, j, k), (j, k, i), (k, i, j)):
+                    for l, x in nz[a][b]:
+                        for target, y in nz[l][d]:
+                            total[target] = total.get(target, 0) + x * y
+                if any(total.values()):
+                    raise NonClosureError("Jacobi identity violated")
 
 
 def ad_matrix(g: LieAlgebra, v):
     """Matrix of ad(sum v_i X_i) acting on coefficient columns."""
     m = g.dim
+    nz = g.nonzero
     out = [[Fraction(0)] * m for _ in range(m)]
     for j in range(m):
         for i in range(m):
             if not v[i]:
                 continue
-            for k in range(m):
-                if g.c[i][j][k]:
-                    out[k][j] += v[i] * g.c[i][j][k]
+            for k, x in nz[i][j]:
+                out[k][j] += v[i] * x
     return out
 
 
@@ -224,16 +245,19 @@ class KillingMatrix:
 
 
 def killing_form(g: LieAlgebra):
-    """K_ij = tr(ad X_i ad X_j); returns (KillingMatrix, is_semisimple)."""
+    """K_ij = tr(ad X_i ad X_j); returns (KillingMatrix, is_semisimple).
+
+    (ad X_i)_ab = c_ib^a, so K_ij = sum_b sum_{a: c_ib^a != 0} c_ib^a c_ja^b."""
     m = g.dim
-    ads = [ad_matrix(g, _unit(m, i)) for i in range(m)]
+    c = g.c
+    nz = g.nonzero
     K = [[Fraction(0)] * m for _ in range(m)]
     for i in range(m):
         for j in range(i, m):
             tr = Fraction(0)
-            for a in range(m):
-                for b in range(m):
-                    tr += ads[i][a][b] * ads[j][b][a]
+            for b in range(m):
+                for a, x in nz[i][b]:
+                    tr += x * c[j][a][b]
             K[i][j] = K[j][i] = tr
     km = KillingMatrix(tuple(tuple(row) for row in K))
     return km, rank_dense(K) == m
@@ -319,9 +343,11 @@ def levi_check(g: LieAlgebra, r_vectors, h_vectors) -> bool:
     K, _ = killing_form(g)
     Kh = []
     for u in h_vectors:
+        u_nz = [i for i in range(m) if u[i]]
         row = []
         for v in h_vectors:
-            row.append(sum(u[i] * K[i, j] * v[j] for i in range(m) for j in range(m)))
+            v_nz = [j for j in range(m) if v[j]]
+            row.append(sum(u[i] * K[i, j] * v[j] for i in u_nz for j in v_nz))
         Kh.append(row)
     return rank_dense(Kh) == len(h_vectors)
 

@@ -108,16 +108,16 @@ def _normalize_row(row: dict) -> dict:
 
 
 def _int_rows(rows):
+    """Distinct normalized integer rows from rows of ints or Fractions."""
     out = []
     seen = set()
     for row in rows:
-        items = {c: Fraction(v) for c, v in row.items() if v != 0}
+        items = [(c, v) for c, v in row.items() if v]
         if not items:
             continue
-        den_lcm = 1
-        for v in items.values():
-            den_lcm = den_lcm * v.denominator // math.gcd(den_lcm, v.denominator)
-        introw = _normalize_row({c: int(v * den_lcm) for c, v in items.items()})
+        den_lcm = math.lcm(*(v.denominator for _, v in items))
+        introw = _normalize_row(
+            {c: v.numerator * (den_lcm // v.denominator) for c, v in items})
         key = tuple(sorted(introw.items()))
         if key not in seen:
             seen.add(key)
@@ -125,60 +125,59 @@ def _int_rows(rows):
     return out
 
 
+def _eliminate(row: dict, piv: dict, c: int) -> dict:
+    """row * piv[c] - piv * row[c], normalized: column c cleared from row."""
+    pv, rv = piv[c], row[c]
+    combined = {}
+    for col, v in row.items():
+        combined[col] = v * pv
+    for col, v in piv.items():
+        nv = combined.get(col, 0) - v * rv
+        if nv:
+            combined[col] = nv
+        else:
+            combined.pop(col, None)
+    return _normalize_row(combined)
+
+
 def sparse_rref(rows, ncols: int):
-    """RREF of sparse rows (dict col -> rational). Returns
-    (pivot_rows: {pivot col -> integer row dict}, pivot cols sorted)."""
-    work = _int_rows(rows)
-    # index rows by smallest column for candidate lookup
+    """RREF of sparse rows (dict col -> int or Fraction). Returns
+    (pivot_rows: {pivot col -> integer row dict}, pivot cols sorted).
+
+    Rows keep their ids (positions in the deduplicated input) for the
+    whole elimination; the pivot of column c is the shortest row holding
+    c, ties going to the lowest id.  An index from each column to the ids
+    of rows that have held it makes a step touch only those rows; ids
+    whose row has since lost the column are skipped when it is read."""
+    work = _int_rows(rows)  # id -> row, None once pivot or eliminated to zero
+    holders = {}
+    for rid, row in enumerate(work):
+        for col in row:
+            holders.setdefault(col, []).append(rid)
     pivot_rows = {}
     for c in range(ncols):
-        candidates = [r for r in work if c in r]
-        if not candidates:
+        ids = {r for r in holders.pop(c, ()) if work[r] is not None and c in work[r]}
+        if not ids:
             continue
-        candidates.sort(key=len)
-        piv = candidates[0]
-        work.remove(piv)
-        pv = piv[c]
-        new_work = []
-        for row in work:
-            if c in row:
-                rv = row[c]
-                combined = {}
-                for col, v in row.items():
-                    combined[col] = v * pv
-                for col, v in piv.items():
-                    nv = combined.get(col, 0) - v * rv
-                    if nv:
-                        combined[col] = nv
-                    else:
-                        combined.pop(col, None)
-                combined = _normalize_row(combined)
-                if combined:
-                    new_work.append(combined)
-            else:
-                new_work.append(row)
-        work = new_work
+        pid = min(ids, key=lambda r: (len(work[r]), r))
+        piv = work[pid]
+        work[pid] = None
+        for rid in ids - {pid}:
+            row = work[rid]
+            combined = _eliminate(row, piv, c)
+            for col in combined:
+                if col not in row:
+                    holders.setdefault(col, []).append(rid)
+            work[rid] = combined or None
         pivot_rows[c] = piv
     # back substitution: clear pivot columns from earlier pivot rows
     pivots = sorted(pivot_rows)
     for i in range(len(pivots) - 1, -1, -1):
         c = pivots[i]
         piv = pivot_rows[c]
-        pv = piv[c]
         for c2 in pivots[:i]:
-            row = pivot_rows[c2]
-            if c in row:
-                rv = row[c]
-                combined = {}
-                for col, v in row.items():
-                    combined[col] = v * pv
-                for col, v in piv.items():
-                    nv = combined.get(col, 0) - v * rv
-                    if nv:
-                        combined[col] = nv
-                    else:
-                        combined.pop(col, None)
-                pivot_rows[c2] = _normalize_row(combined)
+            if c in pivot_rows[c2]:
+                pivot_rows[c2] = _eliminate(pivot_rows[c2], piv, c)
     return pivot_rows, pivots
 
 

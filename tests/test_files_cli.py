@@ -244,13 +244,41 @@ class TestCliReports:
         assert code == 0
 
 
-def test_console_entry_point():
+def _run_cli(*argv, cwd=None):
     # the child imports the same liesym as this process, installed or not
     src = str(Path(liesym.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    out = subprocess.run(
-        [sys.executable, "-m", "liesym.cli", "--help"],
+    return subprocess.run(
+        [sys.executable, "-m", "liesym.cli", *argv], cwd=cwd,
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
     )
+
+
+def test_console_entry_point():
+    out = _run_cli("--help")
     assert out.returncode == 0
     assert "analyze" in out.stdout
+
+
+FLAT_PLANE = "param s\ncoords x y\ng 0 0 = 1\ng 1 1 = 1\n"
+TRANSLATIONS = "gen T_s = 1 | 0 | 0\ngen T_x = 0 | 1 | 0\n"
+
+
+@pytest.mark.parametrize("expr", ["1/0", "(-4)^(1/2)"])
+@pytest.mark.parametrize("where", ["metric", "generators"])
+def test_kernel_error_in_input_exits_2(tmp_path, expr, where):
+    # a zero denominator and an even root of a negative rational are
+    # rejected by the expression kernel, not by the parser
+    metric, gens = FLAT_PLANE, TRANSLATIONS
+    if where == "metric":
+        metric = metric.replace("g 0 0 = 1", f"g 0 0 = {expr}")
+        line = "in.metric:3"
+    else:
+        gens += f"gen bad = 0 | {expr} | 0\n"
+        line = "in.gens:3"
+    (tmp_path / "in.metric").write_text(metric)
+    (tmp_path / "in.gens").write_text(gens)
+    out = _run_cli("verify", "in.metric", "in.gens", "--liepoint", cwd=tmp_path)
+    assert out.returncode == 2
+    assert line in out.stderr
+    assert "Traceback" not in out.stderr

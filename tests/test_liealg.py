@@ -14,6 +14,8 @@ from liesym.errors import (
 )
 from liesym.jets import BundleVectorField
 from liesym.liealg import (
+    LieAlgebra,
+    _validate_structure,
     adjoint_exp,
     adjoint_series_truncation,
     ad_matrix,
@@ -151,6 +153,110 @@ class TestStructureConstants:
                                 total += g.c[j][k][l] * g.c[l][i][t]
                                 total += g.c[k][i][l] * g.c[l][j][t]
                             assert total == 0
+
+
+def _table(m, brackets):
+    """Dense c[i][j][k] from {(i, j): {k: c_ij^k}}, mirrored by antisymmetry."""
+    c = [[[Fraction(0)] * m for _ in range(m)] for _ in range(m)]
+    for (i, j), image in brackets.items():
+        for k, v in image.items():
+            c[i][j][k] = Fraction(v)
+            c[j][i][k] = -Fraction(v)
+    return c
+
+
+def _algebra_of(chart, c):
+    """LieAlgebra with table c; the basis fields only carry names here."""
+    basis = tuple(make_field(chart, f"e{i}", "0", ["0", "0", "0", "0"])
+                  for i in range(len(c)))
+    return LieAlgebra(basis, tuple(tuple(tuple(r) for r in p) for p in c))
+
+
+SO3 = {(0, 1): {2: 1}, (1, 2): {0: 1}, (2, 0): {1: 1}}
+
+
+class TestStructureChecks:
+    """_validate_structure rejects tables that are not Lie algebras."""
+
+    def test_so3_passes(self, chart):
+        _validate_structure(_algebra_of(chart, _table(3, SO3)))
+
+    def test_rescaled_so3_passes(self, chart):
+        # [e2, e0] = 2 e1: every cyclic 3-dimensional table is a Lie algebra
+        _validate_structure(_algebra_of(chart, _table(3, {**SO3, (2, 0): {1: 2}})))
+
+    @pytest.mark.parametrize("entry, value", [
+        ((1, 0, 2), Fraction(-2)),  # [e1, e0] = -2 e2 against [e0, e1] = e2
+        ((1, 0, 2), Fraction(0)),   # nonzero on one side only
+        ((0, 0, 1), Fraction(1)),   # [e0, e0] = e1
+    ])
+    def test_broken_antisymmetry_rejected(self, chart, entry, value):
+        c = _table(3, SO3)
+        i, j, k = entry
+        c[i][j][k] = value
+        with pytest.raises(NonClosureError, match="antisymmetry violated"):
+            _validate_structure(_algebra_of(chart, c))
+
+    def test_deformed_so3_violates_jacobi(self, chart):
+        # [e1, e2] = e0 + e1: the Jacobi sum of (e0, e1, e2) is [e1, e0] = -e2
+        c = _table(3, {**SO3, (1, 2): {0: 1, 1: 1}})
+        with pytest.raises(NonClosureError, match="Jacobi identity violated"):
+            _validate_structure(_algebra_of(chart, c))
+
+
+def _free_particle_fields():
+    """The 15 Lie point symmetries of the free particle in the plane, a
+    basis of sl(4), the projective algebra of (s, x, y): the translations,
+    the nine linear fields z^j d_{z^i} and the three z^j (z^k d_{z^k})."""
+    z = ("s", "x", "y")
+    comps = []
+    for i in range(3):
+        comps.append(tuple("1" if k == i else "0" for k in range(3)))
+    for i in range(3):
+        for j in range(3):
+            comps.append(tuple(z[j] if k == i else "0" for k in range(3)))
+    for j in range(3):
+        comps.append(tuple(f"{z[j]}*{z[k]}" for k in range(3)))
+    plane = CoordChart("s", ("x", "y"))
+    return [make_field(plane, f"X{n + 1}", xi, list(eta))
+            for n, (xi, *eta) in enumerate(comps)]
+
+
+@pytest.fixture(scope="module")
+def sl4_algebra():
+    return structure_constants(_free_particle_fields())
+
+
+class TestFreeParticleAlgebra:
+    """sl(4): 15 dimensions, 114 nonzero structure constants out of 15^3."""
+
+    def test_sparse_view_matches_table(self, sl4_algebra):
+        g = sl4_algebra
+        m = g.dim
+        assert m == 15
+        for i in range(m):
+            for j in range(m):
+                assert list(g.nonzero[i][j]) == [
+                    (k, g.c[i][j][k]) for k in range(m) if g.c[i][j][k]]
+        assert sum(len(pair) for plane in g.nonzero for pair in plane) == 114
+
+    def test_perfect_with_zero_radical(self, sl4_algebra):
+        chain, solvable = derived_series(sl4_algebra)
+        assert chain.dims == (15, 15)
+        assert not solvable
+        assert radical(sl4_algebra) == []
+        assert levi_check(sl4_algebra, [], [unit(15, i) for i in range(15)])
+
+    def test_killing_form_nondegenerate(self, sl4_algebra):
+        g = sl4_algebra
+        m = g.dim
+        K, semisimple = killing_form(g)
+        assert semisimple
+        # tr(ad X_i ad X_j) from the dense table, (ad X_i)_ab = c_ib^a
+        for i in range(m):
+            for j in range(m):
+                assert K[i, j] == sum(g.c[i][b][a] * g.c[j][a][b]
+                                      for a in range(m) for b in range(m))
 
 
 class TestDerivedSeries:
@@ -331,8 +437,6 @@ class TestAdjointExp:
         ]
         # B = t d_t does not close with A into a central C; use a direct
         # structure-constant construction instead
-        from liesym.liealg import LieAlgebra
-
         z = Fraction(0)
         one = Fraction(1)
         c = [[[z] * 3 for _ in range(3)] for _ in range(3)]
@@ -348,8 +452,6 @@ class TestAdjointExp:
         # [A, B] = 2B and [A, C] = (1/2) C: minimal polynomial of ad A
         # is x^2 - (5/2)x + 1, whose roots need the denominator-cleared
         # rational root search
-        from liesym.liealg import LieAlgebra
-
         z = Fraction(0)
         fields = [
             make_field(chart, "A", "1", ["0", "0", "0", "0"]),
@@ -372,8 +474,6 @@ class TestAdjointExp:
 
     def test_unsupported_spectrum(self, chart):
         # [A, B] = B + C, [A, C] = -B + C gives eigenvalues -1 +/- i
-        from liesym.liealg import LieAlgebra
-
         z = Fraction(0)
         one = Fraction(1)
         fields = [
