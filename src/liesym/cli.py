@@ -26,8 +26,6 @@ from .files import load_generators, load_metric
 from .geometry import geodesic_lagrangian, geodesic_system
 from .liealg import (
     adjoint_exp,
-    derived_series,
-    killing_form,
     radical,
     levi_check,
     structure_constants,
@@ -179,8 +177,8 @@ def cmd_algebra(args) -> int:
     metric = load_metric(args.metric)
     fields = load_generators(args.generators, metric.chart, metric.functions)
     g = structure_constants(fields)
-    K, semisimple = killing_form(g)
-    chain, solvable = derived_series(g)
+    K, semisimple = g.killing
+    chain, solvable = g.derived
     rad = radical(g)
     h_guess = _heuristic_levi_split(g, rad)
     levi_ok = False

@@ -12,7 +12,9 @@ Generator files:
     gen <name> = <xi-expr> | <eta-expr> | ... | <eta-expr>
 
 Bare preset names (e.g. vaidya_bonner.metric) resolve against the
-packaged data directory when no such file exists on disk.
+packaged data directory when no such file exists on disk.  A metric
+whose determinant is canonically zero is rejected when it loads
+(SingularMetricError).
 """
 
 from __future__ import annotations
@@ -21,14 +23,14 @@ from importlib import resources
 from pathlib import Path
 
 from .charts import CoordChart
-from .errors import ChartError, FormatError
-from .geometry import Metric
+from .errors import ChartError, FormatError, SingularMetricError
+from .geometry import Metric, determinant
 from .jets import BundleVectorField
 from .symexpr import ExprSyntaxError, Num, parse_expr, to_canonical
 
 # What the expression kernel raises for input it cannot represent:
 # ZeroDivisionError for a zero denominator (1/0), ValueError for an even
-# root of a negative rational ((-4)^(1/2)).
+# root of a negative rational ((-4)^(1/2)) and for ln(0).
 _KERNEL_ERRORS = (ZeroDivisionError, ValueError)
 
 
@@ -108,10 +110,13 @@ def load_metric(path) -> Metric:
         comps[i][j] = e
         comps[j][i] = e
     try:
-        return Metric(chart, tuple(tuple(row) for row in comps), functions,
-                      name=Path(path).stem)
+        metric = Metric(chart, tuple(tuple(row) for row in comps), functions,
+                        name=Path(path).stem)
     except ChartError as exc:
         raise FormatError(path, 0, str(exc))
+    if determinant(metric).is_zero():
+        raise SingularMetricError(f"{path}: metric determinant is canonically zero")
+    return metric
 
 
 def _parse_function_decl(text: str):

@@ -98,33 +98,42 @@ def _ratfunc_matrix(metric: Metric):
     ]
 
 
+def _det(a):
+    """Laplace expansion along the first row, skipping zero entries."""
+    if not a:
+        return RAT_ONE
+    total = RAT_ZERO
+    for j, x in enumerate(a[0]):
+        if x.is_zero():
+            continue
+        term = x * _det([row[:j] + row[j + 1:] for row in a[1:]])
+        total = total - term if j % 2 else total + term
+    return total
+
+
+def determinant(metric: Metric):
+    """det g as a canonical RatFunc."""
+    return _det(_ratfunc_matrix(metric))
+
+
 def inverse_metric(metric: Metric) -> Metric:
-    """Exact inverse; the product with the input canonicalizes to the
-    identity.  Raises SingularMetricError when the determinant vanishes."""
+    """Exact inverse adj(g)/det(g); the product with the input
+    canonicalizes to the identity.  Raises SingularMetricError when the
+    determinant vanishes."""
     n = metric.chart.dim
     a = _ratfunc_matrix(metric)
-    inv = [[RAT_ONE if i == j else RAT_ZERO for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot = None
-        for row in range(col, n):
-            if not a[row][col].is_zero():
-                pivot = row
-                break
-        if pivot is None:
-            raise SingularMetricError("metric determinant is canonically zero")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv[col], inv[pivot] = inv[pivot], inv[col]
-        pv = a[col][col]
-        a[col] = [v / pv for v in a[col]]
-        inv[col] = [v / pv for v in inv[col]]
-        for row in range(n):
-            if row != col and not a[row][col].is_zero():
-                f = a[row][col]
-                a[row] = [x - f * y for x, y in zip(a[row], a[col])]
-                inv[row] = [x - f * y for x, y in zip(inv[row], inv[col])]
-    comps = tuple(
-        tuple(render_ratfunc(inv[i][j]) for j in range(n)) for i in range(n)
-    )
+    det = _det(a)
+    if det.is_zero():
+        raise SingularMetricError("metric determinant is canonically zero")
+    inv = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            # g is symmetric, so adj(g)_ij = adj(g)_ji is (-1)^(i+j) times
+            # the determinant of g without row i and column j
+            minor = [row[:j] + row[j + 1:] for k, row in enumerate(a) if k != i]
+            cof = _det(minor) / det
+            inv[i][j] = inv[j][i] = render_ratfunc(-cof if (i + j) % 2 else cof)
+    comps = tuple(tuple(row) for row in inv)
     return Metric(metric.chart, comps, dict(metric.functions), name=metric.name)
 
 

@@ -10,6 +10,9 @@ out of 15^3), so the algebra keeps, next to the dense table c, the list
 of nonzero (k, c_ij^k) for each pair (i, j).  The antisymmetry and
 Jacobi checks, the Killing form, brackets and adjoint matrices run over
 those nonzero constants only; every sum they skip has a zero factor.
+The Killing form and derived series are computed once per algebra, and
+the basis coordinates once per structure_constants call; every bracket
+is read in those coordinates.  All elimination is linalg.sparse_rref.
 
 Adjoint convention: Ad(exp(q X_i)) X_j expands with the alternating
 series X_j - q [X_i, X_j] + (q^2/2) [X_i, [X_i, X_j]] - ..., and the
@@ -31,10 +34,10 @@ from .errors import (
     UnsupportedAdjointError,
 )
 from .jets import BundleVectorField
-from .linalg import express_in_basis, nullspace_dense, rank_dense, rref_dense
+from .linalg import express_in_basis, rank, sparse_nullspace, sparse_rref
 from .symexpr import Add, Expr, Fn, Mul, Num, Pow, Sym, is_zero, to_canonical
 from .symexpr.canonical import canonical_ratfunc
-from .symexpr.poly import POLY_ONE, poly_divexact, poly_gcd
+from .symexpr.poly import RatFunc, poly_divexact, poly_lcm
 
 
 def field_bracket(x: BundleVectorField, y: BundleVectorField) -> BundleVectorField:
@@ -47,37 +50,42 @@ def field_bracket(x: BundleVectorField, y: BundleVectorField) -> BundleVectorFie
     return BundleVectorField(x.chart, comps[0], tuple(comps[1:]))
 
 
-def _component_vectors(fields, extra=None):
+def _coordinates(fields):
     """Coordinates of fields in the kernel-monomial function basis.
 
     Components are rational functions; each component slot is cleared by
-    the lcm of the denominators so every field becomes a finite exact
-    coefficient vector.  Returns (vectors per field, extra vector).
+    the lcm of the fields' denominators there, and each kernel monomial
+    of a cleared numerator is one coordinate, so every field becomes a
+    finite exact coefficient vector.  Returns (lcms, index, vectors): the
+    lcm of each slot, the coordinate of each (slot, monomial) and one
+    vector per field.
     """
-    ncomp = len(fields[0].components())
-    all_fields = list(fields) + ([extra] if extra is not None else [])
-    rfs = [[canonical_ratfunc(f.components()[i]) for i in range(ncomp)] for f in all_fields]
-    vectors = [[] for _ in all_fields]
-    for i in range(ncomp):
-        dens = [rfs[k][i].den for k in range(len(all_fields))]
-        common = POLY_ONE
-        for d in dens:
-            g = poly_gcd(common, d)
-            common = poly_divexact(common * d, g) if not g.is_const() else common * d
-        cleared = []
-        for k in range(len(all_fields)):
-            factor = poly_divexact(common, dens[k])
-            cleared.append(rfs[k][i].num * factor)
-        monomials = sorted(
-            {m for p in cleared for m in p.terms},
-            key=lambda m: tuple((a.key(), e) for a, e in m),
-        )
-        for k in range(len(all_fields)):
-            terms = cleared[k].terms
-            vectors[k].extend(terms.get(m, Fraction(0)) for m in monomials)
-    if extra is not None:
-        return vectors[:-1], vectors[-1]
-    return vectors, None
+    lcms, index = [], {}
+    for i in range(len(fields[0].components())):
+        rfs = [canonical_ratfunc(f.components()[i]) for f in fields]
+        common = poly_lcm(rf.den for rf in rfs)
+        lcms.append(common)
+        for rf in rfs:
+            for mono in (rf.num * poly_divexact(common, rf.den)).terms:
+                index.setdefault((i, mono), len(index))
+    return lcms, index, [_coordinates_of(f, lcms, index) for f in fields]
+
+
+def _coordinates_of(field, lcms, index):
+    """The field's vector in coordinates from _coordinates, or None when
+    a component cleared by its slot's lcm is not a polynomial in that
+    slot's monomials (then the field is outside the fields' span)."""
+    vec = [Fraction(0)] * len(index)
+    for i, (comp, common) in enumerate(zip(field.components(), lcms)):
+        cleared = canonical_ratfunc(comp) * RatFunc.from_poly(common)
+        if not cleared.den.is_const():
+            return None
+        for mono, c in cleared.num.terms.items():
+            k = index.get((i, mono))
+            if k is None:
+                return None
+            vec[k] = c
+    return vec
 
 
 @dataclass(frozen=True)
@@ -100,6 +108,16 @@ class LieAlgebra:
             tuple(tuple((k, x) for k, x in enumerate(row) if x) for row in plane)
             for plane in self.c
         )
+
+    @cached_property
+    def killing(self):
+        """killing_form(self), computed once."""
+        return killing_form(self)
+
+    @cached_property
+    def derived(self):
+        """derived_series(self), computed once."""
+        return derived_series(self)
 
     def bracket_coeffs(self, u, v):
         """Coefficients of [sum u_i X_i, sum v_j X_j]."""
@@ -125,8 +143,8 @@ def structure_constants(basis) -> LieAlgebra:
     """Expand all pairwise brackets exactly in the given basis."""
     basis = list(basis)
     m = len(basis)
-    vectors, _ = _component_vectors(basis)
-    if rank_dense(vectors) != m:
+    lcms, index, vectors = _coordinates(basis)
+    if rank(vectors, len(index)) != m:
         raise DependentBasisError("basis fields are linearly dependent")
     c = [[[Fraction(0)] * m for _ in range(m)] for _ in range(m)]
     for i in range(m):
@@ -134,8 +152,8 @@ def structure_constants(basis) -> LieAlgebra:
             br = field_bracket(basis[i], basis[j])
             if br.is_zero_field():
                 continue
-            vecs, target = _component_vectors(basis, extra=br)
-            coeffs = express_in_basis([list(v) for v in vecs], list(target))
+            target = _coordinates_of(br, lcms, index)
+            coeffs = None if target is None else express_in_basis(vectors, target)
             if coeffs is None:
                 raise NonClosureError(
                     f"bracket [{basis[i].name or i}, {basis[j].name or j}] "
@@ -198,11 +216,17 @@ def _unit(m, i):
 
 
 def span_rref(vectors):
-    """Canonical basis (RREF rows) of the span of the given vectors."""
+    """Canonical basis of the span of the given vectors: the RREF rows,
+    each scaled to a leading 1."""
     if not vectors:
         return []
-    red, _ = rref_dense(vectors)
-    return [row for row in red if any(row)]
+    n = len(vectors[0])
+    pivot_rows, pivots = sparse_rref(vectors, n)
+    out = []
+    for p in pivots:
+        row = pivot_rows[p]
+        out.append([Fraction(row.get(j, 0), row[p]) for j in range(n)])
+    return out
 
 
 @dataclass(frozen=True)
@@ -260,15 +284,15 @@ def killing_form(g: LieAlgebra):
                     tr += x * c[j][a][b]
             K[i][j] = K[j][i] = tr
     km = KillingMatrix(tuple(tuple(row) for row in K))
-    return km, rank_dense(K) == m
+    return km, rank(K, m) == m
 
 
 def radical(g: LieAlgebra):
     """Cartan criterion: r = {v : K(v, w) = 0 for all w in [g, g]};
     verified to be a solvable ideal before returning."""
     m = g.dim
-    K, _ = killing_form(g)
-    chain, _ = derived_series(g)
+    K, _ = g.killing
+    chain, _ = g.derived
     derived = chain.subspaces[1] if len(chain.subspaces) > 1 else ()
     rows = []
     for w in derived:
@@ -278,8 +302,7 @@ def radical(g: LieAlgebra):
     if not rows:
         basis = span_rref([_unit(m, i) for i in range(m)])
         return [tuple(v) for v in basis]
-    basis = nullspace_dense(rows, m)
-    basis = span_rref(basis)
+    basis = span_rref(sparse_nullspace(rows, m))
     if not _is_ideal(g, basis):
         raise NonClosureError("radical candidate is not an ideal (structure bug)")
     if not _is_solvable_subspace(g, basis):
@@ -334,13 +357,13 @@ def levi_check(g: LieAlgebra, r_vectors, h_vectors) -> bool:
     h_vectors = [list(map(Fraction, v)) for v in h_vectors]
     if len(r_vectors) + len(h_vectors) != m:
         raise ValueError("dimension mismatch: dim r + dim h != dim g")
-    if rank_dense(r_vectors + h_vectors) != m:
+    if rank(r_vectors + h_vectors, m) != m:
         return False
     if not (_is_ideal(g, r_vectors) and _is_solvable_subspace(g, r_vectors)):
         return False
     if not _is_subalgebra(g, h_vectors):
         return False
-    K, _ = killing_form(g)
+    K, _ = g.killing
     Kh = []
     for u in h_vectors:
         u_nz = [i for i in range(m) if u[i]]
@@ -349,7 +372,7 @@ def levi_check(g: LieAlgebra, r_vectors, h_vectors) -> bool:
             v_nz = [j for j in range(m) if v[j]]
             row.append(sum(u[i] * K[i, j] * v[j] for i in u_nz for j in v_nz))
         Kh.append(row)
-    return rank_dense(Kh) == len(h_vectors)
+    return rank(Kh, len(h_vectors)) == len(h_vectors)
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +409,7 @@ def _minimal_polynomial(a):
         d = len(powers) - 1
         rows = [[powers[p][i][j] for p in range(d + 1)]
                 for i in range(n) for j in range(n)]
-        ns = nullspace_dense(rows, d + 1)
+        ns = sparse_nullspace(rows, d + 1)
         for v in ns:
             if v[d]:
                 coeffs = [x / v[d] for x in v]

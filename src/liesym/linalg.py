@@ -1,8 +1,12 @@
-"""Exact rational linear algebra: reduced row echelon, nullspaces.
+"""Exact rational linear algebra on one elimination routine.
 
-Two layers: a dense Fraction implementation for small systems (algebra
-bases, change-of-basis checks) and a sparse integer implementation for
-the large homogeneous systems produced by determining equations.
+`sparse_rref` is the only elimination.  It takes rows as dicts
+col -> int or Fraction, or as dense sequences of rationals, and reduces
+them over the integers to the reduced row echelon form.  That form is
+unique, so rank, nullspace, the canonical basis of a row space and the
+coordinates of a vector in a basis are all short reads of its pivot
+rows; the large homogeneous systems of the determining equations and
+the small ones of the Lie-algebra layer share it.
 """
 
 from __future__ import annotations
@@ -10,89 +14,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from typing import Optional
-
-
-def rref_dense(rows):
-    """In-place-free reduced row echelon form; returns (rows, pivot cols)."""
-    rows = [list(map(Fraction, r)) for r in rows]
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, len(rows)):
-            if rows[i][c] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][c]
-        rows[r] = [v / pv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r], pivots
-
-
-def rank_dense(rows) -> int:
-    return len(rref_dense(rows)[0])
-
-
-def nullspace_dense(rows, ncols: int):
-    """Canonical nullspace basis (one vector per free column, ascending)."""
-    red, pivots = rref_dense(rows) if rows else ([], [])
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        v = [Fraction(0)] * ncols
-        v[free] = Fraction(1)
-        for i, p in enumerate(pivots):
-            v[p] = -red[i][free]
-        basis.append(v)
-    return basis
-
-
-def express_in_basis(vectors, target) -> Optional[list]:
-    """Exact coefficients c with sum c_i vectors[i] = target, or None.
-
-    Solves the overdetermined system by RREF of the augmented matrix;
-    when the vectors are dependent the representation with zero
-    coefficients on non-pivot vectors is returned.
-    """
-    if not vectors:
-        return None if any(Fraction(x) != 0 for x in target) else []
-    m = len(target)
-    aug = []
-    for i in range(m):
-        aug.append([Fraction(v[i]) for v in vectors] + [Fraction(target[i])])
-    red, pivots = rref_dense(aug)
-    n = len(vectors)
-    if n in pivots:
-        return None
-    coeffs = [Fraction(0)] * n
-    for i, p in enumerate(pivots):
-        coeffs[p] = red[i][n]
-    return coeffs
-
-
-def independent(vectors) -> bool:
-    if not vectors:
-        return True
-    return rank_dense(vectors) == len(vectors)
-
-
-# ---------------------------------------------------------------------------
-# Sparse integer rows for large homogeneous systems.
 
 
 def _normalize_row(row: dict) -> dict:
@@ -108,11 +29,13 @@ def _normalize_row(row: dict) -> dict:
 
 
 def _int_rows(rows):
-    """Distinct normalized integer rows from rows of ints or Fractions."""
+    """Distinct normalized integer rows from rows of ints or Fractions,
+    each a dict col -> value or a dense sequence."""
     out = []
     seen = set()
     for row in rows:
-        items = [(c, v) for c, v in row.items() if v]
+        pairs = row.items() if isinstance(row, dict) else enumerate(row)
+        items = [(c, v) for c, v in pairs if v]
         if not items:
             continue
         den_lcm = math.lcm(*(v.denominator for _, v in items))
@@ -141,7 +64,7 @@ def _eliminate(row: dict, piv: dict, c: int) -> dict:
 
 
 def sparse_rref(rows, ncols: int):
-    """RREF of sparse rows (dict col -> int or Fraction). Returns
+    """RREF of rational rows (see _int_rows) over columns 0..ncols-1. Returns
     (pivot_rows: {pivot col -> integer row dict}, pivot cols sorted).
 
     Rows keep their ids (positions in the deduplicated input) for the
@@ -197,3 +120,26 @@ def sparse_nullspace(rows, ncols: int):
                 v[c] = Fraction(-row[free], row[c])
         basis.append(v)
     return basis
+
+
+def rank(rows, ncols: int) -> int:
+    return len(sparse_rref(rows, ncols)[1])
+
+
+def express_in_basis(vectors, target) -> Optional[list]:
+    """Exact coefficients c with sum c_i vectors[i] = target, or None.
+
+    The RREF of the augmented matrix [vectors | target] (vectors as
+    columns) has a pivot in the target column exactly when the target is
+    outside the span; when the vectors are dependent the representation
+    with zero coefficients on non-pivot vectors is returned."""
+    n = len(vectors)
+    aug = [[v[i] for v in vectors] + [t] for i, t in enumerate(target)]
+    pivot_rows, pivots = sparse_rref(aug, n + 1)
+    if n in pivot_rows:
+        return None
+    coeffs = [Fraction(0)] * n
+    for p in pivots:
+        row = pivot_rows[p]
+        coeffs[p] = Fraction(row.get(n, 0), row[p])
+    return coeffs

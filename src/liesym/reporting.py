@@ -117,12 +117,9 @@ def _latexify(text: str) -> str:
 
 
 def commutator_table_text(g: LieAlgebra) -> str:
+    """Each column padded to its widest cell plus two spaces."""
     names = g.names()
     m = g.dim
-    width = max(len(n) for n in names) + 2
-
-    def cell(text):
-        return text.ljust(width)
 
     def entry(i, j):
         parts = []
@@ -138,10 +135,10 @@ def commutator_table_text(g: LieAlgebra) -> str:
                 parts.append(f"{c}*{names[k]}")
         return " + ".join(parts) if parts else "0"
 
-    header = cell("[ , ]") + "".join(cell(n) for n in names)
-    lines = [header]
-    for i in range(m):
-        lines.append(cell(names[i]) + "".join(cell(entry(i, j)) for j in range(m)))
+    table = [["[ , ]", *names]]
+    table += [[names[i], *(entry(i, j) for j in range(m))] for i in range(m)]
+    widths = [max(len(row[col]) for row in table) + 2 for col in range(m + 1)]
+    lines = ["".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in table]
     return "\n".join(lines) + "\n"
 
 

@@ -85,6 +85,8 @@ def _fn_ratfunc(name: str, arg: RatFunc) -> RatFunc:
     if name == "exp":
         return _exp_of(arg)
     if name in ("ln", "arctan"):
+        if name == "ln" and arg.is_zero():
+            raise ValueError("ln of zero is undefined")
         # Inert kernels: no identities beyond argument canonicalization.
         return RatFunc.atom(Atom("fn", (name, arg)))
     raise ValueError(f"unknown function {name}")

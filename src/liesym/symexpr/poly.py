@@ -408,6 +408,15 @@ def poly_divexact(p: Poly, d: Poly) -> Poly:
     return quot
 
 
+def poly_lcm(polys) -> Poly:
+    """Lcm in the free ring: the product of the polys with each shared
+    factor (by poly_gcd) taken once."""
+    out = POLY_ONE
+    for p in polys:
+        out = out * poly_divexact(p, poly_gcd(out, p))
+    return out
+
+
 def _pseudo_rem(p, q, atom):
     """Pseudo-remainder of p by q, both viewed univariate in atom."""
     pc = p.coeffs_in(atom)

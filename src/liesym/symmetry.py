@@ -45,7 +45,7 @@ from .symexpr import (
 )
 from .symexpr.canonical import canonical_ratfunc
 from .symexpr.nodes import as_expr
-from .symexpr.poly import POLY_ONE, Poly, poly_divexact, poly_gcd
+from .symexpr.poly import Poly, poly_divexact, poly_lcm
 
 UNKNOWN_XI = "xi"
 
@@ -389,13 +389,6 @@ def _split_by_unknown(rf, names, args) -> dict:
     return {jet: Poly(terms) for jet, terms in parts.items()}
 
 
-def _poly_lcm(polys) -> Poly:
-    out = POLY_ONE
-    for p in polys:
-        out = out * poly_divexact(p, poly_gcd(out, p))
-    return out
-
-
 def solve_determining(system: DeterminingSystem, ansatz: Ansatz) -> list:
     """Expand each unknown in the ansatz, collect over all kernel
     monomials, and return the exact nullspace rendered as vector fields
@@ -427,7 +420,7 @@ def solve_determining(system: DeterminingSystem, ansatz: Ansatz) -> list:
             if not (d := derivative(k, orders)).is_zero()
         ]
         dens = {d.den.key(): d.den for _, _, d in terms}
-        lcm = _poly_lcm(dens.values())
+        lcm = poly_lcm(dens.values())
         cofactor = {key: poly_divexact(lcm, den) for key, den in dens.items()}
         buckets = {}
         for col, A, d in terms:

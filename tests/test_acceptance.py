@@ -31,7 +31,7 @@ from liesym.geometry import (
 )
 from liesym.jets import BundleVectorField, prolong, total_derivative
 from liesym.liealg import (
-    _component_vectors,
+    _coordinates,
     adjoint_exp,
     derived_series,
     field_bracket,
@@ -80,7 +80,7 @@ def verdict(number, ok, detail=""):
 
 
 def span_equal(fields_a, fields_b):
-    vecs, _ = _component_vectors(list(fields_a) + list(fields_b))
+    vecs = _coordinates(list(fields_a) + list(fields_b))[2]
     va = [list(v) for v in vecs[: len(fields_a)]]
     vb = [list(v) for v in vecs[len(fields_a):]]
     forward = all(express_in_basis(va, v) is not None for v in vb)
@@ -228,7 +228,7 @@ def test_criterion_4_second_instance_reproduction(vb_mt_qt2, scaling_fields,
     golden_residual_ok = is_zero(
         golden_scaling.residuals[0] - geodesic_lagrangian(vb_mt_qt2))
     noether_dim_ok = len(mtqt2_noether_solve) == 5
-    vecs, tvec = _component_vectors(mtqt2_noether_solve, extra=noether_scaling)
+    *vecs, tvec = _coordinates([*mtqt2_noether_solve, noether_scaling])[2]
     noether_contains = (
         express_in_basis([list(v) for v in vecs], list(tvec)) is not None)
 
@@ -398,7 +398,7 @@ def test_criterion_7_property_suites(vb_general, vb_m1_qt, vb_mt_qt2,
                 br = field_bracket(fields[i], fields[j])
                 if br.is_zero_field():
                     continue
-                vecs, target = _component_vectors(fields, extra=br)
+                *vecs, target = _coordinates([*fields, br])[2]
                 if express_in_basis([list(v) for v in vecs], list(target)) is None:
                     failures.append(f"solver closure {metric.name}")
 

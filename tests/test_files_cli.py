@@ -264,11 +264,12 @@ FLAT_PLANE = "param s\ncoords x y\ng 0 0 = 1\ng 1 1 = 1\n"
 TRANSLATIONS = "gen T_s = 1 | 0 | 0\ngen T_x = 0 | 1 | 0\n"
 
 
-@pytest.mark.parametrize("expr", ["1/0", "(-4)^(1/2)"])
+@pytest.mark.parametrize("expr", ["1/0", "(-4)^(1/2)", "ln(0)"])
 @pytest.mark.parametrize("where", ["metric", "generators"])
 def test_kernel_error_in_input_exits_2(tmp_path, expr, where):
-    # a zero denominator and an even root of a negative rational are
-    # rejected by the expression kernel, not by the parser
+    # a zero denominator, an even root of a negative rational and the
+    # logarithm of zero are rejected by the expression kernel, not by
+    # the parser
     metric, gens = FLAT_PLANE, TRANSLATIONS
     if where == "metric":
         metric = metric.replace("g 0 0 = 1", f"g 0 0 = {expr}")
@@ -281,4 +282,19 @@ def test_kernel_error_in_input_exits_2(tmp_path, expr, where):
     out = _run_cli("verify", "in.metric", "in.gens", "--liepoint", cwd=tmp_path)
     assert out.returncode == 2
     assert line in out.stderr
+    assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze", "in.metric", "--noether"),
+    ("verify", "in.metric", "in.gens", "--noether"),
+    ("algebra", "in.gens", "--metric", "in.metric"),
+], ids=["analyze", "verify", "algebra"])
+def test_degenerate_metric_exits_3(tmp_path, argv):
+    # det g = 0: rejected when the metric loads, whatever the command
+    (tmp_path / "in.metric").write_text(FLAT_PLANE.replace("g 1 1 = 1", "g 1 1 = 0"))
+    (tmp_path / "in.gens").write_text(TRANSLATIONS)
+    out = _run_cli(*argv, cwd=tmp_path)
+    assert out.returncode == 3
+    assert "in.metric: metric determinant is canonically zero" in out.stderr
     assert "Traceback" not in out.stderr

@@ -1,0 +1,118 @@
+"""The single elimination routine against a reference and the definitions.
+
+`liesym.linalg.sparse_rref` is the only elimination in the library.  A
+seeded suite of rational matrices, with duplicate, proportional, zero
+and empty rows, compares its pivots and pivot rows, the nullspace,
+`rank`, `span_rref` and `express_in_basis` with the dense Gauss-Jordan
+of `reference_linalg`, and checks them against the definitions:
+A v = 0, rank + nullity = ncols, and a target outside the span has no
+coordinates.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+import reference_linalg as ref
+from liesym.liealg import span_rref
+from liesym.linalg import express_in_basis, rank, sparse_nullspace, sparse_rref
+
+SEEDS = range(250)
+
+
+def _entry(rng):
+    if rng.random() < 0.55:
+        return Fraction(0)
+    return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+
+
+def random_matrix(seed):
+    """(dense rows, ncols): random rows, then rows copied, scaled, summed
+    or zeroed, so ranks fall short of both dimensions."""
+    rng = random.Random(seed)
+    ncols = rng.randint(1, 7)
+    rows = [[_entry(rng) for _ in range(ncols)] for _ in range(rng.randint(0, 6))]
+    for _ in range(rng.randint(0, 4)):
+        kind = rng.choice(("copy", "scale", "sum", "zero"))
+        if kind == "zero" or not rows:
+            rows.append([Fraction(0)] * ncols)
+        elif kind == "copy":
+            rows.append(list(rng.choice(rows)))
+        elif kind == "scale":
+            c = Fraction(rng.choice((-3, -1, 2, 5)), rng.randint(1, 3))
+            rows.append([c * x for x in rng.choice(rows)])
+        else:
+            a, b = rng.choice(rows), rng.choice(rows)
+            rows.append([x + y for x, y in zip(a, b)])
+    rng.shuffle(rows)
+    return rows, ncols
+
+
+def as_input(rows, seed):
+    """Half the seeds pass dict rows (a zero row becomes {} or keeps
+    explicit zeros), the other half dense lists."""
+    if seed % 2:
+        return rows
+    return [{c: v for c, v in enumerate(r) if v or seed % 4 == 0} for r in rows]
+
+
+def matmul(rows, v):
+    return [sum(a * b for a, b in zip(r, v)) for r in rows]
+
+
+def test_suite_covers_the_edge_cases():
+    mats = [random_matrix(s)[0] for s in SEEDS]
+    assert sum(not m for m in mats) >= 5
+    assert sum(any(not any(r) for r in m) for m in mats) >= 50
+    assert sum(any(m.count(r) > 1 for r in m if any(r)) for m in mats) >= 20
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_rref_matches_reference(seed):
+    rows, ncols = random_matrix(seed)
+    pivot_rows, pivots = sparse_rref(as_input(rows, seed), ncols)
+    red, ref_pivots = ref.rref(rows)
+    assert pivots == ref_pivots
+    assert sorted(pivot_rows) == pivots
+    for p, expected in zip(pivots, red):
+        row = pivot_rows[p]
+        assert all(isinstance(v, int) and v for v in row.values())
+        assert min(row) == p
+        assert [Fraction(row.get(j, 0), row[p]) for j in range(ncols)] == expected
+    assert rank(as_input(rows, seed), ncols) == len(ref_pivots)
+    assert span_rref(rows) == red
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_nullspace_matches_reference_and_definition(seed):
+    rows, ncols = random_matrix(seed)
+    basis = sparse_nullspace(as_input(rows, seed), ncols)
+    assert basis == ref.nullspace(rows, ncols)
+    for v in basis:
+        assert not any(matmul(rows, v))
+    assert len(basis) + rank(rows, ncols) == ncols
+    assert ref.rank(basis) == len(basis)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_express_in_basis_matches_reference_and_definition(seed):
+    rng = random.Random(10_000 + seed)
+    rows, dim = random_matrix(seed)
+    vectors = rows  # vectors of length dim, possibly dependent or zero
+    inside = [Fraction(0)] * dim
+    for v in vectors:
+        c = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        inside = [x + c * y for x, y in zip(inside, v)]
+    outside_dirs = ref.nullspace(vectors, dim)  # orthogonal to every vector
+    targets = [inside, [_entry(rng) for _ in range(dim)]] + outside_dirs[:1]
+    for target in targets:
+        coeffs = express_in_basis(vectors, target)
+        assert coeffs == ref.express_in_basis(vectors, target)
+        if coeffs is not None:
+            combo = [sum(c * v[i] for c, v in zip(coeffs, vectors)) for i in range(dim)]
+            assert combo == target
+    assert express_in_basis(vectors, inside) is not None
+    for w in outside_dirs:
+        # w . w > 0 while w is orthogonal to the span
+        assert express_in_basis(vectors, w) is None
