@@ -50,7 +50,8 @@ from .reporting import (
     verify_payload,
     verify_text,
 )
-from .symexpr import ExprSyntaxError, differentiate, is_zero, parse_expr
+from .symexpr import ExprSyntaxError, derive, differentiate, parse_expr
+from .symexpr.poly import RAT_ONE
 from .symmetry import (
     default_ansatz,
     determining_system,
@@ -116,9 +117,10 @@ def _mode_of(args) -> str:
 
 
 def _verification_target(metric, mode: str):
-    """The metric for Noether checks, or its geodesic system for Lie
-    point checks, derived once per command and shared by every field."""
-    return metric if mode == "noether" else geodesic_system(metric)
+    """The geodesic Lagrangian for Noether checks, or the geodesic
+    system for Lie point checks, derived once per command and shared by
+    every field."""
+    return geodesic_lagrangian(metric) if mode == "noether" else geodesic_system(metric)
 
 
 def _verify_all(fields, target, mode: str) -> list:
@@ -130,7 +132,7 @@ def cmd_analyze(args) -> int:
     metric = load_metric(args.metric)
     mode = _mode_of(args)
     target = _verification_target(metric, mode)
-    system = determining_system(target, mode)
+    system = determining_system(metric if mode == "noether" else target, mode)
     ansatz = default_ansatz(metric.chart, args.ansatz_degree)
     fields = solve_determining(system, ansatz)
     reports = _verify_all(fields, target, mode)
@@ -259,8 +261,8 @@ def cmd_integrate(args) -> int:
     lagrangian = geodesic_lagrangian(metric)
     watches = [("lagrangian", lagrangian)]
     for c in chart.coords:
-        cyclic = all(is_zero(differentiate(comp, c))
-                     for row in metric.components for comp in row)
+        cyclic = all(derive(comp, {c: RAT_ONE}).is_zero()
+                     for row in metric.ratfuncs for comp in row)
         if cyclic:
             watches.append((f"momentum_{c}", differentiate(lagrangian, chart.jet1(c))))
     lines = [f"steps: {len(trace.samples) - 1}", f"step: {trace.step!r}"]

@@ -4,54 +4,55 @@ geodesic system, geodesic Lagrangian, Euler-Lagrange operator."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 
 from .charts import CoordChart
 from .errors import ChartError, SingularMetricError
-from .jets import total_derivative
-from .symexpr import (
-    Add,
-    Expr,
-    Mul,
-    Num,
-    Pow,
-    Sym,
-    differentiate,
-    is_zero,
-    to_canonical,
-)
-from .symexpr.canonical import canonical_ratfunc, render_ratfunc
-from .symexpr.nodes import as_expr
-from .symexpr.poly import RAT_ONE, RAT_ZERO
+from .jets import symbol, total
+from .symexpr import Expr, canonical_ratfunc, derive, render_ratfunc
+from .symexpr.nodes import Sym, as_expr
+from .symexpr.poly import RAT_ONE, RAT_ZERO, RatFunc, rat_sum
 
 
 @dataclass(frozen=True)
 class Metric:
     """Symmetric metric components over a chart, with declared opaque
-    functions (name -> argument symbols)."""
+    functions (name -> argument symbols).
+
+    `ratfuncs` holds the canonical RatFuncs of the components; the
+    components are their rendered trees."""
 
     chart: CoordChart
     components: tuple  # n x n tuple of canonical Expr
     functions: dict = field(default_factory=dict)
     name: str = ""
+    ratfuncs: tuple = field(default=(), compare=False, repr=False)
 
     def __post_init__(self):
         n = self.chart.dim
-        comps = tuple(
-            tuple(to_canonical(as_expr(self.components[i][j])) for j in range(n))
+        rfs = self.ratfuncs or tuple(
+            tuple(canonical_ratfunc(as_expr(self.components[i][j])) for j in range(n))
             for i in range(n)
         )
-        object.__setattr__(self, "components", comps)
+        object.__setattr__(self, "ratfuncs", rfs)
+        object.__setattr__(self, "components", tuple(
+            tuple(render_ratfunc(rf) for rf in row) for row in rfs))
         allowed = set(self.chart.coords)
         for args in self.functions.values():
             allowed |= set(args)
         for i in range(n):
             for j in range(n):
-                if not is_zero(comps[i][j] - comps[j][i]):
+                if not (rfs[i][j] - rfs[j][i]).is_zero():
                     raise ChartError(f"metric is not symmetric at ({i}, {j})")
-                extra = comps[i][j].free_symbols() - allowed
+                extra = rfs[i][j].free_symbols() - allowed
                 if extra:
                     raise ChartError(f"undeclared symbols in metric: {sorted(extra)}")
+
+    @classmethod
+    def from_ratfuncs(cls, chart: CoordChart, ratfuncs, functions=None, name: str = "") -> "Metric":
+        """The metric whose components are the given canonical RatFuncs."""
+        return cls(chart, (), dict(functions or {}), name, tuple(map(tuple, ratfuncs)))
 
     def __getitem__(self, ij):
         i, j = ij
@@ -71,17 +72,27 @@ class ChristoffelTensor:
 @dataclass(frozen=True)
 class GeodesicSystem:
     """Equations in solved form xddot^i - G^i(s, x, xdot) = 0 with
-    G^i = -Gamma^i_{jk} xdot^j xdot^k."""
+    G^i = -Gamma^i_{jk} xdot^j xdot^k; `accelerations` holds each G^i
+    as a canonical RatFunc."""
 
     chart: CoordChart
-    rhs: tuple  # G^i
+    accelerations: tuple
 
-    @property
+    @cached_property
+    def rhs(self) -> tuple:
+        """G^i as trees."""
+        return tuple(render_ratfunc(g) for g in self.accelerations)
+
+    @cached_property
+    def equation_ratfuncs(self) -> tuple:
+        return tuple(
+            symbol(self.chart.jet2(c)) - g
+            for c, g in zip(self.chart.coords, self.accelerations)
+        )
+
+    @cached_property
     def equations(self) -> tuple:
-        out = []
-        for c, g in zip(self.chart.coords, self.rhs):
-            out.append(to_canonical(Add.of(Sym(self.chart.jet2(c)), Mul.of(Num(-1), g))))
-        return tuple(out)
+        return tuple(render_ratfunc(eq) for eq in self.equation_ratfuncs)
 
     def solved_bindings(self) -> dict:
         """Bindings substituting each acceleration by its on-shell value."""
@@ -90,38 +101,28 @@ class GeodesicSystem:
         }
 
 
-def _ratfunc_matrix(metric: Metric):
-    n = metric.chart.dim
-    return [
-        [canonical_ratfunc(metric.components[i][j]) for j in range(n)]
-        for i in range(n)
-    ]
-
-
 def _det(a):
     """Laplace expansion along the first row, skipping zero entries."""
     if not a:
         return RAT_ONE
-    total = RAT_ZERO
+    out = RAT_ZERO
     for j, x in enumerate(a[0]):
         if x.is_zero():
             continue
         term = x * _det([row[:j] + row[j + 1:] for row in a[1:]])
-        total = total - term if j % 2 else total + term
-    return total
+        out = out - term if j % 2 else out + term
+    return out
 
 
 def determinant(metric: Metric):
     """det g as a canonical RatFunc."""
-    return _det(_ratfunc_matrix(metric))
+    return _det(metric.ratfuncs)
 
 
-def inverse_metric(metric: Metric) -> Metric:
-    """Exact inverse adj(g)/det(g); the product with the input
-    canonicalizes to the identity.  Raises SingularMetricError when the
-    determinant vanishes."""
+def _inverse(metric: Metric):
+    """adj(g)/det(g) as a matrix of canonical RatFuncs."""
     n = metric.chart.dim
-    a = _ratfunc_matrix(metric)
+    a = [list(row) for row in metric.ratfuncs]
     det = _det(a)
     if det.is_zero():
         raise SingularMetricError("metric determinant is canonically zero")
@@ -132,107 +133,106 @@ def inverse_metric(metric: Metric) -> Metric:
             # the determinant of g without row i and column j
             minor = [row[:j] + row[j + 1:] for k, row in enumerate(a) if k != i]
             cof = _det(minor) / det
-            inv[i][j] = inv[j][i] = render_ratfunc(-cof if (i + j) % 2 else cof)
-    comps = tuple(tuple(row) for row in inv)
-    return Metric(metric.chart, comps, dict(metric.functions), name=metric.name)
+            inv[i][j] = inv[j][i] = -cof if (i + j) % 2 else cof
+    return inv
 
 
-def christoffel(metric: Metric) -> ChristoffelTensor:
-    """Gamma^i_{jk} = (1/2) g^{il} (g_{lj,k} + g_{lk,j} - g_{jk,l})."""
+def inverse_metric(metric: Metric) -> Metric:
+    """Exact inverse adj(g)/det(g); the product with the input
+    canonicalizes to the identity.  Raises SingularMetricError when the
+    determinant vanishes."""
+    return Metric.from_ratfuncs(metric.chart, _inverse(metric), metric.functions,
+                                name=metric.name)
+
+
+def _christoffel(metric: Metric):
+    """Gamma^i_{jk} as nested lists of canonical RatFuncs."""
     n = metric.chart.dim
     coords = metric.chart.coords
-    ginv = inverse_metric(metric)
+    g = metric.ratfuncs
+    ginv = _inverse(metric)
     dg = [
+        [[derive(g[i][j], {coords[k]: RAT_ONE}) for k in range(n)] for j in range(n)]
+        for i in range(n)
+    ]
+    half = RatFunc.const(Fraction(1, 2))
+    return [
         [
-            [differentiate(metric.components[i][j], coords[k]) for k in range(n)]
+            [
+                half * rat_sum(
+                    ginv[i][l] * (dg[l][j][k] + dg[l][k][j] - dg[j][k][l])
+                    for l in range(n)
+                )
+                for k in range(n)
+            ]
             for j in range(n)
         ]
         for i in range(n)
     ]
-    gamma = []
-    for i in range(n):
-        gi = []
-        for j in range(n):
-            gj = []
-            for k in range(n):
-                terms = []
-                for l in range(n):
-                    bracket = Add.of(
-                        dg[l][j][k],
-                        dg[l][k][j],
-                        Mul.of(Num(-1), dg[j][k][l]),
-                    )
-                    terms.append(Mul.of(ginv.components[i][l], bracket))
-                gj.append(to_canonical(Mul.of(Num(Fraction(1, 2)), Add.of(*terms))))
-            gi.append(tuple(gj))
-        gamma.append(tuple(gi))
-    return ChristoffelTensor(metric.chart, tuple(gamma))
+
+
+def christoffel(metric: Metric) -> ChristoffelTensor:
+    """Gamma^i_{jk} = (1/2) g^{il} (g_{lj,k} + g_{lk,j} - g_{jk,l})."""
+    gamma = _christoffel(metric)
+    return ChristoffelTensor(metric.chart, tuple(
+        tuple(tuple(render_ratfunc(x) for x in row) for row in block) for block in gamma
+    ))
 
 
 def geodesic_system(metric: Metric) -> GeodesicSystem:
     """Solved-form geodesics xddot^i = -Gamma^i_{jk} xdot^j xdot^k."""
     chart = metric.chart
     n = chart.dim
-    gamma = christoffel(metric)
-    rhs = []
-    for i in range(n):
-        terms = [Num(0)]
-        for j in range(n):
-            for k in range(n):
-                g = gamma[i, j, k]
-                if g == Num(0):
-                    continue
-                terms.append(
-                    Mul.of(Num(-1), g, Sym(chart.jet1(chart.coords[j])), Sym(chart.jet1(chart.coords[k])))
-                )
-        rhs.append(to_canonical(Add.of(*terms)))
-    return GeodesicSystem(chart, tuple(rhs))
+    gamma = _christoffel(metric)
+    v = [symbol(chart.jet1(c)) for c in chart.coords]
+    accelerations = tuple(
+        -rat_sum(
+            gamma[i][j][k] * v[j] * v[k]
+            for j in range(n) for k in range(n) if not gamma[i][j][k].is_zero()
+        )
+        for i in range(n)
+    )
+    return GeodesicSystem(chart, accelerations)
+
+
+def _lagrangian(metric: Metric) -> RatFunc:
+    chart = metric.chart
+    v = [symbol(chart.jet1(c)) for c in chart.coords]
+    return rat_sum(
+        comp * v[i] * v[j]
+        for i, row in enumerate(metric.ratfuncs) for j, comp in enumerate(row)
+        if not comp.is_zero()
+    )
 
 
 def geodesic_lagrangian(metric: Metric) -> Expr:
     """Quadratic form L = g_{mu nu} xdot^mu xdot^nu."""
-    chart = metric.chart
-    n = chart.dim
-    terms = [Num(0)]
-    for i in range(n):
-        for j in range(n):
-            comp = metric.components[i][j]
-            if comp == Num(0):
-                continue
-            terms.append(
-                Mul.of(comp, Sym(chart.jet1(chart.coords[i])), Sym(chart.jet1(chart.coords[j])))
-            )
-    return to_canonical(Add.of(*terms))
+    return render_ratfunc(_lagrangian(metric))
 
 
 def euler_lagrange(lagrangian: Expr, chart: CoordChart) -> tuple:
     """d/ds (dL/dxdot^i) - dL/dx^i for each coordinate."""
-    out = []
-    for c in chart.coords:
-        p = differentiate(lagrangian, chart.jet1(c))
-        out.append(
-            to_canonical(
-                Add.of(total_derivative(p, chart), Mul.of(Num(-1), differentiate(lagrangian, c)))
-            )
+    lag = canonical_ratfunc(lagrangian)
+    return tuple(
+        render_ratfunc(
+            total(derive(lag, {chart.jet1(c): RAT_ONE}), chart) - derive(lag, {c: RAT_ONE})
         )
-    return tuple(out)
+        for c in chart.coords
+    )
 
 
 def covariant_metric_derivative_is_zero(metric: Metric) -> bool:
     """Metric compatibility nabla g = 0, a full internal consistency check."""
     n = metric.chart.dim
     coords = metric.chart.coords
-    gamma = christoffel(metric)
+    g = metric.ratfuncs
+    gamma = _christoffel(metric)
     for k in range(n):
         for i in range(n):
             for j in range(n):
-                expr = differentiate(metric.components[i][j], coords[k])
-                for l in range(n):
-                    expr = Add.of(
-                        expr,
-                        Mul.of(Num(-1), gamma[l, k, i], metric.components[l][j]),
-                        Mul.of(Num(-1), gamma[l, k, j], metric.components[i][l]),
-                    )
-                if not is_zero(expr):
+                expr = derive(g[i][j], {coords[k]: RAT_ONE}) - rat_sum(
+                    gamma[l][k][i] * g[l][j] + gamma[l][k][j] * g[i][l] for l in range(n)
+                )
+                if not expr.is_zero():
                     return False
     return True

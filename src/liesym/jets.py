@@ -5,82 +5,138 @@ to velocities and accelerations uses the recursion
 
     eta_(1) = D eta - xdot D xi,     eta_(2) = D eta_(1) - xddot D xi,
 
-with D the total derivative d_s + xdot d_x + xddot d_xdot.
+with D the total derivative d_s + xdot d_x + xddot d_xdot.  Fields,
+D and the prolonged field are derivations (`symexpr.derive`) acting on
+canonical RatFuncs; fields keep their components as RatFuncs, and
+trees are rendered only for the tree-valued public functions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .charts import CoordChart
 from .errors import ChartError, JetOrderError
-from .symexpr import Expr, Mul, Num, Sym, differentiate, is_zero, to_canonical
-from .symexpr.nodes import Add, as_expr
+from .symexpr import Expr, canonical_ratfunc, derive, render_ratfunc
+from .symexpr.nodes import as_expr
+from .symexpr.poly import RAT_ONE, RatFunc, sym_atom
+
+
+def symbol(name: str) -> RatFunc:
+    """The canonical RatFunc of a plain symbol."""
+    return RatFunc.atom(sym_atom(name))
 
 
 @dataclass(frozen=True)
 class BundleVectorField:
-    """Candidate symmetry generator: xi on the parameter, eta per coordinate."""
+    """Candidate symmetry generator: xi on the parameter, eta per coordinate.
+
+    `ratfuncs` holds the canonical RatFuncs of (xi, eta^1, ...); xi and
+    eta are their rendered trees."""
 
     chart: CoordChart
     xi: Expr
     eta: tuple
     name: str = ""
+    ratfuncs: tuple = field(default=(), compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "xi", to_canonical(as_expr(self.xi)))
-        object.__setattr__(self, "eta", tuple(to_canonical(as_expr(c)) for c in self.eta))
-        if len(self.eta) != self.chart.dim:
+        rfs = self.ratfuncs or tuple(
+            canonical_ratfunc(as_expr(c)) for c in (self.xi, *self.eta))
+        if len(rfs) != self.chart.dim + 1:
             raise ChartError(
-                f"field has {len(self.eta)} eta components for {self.chart.dim} coordinates"
+                f"field has {len(rfs) - 1} eta components for {self.chart.dim} coordinates"
             )
         jets = set(self.chart.jets1) | set(self.chart.jets2)
-        for comp in (self.xi, *self.eta):
-            if comp.free_symbols() & jets:
+        for rf in rfs:
+            if rf.free_symbols() & jets:
                 raise ChartError("vector field components must not contain jet symbols")
+        object.__setattr__(self, "ratfuncs", tuple(rfs))
+        object.__setattr__(self, "xi", render_ratfunc(rfs[0]))
+        object.__setattr__(self, "eta", tuple(render_ratfunc(rf) for rf in rfs[1:]))
+
+    @classmethod
+    def from_ratfuncs(cls, chart: CoordChart, ratfuncs, name: str = "") -> "BundleVectorField":
+        """The field whose (xi, eta^1, ...) are the given canonical RatFuncs."""
+        return cls(chart, None, (), name, tuple(ratfuncs))
 
     def components(self) -> tuple:
         return (self.xi, *self.eta)
 
     def is_zero_field(self) -> bool:
-        return all(is_zero(c) for c in self.components())
+        return all(rf.is_zero() for rf in self.ratfuncs)
 
     def scale(self, c) -> "BundleVectorField":
-        c = Num(Fraction(c))
-        return BundleVectorField(
-            self.chart,
-            to_canonical(Mul.of(c, self.xi)),
-            tuple(to_canonical(Mul.of(c, comp)) for comp in self.eta),
-            name=self.name,
-        )
+        c = RatFunc.const(Fraction(c))
+        return BundleVectorField.from_ratfuncs(
+            self.chart, [c * rf for rf in self.ratfuncs], name=self.name)
 
     def add(self, other: "BundleVectorField") -> "BundleVectorField":
         if other.chart != self.chart:
             raise ChartError("cannot add fields on different charts")
-        return BundleVectorField(
-            self.chart,
-            to_canonical(Add.of(self.xi, other.xi)),
-            tuple(
-                to_canonical(Add.of(a, b)) for a, b in zip(self.eta, other.eta)
-            ),
-        )
+        return BundleVectorField.from_ratfuncs(
+            self.chart, [a + b for a, b in zip(self.ratfuncs, other.ratfuncs)])
+
+    def coefficients(self) -> dict:
+        """The field as a derivation: symbol name -> RatFunc coefficient."""
+        return dict(zip((self.chart.param, *self.chart.coords), self.ratfuncs))
+
+    def act(self, rf: RatFunc) -> RatFunc:
+        """xi d_s(rf) + eta^a d_a(rf) on a canonical RatFunc."""
+        return derive(rf, self.coefficients())
 
     def apply_to(self, e: Expr) -> Expr:
         """Directional derivative xi d_s(e) + eta^a d_a(e) (no jet terms)."""
-        out = Mul.of(self.xi, differentiate(e, self.chart.param))
-        for c, comp in zip(self.chart.coords, self.eta):
-            out = Add.of(out, Mul.of(comp, differentiate(e, c)))
-        return to_canonical(out)
+        return render_ratfunc(self.act(canonical_ratfunc(e)))
 
 
 @dataclass(frozen=True)
 class ProlongedField:
-    """Base field plus first and second prolongation coefficients."""
+    """Base field plus first and second prolongation coefficients, as
+    canonical RatFuncs; `second` is empty when prolonged to order 1 only."""
 
     base: BundleVectorField
-    eta1: tuple
-    eta2: tuple  # empty when prolonged to order 1 only
+    first: tuple
+    second: tuple
+
+    @property
+    def eta1(self) -> tuple:
+        return tuple(render_ratfunc(rf) for rf in self.first)
+
+    @property
+    def eta2(self) -> tuple:
+        return tuple(render_ratfunc(rf) for rf in self.second)
+
+    def act(self, rf: RatFunc) -> RatFunc:
+        """The prolonged field acting on a canonical RatFunc in
+        (s, x, xdot, xddot)."""
+        chart = self.base.chart
+        if not self.second and rf.free_symbols() & set(chart.jets2):
+            raise JetOrderError(
+                "second-order expression needs a second-order prolongation")
+        coefficients = self.base.coefficients()
+        coefficients.update(zip(chart.jets1, self.first))
+        coefficients.update(zip(chart.jets2, self.second))
+        return derive(rf, coefficients)
+
+
+def total_coefficients(chart: CoordChart, order: int = 2) -> dict:
+    """The total derivative as a derivation: d_s + xdot^a d_a, plus
+    xddot^a d_{xdot^a} at order 2."""
+    out = {chart.param: RAT_ONE}
+    for c in chart.coords:
+        out[c] = symbol(chart.jet1(c))
+        if order == 2:
+            out[chart.jet1(c)] = symbol(chart.jet2(c))
+    return out
+
+
+def total(rf: RatFunc, chart: CoordChart) -> RatFunc:
+    """D rf on a canonical RatFunc of jets of order <= 1."""
+    if rf.free_symbols() & set(chart.jets2):
+        raise JetOrderError("total derivative of a second-order expression needs order-3 jets")
+    return derive(rf, total_coefficients(chart))
 
 
 def total_derivative(e: Expr, chart: CoordChart) -> Expr:
@@ -89,14 +145,7 @@ def total_derivative(e: Expr, chart: CoordChart) -> Expr:
     Input may depend on jets of order <= 1; raises when acceleration
     symbols are present, since order-3 jets are unsupported.
     """
-    jets2 = set(chart.jets2)
-    if e.free_symbols() & jets2:
-        raise JetOrderError("total derivative of a second-order expression needs order-3 jets")
-    terms = [differentiate(e, chart.param)]
-    for c in chart.coords:
-        terms.append(Mul.of(Sym(chart.jet1(c)), differentiate(e, c)))
-        terms.append(Mul.of(Sym(chart.jet2(c)), differentiate(e, chart.jet1(c))))
-    return to_canonical(Add.of(*terms))
+    return render_ratfunc(total(canonical_ratfunc(e), chart))
 
 
 def prolong(field: BundleVectorField, order: int = 2) -> ProlongedField:
@@ -104,30 +153,20 @@ def prolong(field: BundleVectorField, order: int = 2) -> ProlongedField:
     if order not in (1, 2):
         raise JetOrderError("prolongation order must be 1 or 2")
     chart = field.chart
-    dxi = total_derivative(field.xi, chart)
-    eta1 = []
-    for c, comp in zip(chart.coords, field.eta):
-        e1 = Add.of(total_derivative(comp, chart), Mul.of(Num(-1), Sym(chart.jet1(c)), dxi))
-        eta1.append(to_canonical(e1))
-    eta2 = []
+    dxi = total(field.ratfuncs[0], chart)
+    first = tuple(
+        total(comp, chart) - symbol(chart.jet1(c)) * dxi
+        for c, comp in zip(chart.coords, field.ratfuncs[1:])
+    )
+    second = ()
     if order == 2:
-        for c, e1 in zip(chart.coords, eta1):
-            e2 = Add.of(total_derivative(e1, chart), Mul.of(Num(-1), Sym(chart.jet2(c)), dxi))
-            eta2.append(to_canonical(e2))
-    return ProlongedField(field, tuple(eta1), tuple(eta2))
+        second = tuple(
+            total(e1, chart) - symbol(chart.jet2(c)) * dxi
+            for c, e1 in zip(chart.coords, first)
+        )
+    return ProlongedField(field, first, second)
 
 
 def apply_prolonged(pf: ProlongedField, e: Expr) -> Expr:
     """Act with the prolonged field on an expression in (s, x, xdot, xddot)."""
-    chart = pf.base.chart
-    if not pf.eta2 and e.free_symbols() & set(chart.jets2):
-        raise JetOrderError(
-            "second-order expression needs a second-order prolongation")
-    terms = [Mul.of(pf.base.xi, differentiate(e, chart.param))]
-    for c, comp in zip(chart.coords, pf.base.eta):
-        terms.append(Mul.of(comp, differentiate(e, c)))
-    for c, comp in zip(chart.coords, pf.eta1):
-        terms.append(Mul.of(comp, differentiate(e, chart.jet1(c))))
-    for c, comp in zip(chart.coords, pf.eta2):
-        terms.append(Mul.of(comp, differentiate(e, chart.jet2(c))))
-    return to_canonical(Add.of(*terms))
+    return render_ratfunc(pf.act(canonical_ratfunc(e)))

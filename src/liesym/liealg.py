@@ -36,7 +36,6 @@ from .errors import (
 from .jets import BundleVectorField
 from .linalg import express_in_basis, rank, sparse_nullspace, sparse_rref
 from .symexpr import Add, Expr, Fn, Mul, Num, Pow, Sym, is_zero, to_canonical
-from .symexpr.canonical import canonical_ratfunc
 from .symexpr.poly import RatFunc, poly_divexact, poly_lcm
 
 
@@ -44,10 +43,9 @@ def field_bracket(x: BundleVectorField, y: BundleVectorField) -> BundleVectorFie
     """[X, Y]^a = X(Y^a) - Y(X^a) componentwise over (xi, eta)."""
     if x.chart != y.chart:
         raise ChartError("bracket of fields on different charts")
-    comps = []
-    for cx, cy in zip(x.components(), y.components()):
-        comps.append(to_canonical(Add.of(x.apply_to(cy), Mul.of(Num(-1), y.apply_to(cx)))))
-    return BundleVectorField(x.chart, comps[0], tuple(comps[1:]))
+    return BundleVectorField.from_ratfuncs(x.chart, [
+        x.act(cy) - y.act(cx) for cx, cy in zip(x.ratfuncs, y.ratfuncs)
+    ])
 
 
 def _coordinates(fields):
@@ -61,8 +59,8 @@ def _coordinates(fields):
     vector per field.
     """
     lcms, index = [], {}
-    for i in range(len(fields[0].components())):
-        rfs = [canonical_ratfunc(f.components()[i]) for f in fields]
+    for i in range(len(fields[0].ratfuncs)):
+        rfs = [f.ratfuncs[i] for f in fields]
         common = poly_lcm(rf.den for rf in rfs)
         lcms.append(common)
         for rf in rfs:
@@ -76,8 +74,8 @@ def _coordinates_of(field, lcms, index):
     a component cleared by its slot's lcm is not a polynomial in that
     slot's monomials (then the field is outside the fields' span)."""
     vec = [Fraction(0)] * len(index)
-    for i, (comp, common) in enumerate(zip(field.components(), lcms)):
-        cleared = canonical_ratfunc(comp) * RatFunc.from_poly(common)
+    for i, (comp, common) in enumerate(zip(field.ratfuncs, lcms)):
+        cleared = comp * RatFunc.from_poly(common)
         if not cleared.den.is_const():
             return None
         for mono, c in cleared.num.terms.items():

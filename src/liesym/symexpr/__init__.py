@@ -2,20 +2,26 @@
 
 Expressions are immutable trees over arbitrary-precision rationals,
 symbols, opaque functions such as M(t) and their derivatives, sums,
-products, rational powers, and elementary functions.  to_canonical
-reduces to a unique rational-function normal form with cot/csc/tan/sec
-rewritten to sin/cos and cos^2 eliminated, which makes is_zero an exact
-decision.
+products, rational powers, and elementary functions.
+canonical_ratfunc reduces a tree to a rational function (RatFunc) over
+kernel atoms, with cot/csc/tan/sec rewritten to sin/cos and cos^2
+eliminated; is_zero tests its numerator.  The calculus (derive,
+substitute_atoms, collect_ratfunc) runs on RatFuncs, and
+render_ratfunc turns a result back into a tree at file and report
+boundaries.
 """
 
 from .calculus import (
     NonPolynomialError,
     collect,
+    collect_ratfunc,
+    derive,
     differentiate,
     equals,
     evaluate_rational,
     is_zero,
     substitute,
+    substitute_atoms,
     substitute_function,
 )
 from .canonical import canonical_ratfunc, render_ratfunc, to_canonical
@@ -38,6 +44,8 @@ __all__ = [
     "UnknownFunctionError",
     "canonical_ratfunc",
     "collect",
+    "collect_ratfunc",
+    "derive",
     "differentiate",
     "equals",
     "evaluate_rational",
@@ -45,6 +53,7 @@ __all__ = [
     "parse_expr",
     "render_ratfunc",
     "substitute",
+    "substitute_atoms",
     "substitute_function",
     "to_canonical",
     "to_text",

@@ -1,90 +1,207 @@
-"""Differentiation, substitution, zero-testing, and monomial collection."""
+"""Differentiation, substitution, zero-testing, and monomial collection.
+
+The calculus runs on canonical RatFuncs: `derive` applies a derivation
+sum_v c_v d/dv by the chain rule per kernel atom, `substitute_atoms`
+replaces symbol and opaque-function atoms, and `collect_ratfunc` splits
+a RatFunc over monomials in chosen symbols.  The tree functions
+`differentiate`, `collect`, `substitute_function` and `is_zero` are
+boundaries over them: each canonicalizes its input once and renders its
+result.  Tree `substitute` stays for kernel-level keys such as
+sin(theta) -> 1, which a canonical RatFunc has already rewritten
+(cos^2 -> 1 - sin^2).
+"""
 
 from __future__ import annotations
 
-import os
-import random
 from fractions import Fraction
 
-from .canonical import canonical_ratfunc, render_ratfunc, to_canonical
-from .nodes import Add, Expr, Fn, Mul, Num, Op, Pow, Sym, ZERO, as_expr
-from .poly import Poly, RatFunc
-
-_ZERO = Num(0)
-_ONE = Num(1)
+from .canonical import (
+    _cos_of,
+    _fn_ratfunc,
+    _pow_ratfunc,
+    _sin_of,
+    canonical_ratfunc,
+    render_ratfunc,
+    to_canonical,
+)
+from .nodes import Add, Expr, Fn, Mul, Num, Op, Pow, Sym, as_expr
+from .poly import POLY_ONE, RAT_ONE, Poly, RatFunc, op_atom, rat_sum
 
 
 class NonPolynomialError(ValueError):
     """Raised by collect when a variable occurs non-polynomially."""
 
 
+def derive(rf: RatFunc, coefficients: dict) -> RatFunc:
+    """Apply the derivation sum_v c_v d/dv to a canonical RatFunc.
+
+    `coefficients` maps symbol names v to RatFuncs c_v; {v: RAT_ONE} is
+    the partial derivative in v, and a vector field's components give
+    its action.  The chain rule runs per kernel atom, each atom's
+    derivative built by the kernel's own constructors, and a monomial
+    denominator is differentiated factor by factor, as the product rule
+    runs over the rendered tree.  So the result is the canonical form of
+    the tree derivative of render_ratfunc(rf), with no tree built.
+    """
+    return _derive(rf, coefficients, {})
+
+
+def _derive(rf: RatFunc, coefficients: dict, memo: dict) -> RatFunc:
+    dnum = _derive_poly(rf.num, coefficients, memo)
+    if rf.den.is_const():
+        return dnum
+    if len(rf.den.terms) == 1:
+        return _derive_over_monomial(rf, dnum, coefficients, memo)
+    dden = _derive_poly(rf.den, coefficients, memo)
+    if dden.is_zero():
+        return dnum * RatFunc(POLY_ONE, rf.den, reduced=True)
+    top = dnum * RatFunc.from_poly(rf.den) - RatFunc.from_poly(rf.num) * dden
+    return RatFunc(top.num, top.den * rf.den * rf.den)
+
+
+def _derive_over_monomial(rf: RatFunc, dnum: RatFunc, coefficients: dict, memo: dict) -> RatFunc:
+    """d(N / prod a^e) factor by factor, as the product rule runs over
+    the rendered tree: only factors that vary are raised to a^-(e+1), so
+    a constant radical in the denominator is never squared into it."""
+    (mono, _), = rf.den.terms.items()
+    num = RatFunc.from_poly(rf.num)
+    terms = [dnum * RatFunc(POLY_ONE, rf.den, reduced=True)]
+    for i, (a, e) in enumerate(mono):
+        da = _atom_derivative(a, coefficients, memo)
+        if da is not None:
+            others = RatFunc(POLY_ONE, Poly({mono[:i] + mono[i + 1:]: Fraction(1)}), reduced=True)
+            raised = _pow_ratfunc(RatFunc.atom(a), Fraction(-e - 1))
+            terms.append(num * RatFunc.const(-e) * raised * da * others)
+    return rat_sum(terms)
+
+
+def _derive_poly(p: Poly, coefficients: dict, memo: dict) -> RatFunc:
+    """sum over atoms a of (dp/da) * delta(a), each dp/da taken formally
+    on the stored monomials."""
+    partials = {}
+    for mono, c in p.terms.items():
+        for i, (a, e) in enumerate(mono):
+            if _atom_derivative(a, coefficients, memo) is None:
+                continue
+            lowered = mono[:i] + ((a, e - 1),) + mono[i + 1:] if e > 1 else mono[:i] + mono[i + 1:]
+            partials.setdefault(a, {})[lowered] = c * e
+    return rat_sum(
+        RatFunc.from_poly(Poly(terms)) * _atom_derivative(a, coefficients, memo)
+        for a, terms in partials.items()
+    )
+
+
+def _atom_derivative(a, coefficients: dict, memo: dict):
+    """delta(a) as a RatFunc, or None when it vanishes."""
+    if a in memo:
+        return memo[a]
+    if a.kind == "sym":
+        out = coefficients.get(a.payload)
+    elif a.kind == "op":
+        name, args, orders = a.payload
+        terms = []
+        # d/dv raises the order of the first argument slot named v
+        for v in dict.fromkeys(args):
+            c = coefficients.get(v)
+            if c is not None:
+                i = args.index(v)
+                bumped = orders[:i] + (orders[i] + 1,) + orders[i + 1:]
+                terms.append(c * RatFunc.atom(op_atom(name, args, bumped)))
+        out = rat_sum(terms)
+    elif a.kind == "fn":
+        name, arg = a.payload
+        out = _derive(arg, coefficients, memo)
+        if not out.is_zero():
+            out = out * _outer_derivative(name, arg, a)
+    else:
+        base, frac = a.payload
+        base = RatFunc.from_poly(base)
+        out = _derive(base, coefficients, memo)
+        if not out.is_zero():
+            out = out * _pow_ratfunc(base, frac - 1) * RatFunc.const(frac)
+    if out is not None and out.is_zero():
+        out = None
+    memo[a] = out
+    return out
+
+
+def _outer_derivative(name: str, arg: RatFunc, atom) -> RatFunc:
+    """f'(u) for a kernel atom f(u); tan/cot/sec/csc never occur as atoms."""
+    if name == "sin":
+        return _cos_of(arg)
+    if name == "cos":
+        return -_sin_of(arg)
+    if name == "exp":
+        # exp atoms are fixed points of the kernel's exp constructor
+        return RatFunc.atom(atom)
+    if name == "ln":
+        return arg.inverse()
+    if name == "arctan":
+        return (RAT_ONE + arg * arg).inverse()
+    raise ValueError(f"no derivative rule for {name}")
+
+
 def differentiate(e: Expr, v) -> Expr:
     """Exact partial derivative of e with respect to the symbol v."""
     name = v.name if isinstance(v, Sym) else str(v)
-    return to_canonical(_diff(e, name))
+    return render_ratfunc(derive(canonical_ratfunc(e), {name: RAT_ONE}))
 
 
-def _diff(e: Expr, v: str) -> Expr:
-    if isinstance(e, Num):
-        return _ZERO
-    if isinstance(e, Sym):
-        return _ONE if e.name == v else _ZERO
-    if isinstance(e, Add):
-        return Add.of(*[_diff(t, v) for t in e.terms])
-    if isinstance(e, Mul):
-        terms = []
-        for i, f in enumerate(e.factors):
-            df = _diff(f, v)
-            if df == _ZERO:
-                continue
-            rest = list(e.factors)
-            rest[i] = df
-            terms.append(Mul.of(*rest))
-        if not terms:
-            return _ZERO
-        return Add.of(*terms)
-    if isinstance(e, Pow):
-        db = _diff(e.base, v)
-        if db == _ZERO:
-            return _ZERO
-        return Mul.of(Num(e.exponent), Pow(e.base, e.exponent - 1), db)
-    if isinstance(e, Fn):
-        du = _diff(e.arg, v)
-        if du == _ZERO:
-            return _ZERO
-        return Mul.of(_fn_derivative(e.name, e.arg), du)
-    if isinstance(e, Op):
-        # Chain rule over declared argument symbols; the argument list of
-        # an opaque function is a list of plain symbols.
-        if v not in e.args:
-            return _ZERO
-        i = e.args.index(v)
-        orders = list(e.orders)
-        orders[i] += 1
-        return Op(e.name, e.args, orders)
-    raise TypeError(f"unknown Expr node: {e!r}")
+def substitute_atoms(rf: RatFunc, image) -> RatFunc:
+    """Replace symbol and opaque-function atoms of a canonical RatFunc.
+
+    `image(atom)` returns the RatFunc to put in the atom's place, or
+    None to keep it.  Atoms inside kernel arguments are replaced too,
+    and each such kernel is rebuilt by the canonical constructors.
+    """
+    return _substitute(rf, image, {})
 
 
-def _fn_derivative(name: str, u: Expr) -> Expr:
-    if name == "sin":
-        return Fn("cos", u)
-    if name == "cos":
-        return Mul.of(Num(-1), Fn("sin", u))
-    if name == "tan":
-        return Pow(Fn("cos", u), Fraction(-2))
-    if name == "cot":
-        return Mul.of(Num(-1), Pow(Fn("sin", u), Fraction(-2)))
-    if name == "csc":
-        return Mul.of(Num(-1), Fn("cos", u), Pow(Fn("sin", u), Fraction(-2)))
-    if name == "sec":
-        return Mul.of(Fn("sin", u), Pow(Fn("cos", u), Fraction(-2)))
-    if name == "exp":
-        return Fn("exp", u)
-    if name == "ln":
-        return Pow(u, Fraction(-1))
-    if name == "arctan":
-        return Pow(Add.of(_ONE, Pow(u, Fraction(2))), Fraction(-1))
-    raise ValueError(f"no derivative rule for {name}")
+def _substitute(rf: RatFunc, image, memo: dict) -> RatFunc:
+    num = _substitute_poly(rf.num, image, memo)
+    den = _substitute_poly(rf.den, image, memo)
+    if num is None and den is None:
+        return rf
+    if num is None:
+        num = RatFunc.from_poly(rf.num)
+    if den is None:
+        return num * RatFunc(POLY_ONE, rf.den, reduced=True)
+    return num / den
+
+
+def _substitute_poly(p: Poly, image, memo: dict):
+    """The RatFunc of p with atoms replaced, or None when none is."""
+    groups = {}  # replaced factors of a monomial -> {other factors: coeff}
+    for mono, c in p.terms.items():
+        hit = tuple((a, e) for a, e in mono if _atom_image(a, image, memo) is not None)
+        rest = tuple((a, e) for a, e in mono if (a, e) not in hit) if hit else mono
+        groups.setdefault(hit, {})[rest] = c
+    if not groups or list(groups) == [()]:
+        return None
+    terms = []
+    for hit, rest in groups.items():
+        term = RatFunc.from_poly(Poly(rest))
+        for a, e in hit:
+            term = term * _atom_image(a, image, memo) ** e
+        terms.append(term)
+    return rat_sum(terms)
+
+
+def _atom_image(a, image, memo: dict):
+    if a in memo:
+        return memo[a]
+    if a.kind in ("sym", "op"):
+        out = image(a)
+    elif a.kind == "fn":
+        name, arg = a.payload
+        new = _substitute(arg, image, memo)
+        out = None if new is arg else _fn_ratfunc(name, new)
+    else:
+        base, frac = a.payload
+        new = _substitute_poly(base, image, memo)
+        out = None if new is None else _pow_ratfunc(new, frac)
+    memo[a] = out
+    return out
 
 
 def substitute(e: Expr, bindings: dict) -> Expr:
@@ -124,64 +241,31 @@ def substitute_function(e: Expr, replacements: dict) -> Expr:
     declared argument symbols; every derivative order of the function is
     replaced by the corresponding derivative of the expression.
     """
-    def walk(node):
-        if isinstance(node, Op) and node.name in replacements:
-            out = as_expr(replacements[node.name])
-            for arg, order in zip(node.args, node.orders):
-                for _ in range(order):
-                    out = _diff(out, arg)
-            return out
-        if isinstance(node, Add):
-            return Add.of(*[walk(t) for t in node.terms])
-        if isinstance(node, Mul):
-            return Mul.of(*[walk(f) for f in node.factors])
-        if isinstance(node, Pow):
-            return Pow(walk(node.base), node.exponent)
-        if isinstance(node, Fn):
-            return Fn(node.name, walk(node.arg))
-        return node
+    repl = {name: canonical_ratfunc(as_expr(x)) for name, x in replacements.items()}
 
-    return to_canonical(walk(e))
+    def image(a):
+        if a.kind != "op" or a.payload[0] not in repl:
+            return None
+        name, args, orders = a.payload
+        out = repl[name]
+        for arg, order in zip(args, orders):
+            for _ in range(order):
+                out = derive(out, {arg: RAT_ONE})
+        return out
+
+    return render_ratfunc(substitute_atoms(canonical_ratfunc(e), image))
 
 
 def is_zero(e: Expr) -> bool:
-    """Exact zero test on the canonical form.
+    """Zero test on the canonical form: True iff the numerator of the
+    canonical RatFunc vanishes.
 
-    With LIESYM_DEBUG_SAMPLER=1 a randomized rational-evaluation check
-    runs alongside and any disagreement raises, which would indicate a
-    canonicalization bug.
+    A canonical zero is a true zero, since every rewrite rule is an
+    identity.  The converse holds only for identities the rules capture:
+    `exp(x/2)^2 - exp(x)` and `2*sin(x/2)*cos(x/2) - sin(x)`, for
+    example, canonicalize to nonzero forms.
     """
-    rf = canonical_ratfunc(e)
-    result = rf.num.is_zero()
-    if os.environ.get("LIESYM_DEBUG_SAMPLER") == "1":
-        sampled = _sampled_zero(rf)
-        if sampled is not None and sampled != result:
-            raise AssertionError(
-                f"zero-test disagreement on {e}: canonical={result}, sampled={sampled}"
-            )
-    return result
-
-
-def _sampled_zero(rf: RatFunc, samples: int = 8, seed: int = 20260808) -> bool | None:
-    """Evaluate at random rational points with independent atom values."""
-    atoms = sorted(rf.atoms())
-    rng = random.Random(seed)
-    seen_nonzero = False
-    produced = 0
-    for _ in range(64):
-        if produced >= samples:
-            break
-        env = {a: Fraction(rng.randint(-19, 19), rng.randint(1, 7)) for a in atoms}
-        den = _eval_poly(rf.den, env)
-        if den == 0:
-            continue
-        produced += 1
-        if _eval_poly(rf.num, env) != 0:
-            seen_nonzero = True
-            break
-    if produced == 0 and not seen_nonzero:
-        return None
-    return not seen_nonzero
+    return canonical_ratfunc(e).num.is_zero()
 
 
 def _eval_poly(p: Poly, env: dict) -> Fraction:
@@ -202,11 +286,18 @@ def collect(e: Expr, variables) -> dict:
     NonPolynomialError when a variable occurs in a denominator or inside
     a function kernel.
     """
+    return {
+        key: render_ratfunc(coeff)
+        for key, coeff in collect_ratfunc(canonical_ratfunc(e), variables).items()
+    }
+
+
+def collect_ratfunc(rf: RatFunc, variables) -> dict:
+    """collect on a canonical RatFunc, with RatFunc coefficients."""
     var_names = [v.name if isinstance(v, Sym) else str(v) for v in variables]
     if isinstance(variables, (set, frozenset)):
         var_names.sort()
     var_set = set(var_names)
-    rf = canonical_ratfunc(e)
     for a in rf.den.atoms():
         if a.free_symbols() & var_set:
             raise NonPolynomialError(
@@ -234,7 +325,7 @@ def collect(e: Expr, variables) -> dict:
         num = Poly({m: c for m, c in terms.items() if c})
         if num.is_zero():
             continue
-        out[key] = render_ratfunc(RatFunc(num, rf.den))
+        out[key] = RatFunc(num, rf.den)
     return out
 
 

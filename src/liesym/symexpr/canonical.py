@@ -24,6 +24,7 @@ from .poly import (
     RatFunc,
     monomial_key,
     op_atom,
+    rat_sum,
     sym_atom,
 )
 
@@ -42,19 +43,7 @@ def canonical_ratfunc(e: Expr, _memo=None) -> RatFunc:
     elif isinstance(e, Op):
         out = RatFunc.atom(op_atom(e.name, e.args, e.orders))
     elif isinstance(e, Add):
-        # Bucket by denominator so long sums cost polynomial adds, with
-        # one reduction per distinct denominator at the end.
-        buckets = {}
-        for t in e.terms:
-            rf = canonical_ratfunc(t, _memo)
-            k = rf.den.key()
-            if k in buckets:
-                buckets[k][1] = buckets[k][1] + rf.num
-            else:
-                buckets[k] = [rf.den, rf.num]
-        out = RAT_ZERO
-        for den, num in buckets.values():
-            out = out + RatFunc(num, den)
+        out = rat_sum(canonical_ratfunc(t, _memo) for t in e.terms)
     elif isinstance(e, Mul):
         out = RAT_ONE
         for f in e.factors:

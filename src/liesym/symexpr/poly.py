@@ -451,7 +451,14 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
     common = patoms & qatoms
     if not common:
         return POLY_ONE
-    atom = max(common)
+    # Products of coefficients that both carry cos(u) or B^(1/2) reduce
+    # (cos^2 -> 1 - sin^2, folding into B), so a pseudo-remainder in sin(u)
+    # or in an atom of B need not lower the degree and may never end.
+    # Such atoms have degree <= 1: dividing in them first keeps the
+    # coefficients free of them.
+    reducing = [a for a in patoms | qatoms
+                if a.kind == "pow" or (a.kind == "fn" and a.payload[0] == "cos")]
+    atom = max(reducing) if reducing else max(common)
     pcont, pprim = _univ_content(p, atom)
     qcont, qprim = _univ_content(q, atom)
     cont_gcd = poly_gcd(pcont, qcont)
@@ -626,3 +633,19 @@ def _reduce_fraction(num: Poly, den: Poly):
 
 RAT_ZERO = RatFunc.const(0)
 RAT_ONE = RatFunc.const(1)
+
+
+def rat_sum(rfs) -> RatFunc:
+    """Sum of RatFuncs, bucketed by denominator so that a long sum costs
+    polynomial adds, with one reduction per distinct denominator."""
+    buckets = {}
+    for rf in rfs:
+        k = rf.den.key()
+        if k in buckets:
+            buckets[k][1] = buckets[k][1] + rf.num
+        else:
+            buckets[k] = [rf.den, rf.num]
+    out = RAT_ZERO
+    for den, num in buckets.values():
+        out = out + RatFunc(num, den)
+    return out

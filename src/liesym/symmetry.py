@@ -8,28 +8,28 @@ Residual conventions:
     substituting the solved-form accelerations; all residuals vanish
     iff the field generates a point symmetry.
 
-Determining equations come from collecting the residuals (with unknown
-coefficient functions kept as opaque atoms) over velocity monomials.
-Each equation is linear in the unknown jets, so the solver expands the
-unknowns in a finite ansatz on canonical forms alone: the equation's
-numerator is split by unknown jet once, each basis derivative is
-canonicalized once, and the rows are the kernel-monomial coefficients
-of their products.  It returns the exact rational nullspace.
+Determining equations come from collecting the residual RatFuncs (with
+unknown coefficient functions kept as opaque atoms) over velocity
+monomials.  Each equation is linear in the unknown jets, so the solver
+expands the unknowns in a finite ansatz on canonical forms alone: the
+equation's numerator is split by unknown jet once, each basis
+derivative is derived once from the next-lower order, and the rows are
+the kernel-monomial coefficients of their products.  It returns the
+exact rational nullspace.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .charts import CoordChart
 from .errors import AnsatzError, VerificationError
 from .geometry import GeodesicSystem, Metric, geodesic_lagrangian, geodesic_system
-from .jets import BundleVectorField, prolong, apply_prolonged
+from .jets import BundleVectorField, prolong, symbol, total_coefficients
 from .linalg import sparse_nullspace
 from .symexpr import (
-    Add,
     Expr,
     Fn,
     Mul,
@@ -37,15 +37,23 @@ from .symexpr import (
     Op,
     Pow,
     Sym,
-    collect,
-    differentiate,
-    is_zero,
-    substitute,
-    to_canonical,
+    canonical_ratfunc,
+    collect_ratfunc,
+    derive,
+    render_ratfunc,
+    substitute_atoms,
 )
-from .symexpr.canonical import canonical_ratfunc
 from .symexpr.nodes import as_expr
-from .symexpr.poly import Poly, poly_divexact, poly_lcm
+from .symexpr.poly import (
+    RAT_ONE,
+    RAT_ZERO,
+    Poly,
+    RatFunc,
+    poly_divexact,
+    poly_lcm,
+    rat_sum,
+    sym_atom,
+)
 
 UNKNOWN_XI = "xi"
 
@@ -54,62 +62,67 @@ def _unknown_names(chart: CoordChart):
     return [UNKNOWN_XI] + [f"eta{i + 1}" for i in range(chart.dim)]
 
 
-def _truncated_total(e: Expr, chart: CoordChart) -> Expr:
-    """d_s + xdot d_x, enough for jet-free xi and gauge functions."""
-    terms = [differentiate(e, chart.param)]
-    for c in chart.coords:
-        terms.append(Mul.of(Sym(chart.jet1(c)), differentiate(e, c)))
-    return to_canonical(Add.of(*terms))
-
-
-def _assert_velocity_degree(expr: Expr, chart: CoordChart, bound: int, what: str):
+def _assert_velocity_degree(rf, chart: CoordChart, bound: int, what: str):
     """Residual degree bounds hold on every run; a violation signals a
     prolongation or restriction bug upstream."""
-    if expr.free_symbols() & set(chart.jets2):
+    if rf.free_symbols() & set(chart.jets2):
         raise VerificationError(f"{what} still contains acceleration symbols")
-    degrees = [sum(mono) for mono in collect(expr, chart.jets1)]
+    degrees = [sum(mono) for mono in collect_ratfunc(rf, chart.jets1)]
     if degrees and max(degrees) > bound:
         raise VerificationError(f"{what} exceeds velocity degree {bound}")
+
+
+def _gauge_ratfunc(gauge):
+    return None if gauge is None else canonical_ratfunc(as_expr(gauge))
+
+
+def _noether_residual(field: BundleVectorField, lagrangian, gauge=None):
+    """X^[1] L + (D_s xi) L - D_s A on canonical RatFuncs."""
+    chart = field.chart
+    truncated = total_coefficients(chart, 1)
+    out = prolong(field, 1).act(lagrangian) + derive(field.ratfuncs[0], truncated) * lagrangian
+    if gauge is not None:
+        out = out - derive(gauge, truncated)
+    _assert_velocity_degree(out, chart, 3, "invariance residual")
+    return out
 
 
 def noether_residual(field: BundleVectorField, lagrangian: Expr,
                      gauge: Expr | None = None) -> Expr:
     """X^[1] L + (D_s xi) L - D_s A, canonicalized."""
+    return render_ratfunc(
+        _noether_residual(field, canonical_ratfunc(lagrangian), _gauge_ratfunc(gauge)))
+
+
+def _liepoint_residuals(field: BundleVectorField, system: GeodesicSystem) -> tuple:
     chart = field.chart
-    pf = prolong(field, 1)
-    acted = apply_prolonged(pf, lagrangian)
-    out = Add.of(acted, Mul.of(_truncated_total(field.xi, chart), lagrangian))
-    if gauge is not None:
-        out = Add.of(out, Mul.of(Num(-1), _truncated_total(as_expr(gauge), chart)))
-    residual = to_canonical(out)
-    _assert_velocity_degree(residual, chart, 3, "invariance residual")
-    return residual
+    pf = prolong(field, 2)
+    on_shell = {
+        sym_atom(chart.jet2(c)): g for c, g in zip(chart.coords, system.accelerations)
+    }
+    out = []
+    for eq in system.equation_ratfuncs:
+        restricted = substitute_atoms(pf.act(eq), on_shell.get)
+        _assert_velocity_degree(restricted, chart, 3, "point-symmetry residual")
+        out.append(restricted)
+    return tuple(out)
 
 
 def liepoint_residuals(field: BundleVectorField, system: GeodesicSystem) -> tuple:
     """Second prolongation applied to each solved-form equation, then
     restricted to the solution manifold."""
-    pf = prolong(field, 2)
-    on_shell = system.solved_bindings()
-    out = []
-    for eq in system.equations:
-        acted = apply_prolonged(pf, eq)
-        restricted = substitute(acted, on_shell)
-        _assert_velocity_degree(restricted, field.chart, 3, "point-symmetry residual")
-        out.append(restricted)
-    return tuple(out)
+    return tuple(render_ratfunc(r) for r in _liepoint_residuals(field, system))
 
 
-def _zero_derivative_bindings(exprs):
-    """Bindings sending every opaque-derivative atom (order >= 1) to 0."""
-    bindings = {}
-    for e in exprs:
-        for a in canonical_ratfunc(e).atoms():
-            if a.kind == "op":
-                name, args, orders = a.payload
-                if any(orders):
-                    bindings[Op(name, args, orders)] = Num(0)
-    return bindings
+def _constant_functions_pass(residuals) -> bool:
+    """Whether every residual vanishes once each opaque-function
+    derivative (order >= 1) is set to 0; False when none occurs."""
+    def image(a):
+        return RAT_ZERO if a.kind == "op" and any(a.payload[2]) else None
+
+    if not any(image(a) is not None for rf in residuals for a in rf.atoms()):
+        return False
+    return all(substitute_atoms(rf, image).is_zero() for rf in residuals)
 
 
 @dataclass
@@ -132,22 +145,21 @@ class SymmetryReport:
         return out
 
 
-def verify_noether(field: BundleVectorField, metric: Metric,
+def verify_noether(field: BundleVectorField, metric,
                    gauge: Expr | None = None,
                    with_first_integral: bool = True) -> SymmetryReport:
-    lagrangian = geodesic_lagrangian(metric)
-    residual = noether_residual(field, lagrangian, gauge)
-    passed = is_zero(residual)
-    const_pass = False
+    """Noether check of one field against a Metric or its geodesic
+    Lagrangian (pass the Lagrangian to share it between fields)."""
+    lagrangian = geodesic_lagrangian(metric) if isinstance(metric, Metric) else metric
+    lagrangian = canonical_ratfunc(lagrangian)
+    gauge = _gauge_ratfunc(gauge)
+    residual = _noether_residual(field, lagrangian, gauge)
+    passed = residual.is_zero()
     integral = None
-    if passed:
-        if with_first_integral:
-            integral = noether_first_integral(field, lagrangian, gauge, _verified=True)
-    else:
-        binds = _zero_derivative_bindings([residual])
-        if binds:
-            const_pass = is_zero(substitute(residual, binds))
-    return SymmetryReport(field, "noether", (residual,), passed,
+    if passed and with_first_integral:
+        integral = render_ratfunc(_first_integral(field, lagrangian, gauge))
+    const_pass = not passed and _constant_functions_pass([residual])
+    return SymmetryReport(field, "noether", (render_ratfunc(residual),), passed,
                           first_integral=integral,
                           constant_functions_pass=const_pass)
 
@@ -158,15 +170,23 @@ def verify_liepoint(field: BundleVectorField, metric_or_system) -> SymmetryRepor
         if isinstance(metric_or_system, GeodesicSystem)
         else geodesic_system(metric_or_system)
     )
-    residuals = liepoint_residuals(field, system)
-    passed = all(is_zero(r) for r in residuals)
-    const_pass = False
-    if not passed:
-        binds = _zero_derivative_bindings(residuals)
-        if binds:
-            const_pass = all(is_zero(substitute(r, binds)) for r in residuals)
-    return SymmetryReport(field, "liepoint", residuals, passed,
-                          constant_functions_pass=const_pass)
+    residuals = _liepoint_residuals(field, system)
+    passed = all(r.is_zero() for r in residuals)
+    const_pass = not passed and _constant_functions_pass(residuals)
+    return SymmetryReport(field, "liepoint", tuple(render_ratfunc(r) for r in residuals),
+                          passed, constant_functions_pass=const_pass)
+
+
+def _first_integral(field: BundleVectorField, lagrangian, gauge=None):
+    chart = field.chart
+    xi = field.ratfuncs[0]
+    terms = [-(xi * lagrangian)]
+    if gauge is not None:
+        terms.append(gauge)
+    for c, comp in zip(chart.coords, field.ratfuncs[1:]):
+        p = derive(lagrangian, {chart.jet1(c): RAT_ONE})
+        terms.append(-((comp - xi * symbol(chart.jet1(c))) * p))
+    return rat_sum(terms)
 
 
 def noether_first_integral(field: BundleVectorField, lagrangian: Expr,
@@ -176,17 +196,11 @@ def noether_first_integral(field: BundleVectorField, lagrangian: Expr,
     The sign convention makes the d_s-translation integral equal to the
     Lagrangian itself for quadratic geodesic Lagrangians.
     """
-    chart = field.chart
-    if not _verified and not is_zero(noether_residual(field, lagrangian, gauge)):
+    lagrangian = canonical_ratfunc(lagrangian)
+    gauge = _gauge_ratfunc(gauge)
+    if not _verified and not _noether_residual(field, lagrangian, gauge).is_zero():
         raise VerificationError("first integral requested for a non-symmetry")
-    terms = [Mul.of(Num(-1), field.xi, lagrangian)]
-    if gauge is not None:
-        terms.append(as_expr(gauge))
-    for c, comp in zip(chart.coords, field.eta):
-        p = differentiate(lagrangian, chart.jet1(c))
-        shifted = Add.of(comp, Mul.of(Num(-1), field.xi, Sym(chart.jet1(c))))
-        terms.append(Mul.of(Num(-1), shifted, p))
-    return to_canonical(Add.of(*terms))
+    return render_ratfunc(_first_integral(field, lagrangian, gauge))
 
 
 # ---------------------------------------------------------------------------
@@ -198,14 +212,20 @@ class DeterminingSystem:
     """Collected coefficient equations, each required to vanish.
 
     Entries are canonical nonzero expressions in (s, x) and the unknown
-    function atoms; `sources` records the velocity monomial each
-    equation came from."""
+    function atoms, with their canonical RatFuncs in `ratfuncs`;
+    `sources` records the velocity monomial each equation came from."""
 
     chart: CoordChart
     mode: str
     equations: tuple
     sources: tuple
     unknowns: tuple
+    ratfuncs: tuple = field(default=(), compare=False, repr=False)
+
+    def __post_init__(self):
+        if not self.ratfuncs:
+            object.__setattr__(
+                self, "ratfuncs", tuple(canonical_ratfunc(e) for e in self.equations))
 
     def __len__(self):
         return len(self.equations)
@@ -216,7 +236,7 @@ def determining_system(target, mode: str) -> DeterminingSystem:
     or geodesic system (liepoint) with symbolic xi, eta unknowns."""
     if mode == "noether":
         chart = target.chart
-        lagrangian = geodesic_lagrangian(target) if isinstance(target, Metric) else target
+        lagrangian = geodesic_lagrangian(target)
     elif mode == "liepoint":
         if isinstance(target, Metric):
             target = geodesic_system(target)
@@ -235,25 +255,22 @@ def determining_system(target, mode: str) -> DeterminingSystem:
         chart, unknown[UNKNOWN_XI], tuple(unknown[n] for n in names[1:])
     )
     if mode == "noether":
-        residual = noether_residual(generic, lagrangian)
-        residuals = [residual]
+        residuals = [_noether_residual(generic, canonical_ratfunc(lagrangian))]
     else:
-        residuals = list(liepoint_residuals(generic, target))
+        residuals = _liepoint_residuals(generic, target)
     equations = []
     sources = []
     seen = set()
     for eq_index, residual in enumerate(residuals):
-        for mono, coeff in collect(residual, chart.jets1).items():
-            if is_zero(coeff):
-                continue
-            canon = to_canonical(coeff)
-            key = canonical_ratfunc(canon).key()
+        for mono, coeff in collect_ratfunc(residual, chart.jets1).items():
+            key = coeff.key()
             if key in seen:
                 continue
             seen.add(key)
-            equations.append(canon)
+            equations.append(coeff)
             sources.append((eq_index, mono))
-    return DeterminingSystem(chart, mode, tuple(equations), tuple(sources), tuple(names))
+    return DeterminingSystem(chart, mode, tuple(render_ratfunc(e) for e in equations),
+                             tuple(sources), tuple(names), tuple(equations))
 
 
 @dataclass(frozen=True)
@@ -306,11 +323,10 @@ def default_ansatz(chart: CoordChart, degree: int = 2,
     seen = set()
     for mono in monos:
         for kerns in itertools.product(*kernel_lists) if kernel_lists else [()]:
-            b = to_canonical(Mul.of(mono, *kerns)) if kerns else to_canonical(mono)
-            key = canonical_ratfunc(b).key()
-            if key not in seen:
-                seen.add(key)
-                basis.append(b)
+            rf = canonical_ratfunc(Mul.of(mono, *kerns))
+            if rf.key() not in seen:
+                seen.add(rf.key())
+                basis.append(render_ratfunc(rf))
     return Ansatz(tuple(basis), degree=degree, kernels=tuple(kernel_names))
 
 
@@ -319,8 +335,7 @@ def _check_derivative_closure(ansatz: Ansatz, chart: CoordChart, derivative):
     allowed = set()
     for k in range(len(ansatz.basis)):
         allowed |= derivative(k, (0,) * len(args)).atoms()
-    for v in args:
-        allowed |= canonical_ratfunc(Sym(v)).atoms()
+    allowed |= {sym_atom(v) for v in args}
     for k, b in enumerate(ansatz.basis):
         for i, v in enumerate(args):
             orders = tuple(int(j == i) for j in range(len(args)))
@@ -334,8 +349,8 @@ def _check_derivative_closure(ansatz: Ansatz, chart: CoordChart, derivative):
 def _basis_derivatives(basis, args):
     """derivative(k, orders) -> canonical RatFunc of d^orders basis[k].
 
-    Each derivative is taken from the next-lower order and cached by
-    (k, orders), so every one is differentiated and canonicalized once."""
+    Each derivative is derived from the next-lower order and cached by
+    (k, orders), so every one is computed once."""
     cache = {}
 
     def entry(k, orders):
@@ -344,13 +359,13 @@ def _basis_derivatives(basis, args):
             if any(orders):
                 i = max(j for j, o in enumerate(orders) if o)
                 lower = orders[:i] + (orders[i] - 1,) + orders[i + 1:]
-                tree = differentiate(entry(k, lower)[0], args[i])
+                hit = derive(entry(k, lower), {args[i]: RAT_ONE})
             else:
-                tree = basis[k]
-            hit = cache[(k, orders)] = (tree, canonical_ratfunc(tree))
+                hit = canonical_ratfunc(basis[k])
+            cache[(k, orders)] = hit
         return hit
 
-    return lambda k, orders: entry(k, orders)[1]
+    return entry
 
 
 def _mentions_unknown(atom, names) -> bool:
@@ -411,8 +426,8 @@ def solve_determining(system: DeterminingSystem, ansatz: Ansatz) -> list:
     col_of = {(u, k): i * nb + k for i, u in enumerate(unknowns) for k in range(nb)}
 
     rows = []
-    for eq in system.equations:
-        coeffs = _split_by_unknown(canonical_ratfunc(eq), names, args)
+    for eq in system.ratfuncs:
+        coeffs = _split_by_unknown(eq, names, args)
         terms = [
             (col_of[(name, k)], A, d)
             for (name, orders), A in coeffs.items()
@@ -432,17 +447,15 @@ def solve_determining(system: DeterminingSystem, ansatz: Ansatz) -> list:
             if row:
                 rows.append(row)
     basis_vectors = sparse_nullspace(rows, len(col_of))
+    zero = (0,) * len(args)
     fields = []
     for i, vec in enumerate(basis_vectors):
-        comps = []
-        for u in unknowns:
-            terms = [Num(0)]
-            for k in range(nb):
-                c = vec[col_of[(u, k)]]
-                if c:
-                    terms.append(Mul.of(Num(c), ansatz.basis[k]))
-            comps.append(to_canonical(Add.of(*terms)))
-        fields.append(
-            BundleVectorField(chart, comps[0], tuple(comps[1:]), name=f"X{i + 1}")
-        )
+        comps = [
+            rat_sum(
+                RatFunc.const(c) * derivative(k, zero)
+                for k in range(nb) if (c := vec[col_of[(u, k)]])
+            )
+            for u in unknowns
+        ]
+        fields.append(BundleVectorField.from_ratfuncs(chart, comps, name=f"X{i + 1}"))
     return fields

@@ -12,6 +12,15 @@ for byte:
   `tests/data/flat_plane.metric`, and on the bundled `vb_general.gens`
   with `vaidya_bonner.metric`.  A change to the structure-constant,
   Killing form, radical or Levi computations must not change them.
+- `<gens>.verify.<mode>.txt`: `verify <metric>.metric <gens>.gens
+  --<mode>` in each mode for the three bundled generator files on their
+  metrics, with the exit code each run returned.  They guard the
+  prolongation, the residuals and their rendering, on passing and on
+  failing fields.
+- `vaidya_bonner.integrate_M1_Qt.txt`: `integrate` on
+  `vaidya_bonner.metric` with M = 1, Q = t and a fixed initial state.
+  It guards `substitute_function` and the geodesic right-hand sides
+  that RK4 compiles.
 """
 
 from pathlib import Path
@@ -51,4 +60,33 @@ def test_algebra_matches_golden(name, fmt, ext, capsys):
     code = main(["algebra", gens, "--metric", metric, "--format", fmt])
     assert code == 0
     expected = (GOLDEN / f"{name}.algebra.{ext}").read_bytes()
+    assert capsys.readouterr().out.encode() == expected
+
+
+# generator file -> (metric file, {mode: exit code})
+VERIFY_INPUTS = {
+    "vb_general": ("vaidya_bonner.metric", {"liepoint": 1, "noether": 1}),
+    "vb_M1_Qt": ("vaidya_bonner_M1_Qt.metric", {"liepoint": 0, "noether": 0}),
+    "vb_Mt_Qt2": ("vaidya_bonner_Mt_Qt2.metric", {"liepoint": 0, "noether": 1}),
+}
+
+
+@pytest.mark.parametrize("mode", ["liepoint", "noether"])
+@pytest.mark.parametrize("gens", sorted(VERIFY_INPUTS))
+def test_verify_matches_golden(gens, mode, capsys):
+    metric, codes = VERIFY_INPUTS[gens]
+    code = main(["verify", metric, f"{gens}.gens", f"--{mode}"])
+    assert code == codes[mode]
+    expected = (GOLDEN / f"{gens}.verify.{mode}.txt").read_bytes()
+    assert capsys.readouterr().out.encode() == expected
+
+
+def test_integrate_matches_golden(capsys):
+    code = main([
+        "integrate", "vaidya_bonner.metric", "--bind", "M=1", "--bind", "Q=t",
+        "--init", "0", "10", "1.5707963267948966", "0", "1", "0", "0", "0.05",
+        "--step", "0.0005", "--span", "10",
+    ])
+    assert code == 0
+    expected = (GOLDEN / "vaidya_bonner.integrate_M1_Qt.txt").read_bytes()
     assert capsys.readouterr().out.encode() == expected

@@ -180,6 +180,16 @@ class TestDifferentiate:
         assert equals(differentiate(parse_expr("sqrt(x)"), "x"),
                       parse_expr("1/(2*sqrt(x))"))
 
+    @pytest.mark.parametrize("text, derivative", [
+        ("x + y + tan(x)", "1 + 1/cos(x)^2"),
+        ("tan(x) + D(M, y)^2", "1/cos(x)^2"),
+    ])
+    def test_tangent_over_cosine_terminates(self, text, derivative):
+        # Reducing the derivative takes a gcd whose coefficients in sin(x)
+        # carry cos(x); a pseudo-remainder in sin(x) then never ends.
+        d = differentiate(to_canonical(parse_expr(text, {"M": ("y",)})), "x")
+        assert equals(d, parse_expr(derivative))
+
 
 class TestSubstitute:
     def test_jet_symbol(self):
@@ -225,8 +235,7 @@ class TestIsZero:
             assert evaluate_rational(e, {"x": x}) == 0
             checked += 1
 
-    def test_debug_sampler_agrees(self, monkeypatch):
-        monkeypatch.setenv("LIESYM_DEBUG_SAMPLER", "1")
+    def test_debug_sampler_agrees(self):
         assert is_zero(parse_expr("(x + 1)^2 - x^2 - 2*x - 1"))
         assert not is_zero(parse_expr("(x + 1)^2 - x^2"))
 

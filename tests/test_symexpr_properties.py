@@ -20,8 +20,6 @@ from liesym.symexpr import (
     to_canonical,
     to_text,
 )
-from liesym.symexpr.calculus import _sampled_zero
-from liesym.symexpr.canonical import canonical_ratfunc
 
 SYMBOLS = ["x", "y", "r", "t"]
 ANGLES = ["theta", "phi"]
@@ -92,12 +90,73 @@ def test_round_trip_of_canonical_forms():
         assert to_canonical(parse_expr(to_text(c))) == c
 
 
-def test_zero_test_agrees_with_rational_sampling():
+def _tree_value(e, point):
+    """Exact value of the input tree itself (never its canonical form).
+
+    `point` gives independent rationals to each symbol and each opaque
+    function jet; an angle's sin and cos come from its tangent
+    half-angle u as 2u/(1+u^2) and (1-u^2)/(1+u^2)."""
+    if isinstance(e, Num):
+        return e.value
+    if isinstance(e, Sym):
+        return point[e.name]
+    if isinstance(e, Op):
+        return point[(e.name, e.args, e.orders)]
+    if isinstance(e, Fn):
+        u = point[("half-angle", e.arg.name)]
+        return 2 * u / (1 + u * u) if e.name == "sin" else (1 - u * u) / (1 + u * u)
+    if isinstance(e, Add):
+        return sum((_tree_value(t, point) for t in e.terms), Fraction(0))
+    if isinstance(e, Mul):
+        out = Fraction(1)
+        for f in e.factors:
+            out *= _tree_value(f, point)
+        return out
+    if isinstance(e, Pow):
+        return _tree_value(e.base, point) ** int(e.exponent)
+    raise TypeError(f"cannot evaluate {e!r}")
+
+
+class _RationalPoint(dict):
+    """Independent seeded rationals, drawn on first use of each key."""
+
+    def __init__(self, rng):
+        super().__init__()
+        self.rng = rng
+
+    def __missing__(self, key):
+        value = Fraction(self.rng.randint(-29, 29), self.rng.randint(1, 11))
+        self[key] = value
+        return value
+
+
+def _vanishes_at_points(e, rng, points=4):
+    return all(_tree_value(e, _RationalPoint(rng)) == 0 for _ in range(points))
+
+
+def test_zero_test_agrees_with_tree_evaluation():
+    """is_zero against exact evaluation of the input tree at rational
+    points: identities built as trees must test zero, and trees that do
+    not vanish at a point must not."""
     rng = random.Random(606)
-    for _ in range(300):
-        e = random_expr(rng, 2)
-        rf = canonical_ratfunc(e)
-        sampled = _sampled_zero(rf)
-        if sampled is None:
-            continue
-        assert sampled == rf.num.is_zero(), to_text(e)
+    zeros = nonzeros = 0
+    for i in range(300):
+        e1, e2, e3 = (random_expr(rng, 2) for _ in range(3))
+        if i % 3 == 0:
+            e = e1
+        else:
+            a = Sym(rng.choice(ANGLES))
+            e = Add.of(
+                Mul.of(e1, Add.of(e2, e3)),
+                Mul.of(Num(-1), e1, e2),
+                Mul.of(Num(-1), e1, e3),
+                Mul.of(e2, Add.of(Pow(Fn("sin", a), Fraction(2)),
+                                  Pow(Fn("cos", a), Fraction(2)), Num(-1))),
+            )
+            if i % 3 == 2:
+                e = Add.of(e, Mul.of(e3, Sym(rng.choice(SYMBOLS))))
+        truth = _vanishes_at_points(e, rng)
+        assert is_zero(e) == truth, to_text(e)
+        zeros += truth
+        nonzeros += not truth
+    assert zeros >= 100 and nonzeros >= 100
