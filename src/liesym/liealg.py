@@ -78,7 +78,7 @@ def _coordinates_of(field, lcms, index):
         cleared = comp * RatFunc.from_poly(common)
         if not cleared.den.is_const():
             return None
-        for mono, c in cleared.num.terms.items():
+        for mono, c in cleared.num.rational_terms():
             k = index.get((i, mono))
             if k is None:
                 return None

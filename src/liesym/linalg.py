@@ -30,17 +30,19 @@ def _normalize_row(row: dict) -> dict:
 
 def _int_rows(rows):
     """Distinct normalized integer rows from rows of ints or Fractions,
-    each a dict col -> value or a dense sequence."""
+    each a dict col -> value or a dense sequence.  Integer rows are only
+    divided by their gcd; rows with Fractions are cleared first."""
     out = []
     seen = set()
     for row in rows:
         pairs = row.items() if isinstance(row, dict) else enumerate(row)
-        items = [(c, v) for c, v in pairs if v]
+        items = {c: v for c, v in pairs if v}
         if not items:
             continue
-        den_lcm = math.lcm(*(v.denominator for _, v in items))
-        introw = _normalize_row(
-            {c: v.numerator * (den_lcm // v.denominator) for c, v in items})
+        if any(type(v) is not int for v in items.values()):
+            den_lcm = math.lcm(*(v.denominator for v in items.values()))
+            items = {c: v.numerator * (den_lcm // v.denominator) for c, v in items.items()}
+        introw = _normalize_row(items)
         key = tuple(sorted(introw.items()))
         if key not in seen:
             seen.add(key)

@@ -69,7 +69,7 @@ def _derive_over_monomial(rf: RatFunc, dnum: RatFunc, coefficients: dict, memo: 
     for i, (a, e) in enumerate(mono):
         da = _atom_derivative(a, coefficients, memo)
         if da is not None:
-            others = RatFunc(POLY_ONE, Poly({mono[:i] + mono[i + 1:]: Fraction(1)}), reduced=True)
+            others = RatFunc(POLY_ONE, Poly({mono[:i] + mono[i + 1:]: 1}), reduced=True)
             raised = _pow_ratfunc(RatFunc.atom(a), Fraction(-e - 1))
             terms.append(num * RatFunc.const(-e) * raised * da * others)
     return rat_sum(terms)
@@ -86,7 +86,7 @@ def _derive_poly(p: Poly, coefficients: dict, memo: dict) -> RatFunc:
             lowered = mono[:i] + ((a, e - 1),) + mono[i + 1:] if e > 1 else mono[:i] + mono[i + 1:]
             partials.setdefault(a, {})[lowered] = c * e
     return rat_sum(
-        RatFunc.from_poly(Poly(terms)) * _atom_derivative(a, coefficients, memo)
+        RatFunc.from_poly(Poly.normalized(terms, p.den)) * _atom_derivative(a, coefficients, memo)
         for a, terms in partials.items()
     )
 
@@ -180,7 +180,7 @@ def _substitute_poly(p: Poly, image, memo: dict):
         return None
     terms = []
     for hit, rest in groups.items():
-        term = RatFunc.from_poly(Poly(rest))
+        term = RatFunc.from_poly(Poly.normalized(rest, p.den))
         for a, e in hit:
             term = term * _atom_image(a, image, memo) ** e
         terms.append(term)
@@ -275,7 +275,7 @@ def _eval_poly(p: Poly, env: dict) -> Fraction:
         for a, e in m:
             v *= env[a] ** e
         total += v
-    return total
+    return total / p.den
 
 
 def collect(e: Expr, variables) -> dict:
@@ -319,10 +319,10 @@ def collect_ratfunc(rf: RatFunc, variables) -> dict:
         key = tuple(expvec)
         bucket = buckets.setdefault(key, {})
         rest = tuple(rest)
-        bucket[rest] = bucket.get(rest, Fraction(0)) + coeff
+        bucket[rest] = coeff
     out = {}
     for key, terms in sorted(buckets.items()):
-        num = Poly({m: c for m, c in terms.items() if c})
+        num = Poly.normalized(terms, rf.num.den)
         if num.is_zero():
             continue
         out[key] = RatFunc(num, rf.den)

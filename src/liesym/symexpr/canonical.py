@@ -83,10 +83,11 @@ def _fn_ratfunc(name: str, arg: RatFunc) -> RatFunc:
 
 def _split_poly_arg(arg: RatFunc):
     """Split a multi-term polynomial argument into (first term, rest)."""
-    items = sorted(arg.num.terms.items(), key=lambda t: monomial_key(t[0]))
+    num = arg.num
+    items = sorted(num.terms.items(), key=lambda t: monomial_key(t[0]))
     m, c = items[0]
-    first = RatFunc.from_poly(Poly({m: c}))
-    rest = RatFunc.from_poly(Poly(dict(items[1:])))
+    first = RatFunc.from_poly(Poly.normalized({m: c}, num.den))
+    rest = RatFunc.from_poly(Poly.normalized(dict(items[1:]), num.den))
     return first, rest
 
 
@@ -96,38 +97,39 @@ def _leading_sign(arg: RatFunc) -> int:
 
 
 def _sin_of(arg: RatFunc) -> RatFunc:
-    if arg.is_zero():
-        return RAT_ZERO
-    if _leading_sign(arg) < 0:
-        return -_sin_of(-arg)
-    if arg.den.is_const() and len(arg.num.terms) > 1:
-        a, b = _split_poly_arg(arg)
-        return _sin_of(a) * _cos_of(b) + _cos_of(a) * _sin_of(b)
-    if arg.den.is_const() and len(arg.num.terms) == 1:
-        (m, c), = arg.num.terms.items()
-        if c.denominator == 1 and c > 1:
-            # sin(n w) -> sin((n-1) w + w)
-            w = RatFunc.from_poly(Poly({m: Fraction(1)}))
-            prev = RatFunc.from_poly(Poly({m: c - 1}))
-            return _sin_of(prev) * _cos_of(w) + _cos_of(prev) * _sin_of(w)
-    return RatFunc.atom(Atom("fn", ("sin", arg)))
+    return _sin_cos(arg)[0]
 
 
 def _cos_of(arg: RatFunc) -> RatFunc:
+    return _sin_cos(arg)[1]
+
+
+def _sin_cos(arg: RatFunc):
+    """(sin(arg), cos(arg)).  A polynomial argument with several terms
+    goes through the addition formulas, first term against the rest; an
+    integer multiple n w of a kernel monomial steps the pair from w to
+    n w once per unit, so both cost work linear in n and in the terms."""
     if arg.is_zero():
-        return RAT_ONE
+        return RAT_ZERO, RAT_ONE
     if _leading_sign(arg) < 0:
-        return _cos_of(-arg)
-    if arg.den.is_const() and len(arg.num.terms) > 1:
+        s, c = _sin_cos(-arg)
+        return -s, c
+    num = arg.num
+    if arg.den.is_const() and len(num.terms) > 1:
         a, b = _split_poly_arg(arg)
-        return _cos_of(a) * _cos_of(b) - _sin_of(a) * _sin_of(b)
-    if arg.den.is_const() and len(arg.num.terms) == 1:
-        (m, c), = arg.num.terms.items()
-        if c.denominator == 1 and c > 1:
-            w = RatFunc.from_poly(Poly({m: Fraction(1)}))
-            prev = RatFunc.from_poly(Poly({m: c - 1}))
-            return _cos_of(prev) * _cos_of(w) - _sin_of(prev) * _sin_of(w)
-    return RatFunc.atom(Atom("fn", ("cos", arg)))
+        sa, ca = _sin_cos(a)
+        sb, cb = _sin_cos(b)
+        return sa * cb + ca * sb, ca * cb - sa * sb
+    if arg.den.is_const() and num.den == 1:
+        (m, n), = num.terms.items()
+        if n > 1:
+            # sin(k w + w) and cos(k w + w) from the pair at k w
+            s1, c1 = _sin_cos(RatFunc.from_poly(Poly({m: 1})))
+            s, c = s1, c1
+            for _ in range(n - 1):
+                s, c = s * c1 + c * s1, c * c1 - s * s1
+            return s, c
+    return RatFunc.atom(Atom("fn", ("sin", arg))), RatFunc.atom(Atom("fn", ("cos", arg)))
 
 
 def _exp_of(arg: RatFunc) -> RatFunc:
@@ -138,15 +140,14 @@ def _exp_of(arg: RatFunc) -> RatFunc:
         return _exp_of(a) * _exp_of(b)
     if arg.den.is_const() and len(arg.num.terms) == 1:
         (m, c), = arg.num.terms.items()
-        whole = c.numerator // c.denominator
-        frac = c - whole
+        whole, rem = divmod(c, arg.num.den)
         out = RAT_ONE
         if whole:
-            unit = Atom("fn", ("exp", RatFunc.from_poly(Poly({m: Fraction(1)}))))
+            unit = Atom("fn", ("exp", RatFunc.from_poly(Poly({m: 1}))))
             out = out * (RatFunc.atom(unit) ** whole)
-        if frac:
+        if rem:
             out = out * RatFunc.atom(
-                Atom("fn", ("exp", RatFunc.from_poly(Poly({m: frac}))))
+                Atom("fn", ("exp", RatFunc.from_poly(Poly.normalized({m: rem}, arg.num.den))))
             )
         return out
     # Non-polynomial argument: inert, sign folded into an inverse.
@@ -257,7 +258,7 @@ def render_ratfunc(rf: RatFunc) -> Expr:
         return num_tree
     if len(rf.den.terms) == 1:
         # Denominator is a primitive monomial: fold in negated exponents.
-        (mono, coeff), = rf.den.terms.items()
+        (mono, coeff), = rf.den.rational_terms()
         factors = []
         if not (rf.num.is_const() and rf.num.const_value() == 1):
             factors.append(num_tree)
@@ -274,7 +275,7 @@ def render_ratfunc(rf: RatFunc) -> Expr:
 def _render_poly(p: Poly) -> Expr:
     if p.is_zero():
         return Num(0)
-    items = sorted(p.terms.items(), key=lambda t: monomial_key(t[0]), reverse=True)
+    items = sorted(p.rational_terms(), key=lambda t: monomial_key(t[0]), reverse=True)
     terms = [_render_term(m, c) for m, c in items]
     if len(terms) == 1:
         return terms[0]

@@ -4,26 +4,43 @@ The canonical form of an expression is a reduced fraction of two
 polynomials over Q whose variables ("atoms") are the kernel set:
 plain symbols, opaque function applications, elementary function
 applications keyed by the canonical form of their argument, and
-fractional powers keyed by a primitive polynomial base.
+fractional powers keyed by an integral polynomial base.
 
-Two rewrite rules act at the monomial level and keep the
-representation canonical:
+A Poly stores integer coefficients over one positive integer
+denominator, the layout of FLINT's fmpq_poly: `terms` maps each
+monomial to a nonzero int, `den` is a positive int, and the gcd of all
+coefficients and `den` is 1, so every polynomial has exactly one
+representation.  An integral polynomial (den 1), which every RatFunc
+denominator is, costs no normalization.  Products, sums, content,
+exact division and gcd run on Python ints; rationals appear only at
+the boundary (`const_value`, `content`, `rational_terms`).
+
+Rewrite rules act at the monomial level and keep the representation
+canonical:
 
   * cos(u)^k with k >= 2 is reduced via cos(u)^2 -> 1 - sin(u)^2, for
     any argument u, so cosine exponents in stored monomials are 0 or 1;
-  * integer powers of a fractional-power atom fold back into the base,
-    e.g. (B^(1/2))^2 -> B.
+  * fractional powers of one base fold together, B^p * B^q -> B^(p+q),
+    so a monomial holds at most one power atom per base, with
+    exponent 1;
+  * whole parts of a power fold back into the base, e.g.
+    (B^(1/2))^2 -> B and B^(1/3) * B^(2/3) -> B.
 
-Polynomial gcd is computed in the free commutative ring on the reduced
-monomials (primitive PRS); this is enough to make equal inputs
-canonicalize identically for everything built from the supported
-operations, and zero-testing is sound and complete because the reduced
-monomials are linearly independent functions.
+Polynomial gcd is computed on the reduced monomials (primitive PRS).
+Every rule is an identity, so a canonical zero is a true zero.  The
+converse does not hold: identities outside the rules canonicalize to
+nonzero forms, among them exp(x/2)^2 - exp(x), half angles
+(2*sin(x/2)*cos(x/2) - sin(x)), ln of products (ln(x*y) - ln(x) -
+ln(y)) and products of radicals of different bases (sqrt(x)*sqrt(y) -
+sqrt(x*y)).  Once a cos or fractional-power atom sits in a denominator,
+equal functions can also reduce to different fractions along different
+computation paths.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 
 class Atom:
@@ -33,45 +50,51 @@ class Atom:
       "sym"  payload = symbol name
       "op"   payload = (name, args, orders)
       "fn"   payload = (fname, arg RatFunc)
-      "pow"  payload = (base Poly, fractional exponent in (0,1))
+      "pow"  payload = (integral base Poly, fractional exponent in (0,1))
+
+    `fold` marks the atoms a rewrite rule acts on: 1 for cos, 2 for
+    fractional powers, 0 for the rest.
     """
 
-    __slots__ = ("kind", "payload", "_key", "_hash")
+    __slots__ = ("kind", "payload", "fold", "_key", "_hash")
 
     def __init__(self, kind, payload):
         self.kind = kind
         self.payload = payload
-        self._key = None
         self._hash = None
-
-    def key(self):
         # Kind ranks keep the rewrite rules monotone under the monomial
         # order: cos must rank above sin (cos^2 -> 1 - sin^2 decreases),
         # and fractional-power atoms above everything (folding decreases).
-        if self._key is None:
-            if self.kind == "sym":
-                self._key = (0, "sym", self.payload)
-            elif self.kind == "op":
-                name, args, orders = self.payload
-                self._key = (1, "op", name, args, orders)
-            elif self.kind == "fn":
-                fname, arg = self.payload
-                rank = "~cos" if fname == "cos" else fname
-                self._key = (2, rank, arg.key())
-            else:
-                base, frac = self.payload
-                self._key = (3, base.key(), (frac.numerator, frac.denominator))
+        # The key is built here because every monomial product compares it.
+        self.fold = 0
+        if kind == "sym":
+            self._key = (0, "sym", payload)
+        elif kind == "op":
+            name, args, orders = payload
+            self._key = (1, "op", name, args, orders)
+        elif kind == "fn":
+            fname, arg = payload
+            if fname == "cos":
+                self.fold = 1
+                fname = "~cos"
+            self._key = (2, fname, arg.key())
+        else:
+            base, frac = payload
+            self.fold = 2
+            self._key = (3, base.key(), (frac.numerator, frac.denominator))
+
+    def key(self):
         return self._key
 
     def __eq__(self, other):
-        return isinstance(other, Atom) and self.key() == other.key()
+        return isinstance(other, Atom) and self._key == other._key
 
     def __lt__(self, other):
-        return self.key() < other.key()
+        return self._key < other._key
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash(self.key())
+            self._hash = hash(self._key)
         return self._hash
 
     def __repr__(self):
@@ -101,7 +124,7 @@ MONOMIAL_ONE = ()
 
 
 def monomial_key(mono):
-    return tuple((a.key(), e) for a, e in mono)
+    return tuple((a._key, e) for a, e in mono)
 
 
 def monomial_free_symbols(mono):
@@ -111,22 +134,64 @@ def monomial_free_symbols(mono):
     return out
 
 
-def _merge_exponents(m1, m2):
-    d = {}
-    for a, e in m1:
-        d[a] = d.get(a, 0) + e
-    for a, e in m2:
-        d[a] = d.get(a, 0) + e
-    return d
+def _mono_mul(m1, m2):
+    """(m1 * m2, whether the rewrite rules act on it) by a linear merge
+    of the two sorted tuples.  The rules act when a cos or
+    fractional-power atom reaches exponent 2, or when fractional powers
+    of one base meet; those sort next to each other, so the merge
+    compares them directly."""
+    if not m1:
+        return m2, False
+    if not m2:
+        return m1, False
+    out = []
+    fold = False
+    i = j = 0
+    n1, n2 = len(m1), len(m2)
+    while i < n1 and j < n2:
+        t1 = m1[i]
+        t2 = m2[j]
+        a1 = t1[0]
+        a2 = t2[0]
+        k1 = a1._key
+        k2 = a2._key
+        if a1 is a2 or k1 == k2:
+            out.append((a1, t1[1] + t2[1]))
+            if a1.fold:
+                fold = True
+            i += 1
+            j += 1
+        else:
+            if a1.fold == 2 and a2.fold == 2 and k1[1] == k2[1]:
+                fold = True
+            if k1 < k2:
+                out.append(t1)
+                i += 1
+            else:
+                out.append(t2)
+                j += 1
+    if i < n1:
+        out.extend(m1[i:])
+    elif j < n2:
+        out.extend(m2[j:])
+    return tuple(out), fold
 
 
-def _needs_reduction(expmap):
-    for a, e in expmap.items():
-        if a.kind == "fn" and a.payload[0] == "cos" and e >= 2:
-            return True
-        if a.kind == "pow" and e >= 2:
-            return True
-    return False
+def _mono_div(m, d):
+    """m / d as a sorted monomial, or None when d does not divide m."""
+    out = []
+    j, nd = 0, len(d)
+    for a, e in m:
+        if j < nd and d[j][0]._key == a._key:
+            r = e - d[j][1]
+            if r < 0:
+                return None
+            if r:
+                out.append((a, r))
+            j += 1
+        else:
+            out.append((a, e))
+    return tuple(out) if j == nd else None
 
 
 def monomial_gt(m1, m2) -> bool:
@@ -140,7 +205,7 @@ def monomial_gt(m1, m2) -> bool:
     while i >= 0 and j >= 0:
         a1, e1 = m1[i]
         a2, e2 = m2[j]
-        k1, k2 = a1.key(), a2.key()
+        k1, k2 = a1._key, a2._key
         if k1 != k2:
             return k1 > k2
         if e1 != e2:
@@ -150,58 +215,82 @@ def monomial_gt(m1, m2) -> bool:
     return i >= 0
 
 
-def _reduce_expmap(expmap) -> "Poly":
-    """Rewrite an exponent map into a canonical Poly."""
-    plain = {}
-    pending = []  # (Poly factor) pieces to multiply in
-    for a, e in expmap.items():
-        if e == 0:
-            continue
-        if a.kind == "pow":
+def _reduce_monomial(mono) -> "Poly":
+    """The rewrite rules applied to a sorted product monomial; an
+    integral Poly, since power bases are integral."""
+    plain = []
+    pieces = []
+    i, n = 0, len(mono)
+    while i < n:
+        a, e = mono[i]
+        i += 1
+        if a.fold == 2:
             base, frac = a.payload
             total = frac * e
+            while i < n and mono[i][0].fold == 2 and mono[i][0]._key[1] == a._key[1]:
+                b, f = mono[i]
+                total += b.payload[1] * f
+                i += 1
+            if total == frac:
+                plain.append((a, 1))
+                continue
             whole, rem = divmod(total.numerator, total.denominator)
             if whole:
-                pending.append(base ** whole)
+                pieces.append(base ** whole)
             if rem:
-                na = Atom("pow", (base, Fraction(rem, total.denominator)))
-                plain[na] = plain.get(na, 0) + 1
-        elif a.kind == "fn" and a.payload[0] == "cos" and e >= 2:
+                # same base, so the new atom keeps this position in the order
+                plain.append((Atom("pow", (base, Fraction(rem, total.denominator))), 1))
+        elif a.fold == 1 and e >= 2:
             # cos^2 -> 1 - sin^2, applied (e // 2) times
             half, odd = divmod(e, 2)
             sin_a = Atom("fn", ("sin", a.payload[1]))
-            one_minus_sin2 = Poly({MONOMIAL_ONE: Fraction(1), ((sin_a, 2),): Fraction(-1)})
-            pending.append(one_minus_sin2 ** half)
+            pieces.append(Poly({MONOMIAL_ONE: 1, ((sin_a, 2),): -1}) ** half)
             if odd:
-                plain[a] = plain.get(a, 0) + 1
+                plain.append((a, 1))
         else:
-            plain[a] = plain.get(a, 0) + e
-    mono = tuple(sorted(plain.items(), key=lambda p: p[0].key()))
-    result = Poly({mono: Fraction(1)})
-    for piece in pending:
+            plain.append((a, e))
+    result = Poly({tuple(plain): 1})
+    for piece in pieces:
         result = result * piece
     return result
 
 
 class Poly:
-    """Multivariate polynomial: dict of monomial -> nonzero Fraction."""
+    """Multivariate polynomial sum(terms) / den: `terms` maps monomials
+    to nonzero ints, `den` is a positive int, and gcd(coefficients, den)
+    is 1.  The constructor trusts its arguments; `normalized` divides
+    out a common factor."""
 
-    __slots__ = ("terms", "_key")
+    __slots__ = ("terms", "den", "_key")
 
-    def __init__(self, terms=None):
+    def __init__(self, terms=None, den=1):
         self.terms = terms or {}
+        self.den = den
         self._key = None
 
     @staticmethod
-    def const(c) -> "Poly":
-        c = Fraction(c)
-        if c == 0:
+    def normalized(terms, den=1) -> "Poly":
+        """sum(terms) / den for nonzero int coefficients and a positive
+        int den, with their common factor removed."""
+        if not terms:
             return Poly()
-        return Poly({MONOMIAL_ONE: c})
+        if den != 1:
+            g = gcd(den, *terms.values())
+            if g != 1:
+                terms = {m: c // g for m, c in terms.items()}
+                den //= g
+        return Poly(terms, den)
+
+    @staticmethod
+    def const(c) -> "Poly":
+        """The constant polynomial of an int or Fraction c."""
+        if not c:
+            return Poly()
+        return Poly({MONOMIAL_ONE: c.numerator}, c.denominator)
 
     @staticmethod
     def atom(a: Atom, exp: int = 1) -> "Poly":
-        return Poly({((a, exp),): Fraction(1)})
+        return Poly({((a, exp),): 1})
 
     def is_zero(self):
         return not self.terms
@@ -210,83 +299,86 @@ class Poly:
         return not self.terms or (len(self.terms) == 1 and MONOMIAL_ONE in self.terms)
 
     def const_value(self) -> Fraction:
-        if self.is_zero():
+        if not self.terms:
             return Fraction(0)
-        return self.terms[MONOMIAL_ONE]
+        return Fraction(self.terms[MONOMIAL_ONE], self.den)
+
+    def rational_terms(self):
+        """(monomial, Fraction coefficient) pairs: the rational reading
+        of the terms, for the boundaries that render or report them."""
+        den = self.den
+        return [(m, Fraction(c, den)) for m, c in self.terms.items()]
 
     def key(self):
+        """Per term, in monomial order: (monomial key, (numerator,
+        denominator) of the reduced rational coefficient)."""
         if self._key is None:
-            items = sorted(
-                ((monomial_key(m), c) for m, c in self.terms.items()),
-            )
-            self._key = tuple((mk, (c.numerator, c.denominator)) for mk, c in items)
+            den = self.den
+            if den == 1:
+                items = [(monomial_key(m), (c, 1)) for m, c in self.terms.items()]
+            else:
+                items = []
+                for m, c in self.terms.items():
+                    g = gcd(c, den)
+                    items.append((monomial_key(m), (c // g, den // g)))
+            items.sort()
+            self._key = tuple(items)
         return self._key
 
     def __eq__(self, other):
-        return isinstance(other, Poly) and self.terms == other.terms
+        return isinstance(other, Poly) and self.den == other.den and self.terms == other.terms
 
     def __hash__(self):
         return hash(self.key())
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            nc = out.get(m, Fraction(0)) + c
-            if nc:
-                out[m] = nc
-            else:
-                out.pop(m, None)
-        return Poly(out)
-
-    def __neg__(self):
-        return Poly({m: -c for m, c in self.terms.items()})
+        return _add(self, other, 1)
 
     def __sub__(self, other):
-        return self + (-other)
+        return _add(self, other, -1)
+
+    def __neg__(self):
+        return Poly({m: -c for m, c in self.terms.items()}, self.den)
 
     def scale(self, c) -> "Poly":
-        c = Fraction(c)
-        if c == 0:
-            return Poly()
-        if c == 1:
-            return self
-        return Poly({m: c * v for m, v in self.terms.items()})
+        """The product with a rational c."""
+        return _scaled(self, c.numerator, c.denominator)
 
     def __mul__(self, other):
-        if isinstance(other, Fraction):
-            return self.scale(other)
         out = {}
+        get = out.get
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
+                mono, fold = _mono_mul(m1, m2)
                 c = c1 * c2
-                expmap = _merge_exponents(m1, m2)
-                if _needs_reduction(expmap):
-                    for m3, c3 in _reduce_expmap(expmap).terms.items():
-                        nc = out.get(m3, Fraction(0)) + c * c3
+                if fold:
+                    for m3, c3 in _reduce_monomial(mono).terms.items():
+                        nc = get(m3, 0) + c * c3
                         if nc:
                             out[m3] = nc
                         else:
-                            out.pop(m3, None)
+                            del out[m3]
                 else:
-                    mono = tuple(sorted(expmap.items(), key=lambda p: p[0].key()))
-                    nc = out.get(mono, Fraction(0)) + c
+                    nc = get(mono, 0) + c
                     if nc:
                         out[mono] = nc
                     else:
-                        out.pop(mono, None)
-        return Poly(out)
+                        del out[mono]
+        den = self.den * other.den
+        return Poly(out) if den == 1 else Poly.normalized(out, den)
 
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of Poly")
-        result = Poly.const(1)
+        result = None
         base = self
         while n:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if n:
+                base = base * base
+        return POLY_ONE if result is None else result
 
     def atoms(self):
         out = set()
@@ -302,73 +394,101 @@ class Poly:
         return out
 
     def leading(self):
-        """Leading (monomial, coeff) under the multiplicative lex order."""
+        """Leading (monomial, integer coefficient) under the
+        multiplicative lex order; the coefficient has the sign of the
+        rational one."""
         best = None
         for m in self.terms:
             if best is None or monomial_gt(m, best):
                 best = m
         return best, self.terms[best]
 
+    def _signed_gcd(self) -> int:
+        """gcd of the integer coefficients, with the leading sign."""
+        g = gcd(*self.terms.values())
+        return -g if self.leading()[1] < 0 else g
+
     def content(self) -> Fraction:
         """Rational content with the sign of the leading coefficient."""
-        if self.is_zero():
+        if not self.terms:
             return Fraction(0)
-        num_gcd = 0
-        den_lcm = 1
-        for c in self.terms.values():
-            num_gcd = _gcd_int(num_gcd, abs(c.numerator))
-            den_lcm = _lcm_int(den_lcm, c.denominator)
-        cont = Fraction(num_gcd, den_lcm)
-        _, lead = self.leading()
-        if lead < 0:
-            cont = -cont
-        return cont
+        return Fraction(self._signed_gcd(), self.den)
+
+    def primitive_part(self) -> "Poly":
+        """Integral, coefficient gcd 1, positive leading coefficient."""
+        if not self.terms:
+            return self
+        g = self._signed_gcd()
+        if g == 1 and self.den == 1:
+            return self
+        return Poly({m: c // g for m, c in self.terms.items()})
 
     def primitive(self):
         """(content, primitive part) with positive leading coefficient."""
-        if self.is_zero():
-            return Fraction(0), self
-        cont = self.content()
-        return cont, self.scale(1 / cont)
+        return self.content(), self.primitive_part()
 
     def degree_in(self, atom: Atom) -> int:
+        k = atom._key
         d = 0
         for m in self.terms:
             for a, e in m:
-                if a == atom and e > d:
+                if e > d and a._key == k:
                     d = e
         return d
 
     def coeffs_in(self, atom: Atom):
         """Split as a univariate polynomial in `atom`: degree -> Poly."""
+        k = atom._key
         out = {}
         for m, c in self.terms.items():
             deg = 0
-            rest = []
-            for a, e in m:
-                if a == atom:
+            rest = m
+            for i, (a, e) in enumerate(m):
+                if a._key == k:
                     deg = e
-                else:
-                    rest.append((a, e))
-            rest = tuple(rest)
-            bucket = out.setdefault(deg, {})
-            bucket[rest] = bucket.get(rest, Fraction(0)) + c
-        return {d: Poly({m: c for m, c in t.items() if c}) for d, t in out.items()}
+                    rest = m[:i] + m[i + 1:]
+                    break
+            out.setdefault(deg, {})[rest] = c
+        return {d: Poly.normalized(t, self.den) for d, t in out.items()}
 
     def __repr__(self):
         return f"Poly({len(self.terms)} terms)"
 
 
-def _gcd_int(a, b):
-    import math
+def _add(p: Poly, q: Poly, sign: int) -> Poly:
+    """p + sign * q over the lcm of the denominators."""
+    if not q.terms:
+        return p
+    if not p.terms:
+        return q if sign == 1 else -q
+    if p.den == q.den:
+        den = p.den
+        out = dict(p.terms)
+        fq = sign
+    else:
+        g = gcd(p.den, q.den)
+        fp, fq = q.den // g, sign * (p.den // g)
+        den = p.den * fp
+        out = {m: c * fp for m, c in p.terms.items()}
+    get = out.get
+    for m, c in q.terms.items():
+        nc = get(m, 0) + c * fq
+        if nc:
+            out[m] = nc
+        else:
+            del out[m]
+    return Poly(out) if den == 1 else Poly.normalized(out, den)
 
-    return math.gcd(a, b)
 
-
-def _lcm_int(a, b):
-    import math
-
-    return a * b // math.gcd(a, b)
+def _scaled(p: Poly, n: int, d: int) -> Poly:
+    """p * n / d for ints n and d != 0."""
+    if d < 0:
+        n, d = -n, -d
+    if not n or not p.terms:
+        return POLY_ZERO
+    if n == d:
+        return p
+    return Poly.normalized({m: c * n for m, c in p.terms.items()}, p.den * d)
 
 
 POLY_ZERO = Poly()
@@ -376,36 +496,36 @@ POLY_ONE = Poly.const(1)
 
 
 def poly_divexact(p: Poly, d: Poly) -> Poly:
-    """Exact division p / d in the free ring; raises if not exact."""
-    if d.is_zero():
+    """Exact division p / d on the reduced monomials; raises if not exact.
+
+    Fraction-free long division on the integer numerators: each step
+    scales the remainder by lc(d) / gcd(lc(d), lc(rem)) so that its
+    leading term cancels, and the quotient is divided by the product of
+    those scales at the end."""
+    if not d.terms:
         raise ZeroDivisionError("polynomial division by zero")
     if d.is_const():
-        return p.scale(1 / d.const_value())
-    quot = Poly()
-    rem = p
+        return _scaled(p, d.den, d.terms[MONOMIAL_ONE])
     dm, dc = d.leading()
-    dset = dict(dm)
-    while not rem.is_zero():
+    divisor = Poly(d.terms)
+    quot = {}
+    scale = 1
+    rem = Poly(p.terms)
+    while rem.terms:
         rm, rc = rem.leading()
-        rset = dict(rm)
-        qexp = {}
-        ok = True
-        for a, e in dset.items():
-            re = rset.get(a, 0)
-            if re < e:
-                ok = False
-                break
-            qexp[a] = re - e
-        if not ok:
+        qm = _mono_div(rm, dm)
+        if qm is None:
             raise ValueError("inexact polynomial division")
-        for a, e in rset.items():
-            if a not in dset:
-                qexp[a] = qexp.get(a, 0) + e
-        qmono = tuple(sorted(((a, e) for a, e in qexp.items() if e), key=lambda t: t[0].key()))
-        qterm = Poly({qmono: rc / dc})
-        quot = quot + qterm
-        rem = rem - qterm * d
-    return quot
+        g = gcd(rc, dc)
+        a, b = dc // g, rc // g
+        if a != 1:
+            scale *= a
+            quot = {m: c * a for m, c in quot.items()}
+            rem = Poly({m: c * a for m, c in rem.terms.items()})
+        quot[qm] = b
+        rem = rem - Poly({qm: b}) * divisor
+    # p / d = (quot / scale) * d.den / p.den
+    return _scaled(Poly(quot), d.den, scale * p.den)
 
 
 def poly_lcm(polys) -> Poly:
@@ -419,12 +539,10 @@ def poly_lcm(polys) -> Poly:
 
 def _pseudo_rem(p, q, atom):
     """Pseudo-remainder of p by q, both viewed univariate in atom."""
-    pc = p.coeffs_in(atom)
     qc = q.coeffs_in(atom)
-    dp = max(pc)
     dq = max(qc)
     lead_q = qc[dq]
-    while not p.is_zero():
+    while p.terms:
         pc = p.coeffs_in(atom)
         dp = max(pc)
         if dp < dq:
@@ -436,11 +554,11 @@ def _pseudo_rem(p, q, atom):
 
 
 def poly_gcd(p: Poly, q: Poly) -> Poly:
-    """Gcd in the free ring on atoms, primitive with positive lead."""
+    """Gcd on the reduced monomials: integral, primitive, positive lead."""
     if p.is_zero():
-        return q.primitive()[1] if not q.is_zero() else POLY_ZERO
+        return q.primitive_part()
     if q.is_zero():
-        return p.primitive()[1]
+        return p.primitive_part()
     if p.is_const() or q.is_const():
         return POLY_ONE
     # Fast path: single-monomial arguments share only monomial factors.
@@ -456,8 +574,7 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
     # or in an atom of B need not lower the degree and may never end.
     # Such atoms have degree <= 1: dividing in them first keeps the
     # coefficients free of them.
-    reducing = [a for a in patoms | qatoms
-                if a.kind == "pow" or (a.kind == "fn" and a.payload[0] == "cos")]
+    reducing = [a for a in patoms | qatoms if a.fold]
     atom = max(reducing) if reducing else max(common)
     pcont, pprim = _univ_content(p, atom)
     qcont, qprim = _univ_content(q, atom)
@@ -477,7 +594,7 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
             break
         a, b = b, _univ_content(r, atom)[1]
     g = _univ_content(g, atom)[1] if not g.is_const() else POLY_ONE
-    return (cont_gcd * g).primitive()[1]
+    return (cont_gcd * g).primitive_part()
 
 
 def _monomial_gcd(p: Poly, q: Poly) -> Poly:
@@ -493,8 +610,8 @@ def _monomial_gcd(p: Poly, q: Poly) -> Poly:
     cp = common_part(p)
     cq = common_part(q)
     shared = {a: min(e, cq[a]) for a, e in cp.items() if a in cq}
-    mono = tuple(sorted(shared.items(), key=lambda t: t[0].key()))
-    return Poly({mono: Fraction(1)})
+    mono = tuple(sorted(shared.items(), key=lambda t: t[0]._key))
+    return Poly({mono: 1})
 
 
 def _univ_content(p: Poly, atom: Atom):
@@ -617,18 +734,17 @@ def _reduce_fraction(num: Poly, den: Poly):
     if num.is_zero():
         return POLY_ZERO, POLY_ONE
     if den.is_const():
-        c = den.const_value()
-        return (num if c == 1 else num.scale(1 / c)), POLY_ONE
+        return _scaled(num, den.den, den.terms[MONOMIAL_ONE]), POLY_ONE
     g = poly_gcd(num, den)
     if not g.is_const():
         num = poly_divexact(num, g)
         den = poly_divexact(den, g)
-    cont, den = den.primitive()
-    num = num.scale(1 / cont)
+    # divide both by den's content c / den.den, leaving den primitive
+    c = den._signed_gcd()
+    num = _scaled(num, den.den, c)
     if den.is_const():
-        num = num.scale(1 / den.const_value())
-        den = POLY_ONE
-    return num, den
+        return num, POLY_ONE
+    return num, den.primitive_part()
 
 
 RAT_ZERO = RatFunc.const(0)

@@ -21,6 +21,7 @@ exact rational nullspace.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -380,7 +381,9 @@ def _mentions_unknown(atom, names) -> bool:
 
 def _split_by_unknown(rf, names, args) -> dict:
     """Coefficients A[(name, orders)] of a canonical equation num/den that
-    is linear and homogeneous in the unknown jets: num = sum A * jet."""
+    is linear and homogeneous in the unknown jets: num * num.den = sum
+    A * jet, so every A is integral; a common factor leaves the
+    equation's rows unchanged."""
     for a in rf.atoms():
         if a.kind == "op" and a.payload[0] in names and a.payload[1] != args:
             raise AnsatzError(f"unexpected unknown arguments {a.payload[1]}")
@@ -410,10 +413,12 @@ def solve_determining(system: DeterminingSystem, ansatz: Ansatz) -> list:
     (reduced echelon pivot order).
 
     Rows are assembled on canonical forms: each equation's numerator is
-    split once into coefficients A of the unknown jets d^a u; with the
-    basis derivatives d^a b_k brought over one common denominator, the
-    coefficient of each kernel monomial in sum A * d^a b_k gives one row
-    over the columns (u, k)."""
+    split once into integral coefficients A of the unknown jets d^a u;
+    with the basis derivatives d^a b_k brought over one common
+    denominator, the coefficient of each kernel monomial in
+    sum A * d^a b_k gives one integer row over the columns (u, k).  A
+    cleared derivative depends only on (k, a) and that denominator, so
+    equations sharing one reuse it."""
     if not ansatz.basis:
         raise AnsatzError("empty ansatz")
     chart = system.chart
@@ -426,22 +431,32 @@ def solve_determining(system: DeterminingSystem, ansatz: Ansatz) -> list:
     col_of = {(u, k): i * nb + k for i, u in enumerate(unknowns) for k in range(nb)}
 
     rows = []
+    cleared = {}  # (k, orders, lcm key) -> d^orders b_k brought over the lcm
     for eq in system.ratfuncs:
         coeffs = _split_by_unknown(eq, names, args)
         terms = [
-            (col_of[(name, k)], A, d)
+            (col_of[(name, k)], A, k, orders, d)
             for (name, orders), A in coeffs.items()
             for k in range(nb)
             if not (d := derivative(k, orders)).is_zero()
         ]
-        dens = {d.den.key(): d.den for _, _, d in terms}
+        dens = {d.den.key(): d.den for *_, d in terms}
         lcm = poly_lcm(dens.values())
         cofactor = {key: poly_divexact(lcm, den) for key, den in dens.items()}
+        products = []
+        for col, A, k, orders, d in terms:
+            ck = (k, orders, lcm.key())
+            if ck not in cleared:
+                cleared[ck] = d.num * cofactor[d.den.key()]
+            products.append((col, A * cleared[ck]))
+        # one integer scale for the whole equation keeps its rows integral
+        scale = math.lcm(*(P.den for _, P in products))
         buckets = {}
-        for col, A, d in terms:
-            for mono, c in (A * (d.num * cofactor[d.den.key()])).terms.items():
+        for col, P in products:
+            f = scale // P.den
+            for mono, c in P.terms.items():
                 row = buckets.setdefault(mono, {})
-                row[col] = row.get(col, 0) + c
+                row[col] = row.get(col, 0) + c * f
         for row in buckets.values():
             row = {c: v for c, v in row.items() if v}
             if row:

@@ -1,6 +1,10 @@
 """Expression kernel: parsing, canonical form, calculus, collection."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +29,9 @@ from liesym.symexpr import (
     to_canonical,
     to_text,
 )
+from liesym.symexpr.canonical import canonical_ratfunc
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class TestParser:
@@ -111,6 +118,18 @@ class TestCanonical:
         assert equals(parse_expr("sqrt(x)*sqrt(x)"), parse_expr("x"))
         assert to_text(to_canonical(parse_expr("sqrt(8)"))) == "2*(2)^(1/2)"
 
+    def test_fractional_powers_of_one_base_fold(self):
+        assert is_zero(parse_expr("r^(1/3)*r^(2/3) - r"))
+        assert is_zero(parse_expr("r^(1/2)*r^(1/3) - r^(5/6)"))
+        c = to_canonical(parse_expr("r^(2/3)*r^(1/3)*r^(1/3)"))
+        assert to_text(c) == "r*r^(1/3)"
+        # at most one power atom per base, with exponent 1
+        for text in ("r^(2/3)*r^(1/3)*r^(1/3)", "(r^(1/3))^5*sqrt(r)*y", "r^(1/6)*r^(5/6)*r^(1/2)"):
+            for mono in canonical_ratfunc(parse_expr(text)).num.terms:
+                powers = [(a.payload[0].key(), e) for a, e in mono if a.kind == "pow"]
+                assert all(e == 1 for _, e in powers), text
+                assert len({base for base, _ in powers}) == len(powers), text
+
     def test_angle_addition_support(self):
         assert equals(
             parse_expr("sin(a + b)"),
@@ -139,6 +158,23 @@ class TestCanonical:
         ]
         for text in zeros:
             assert is_zero(parse_expr(text)), text
+
+    @pytest.mark.parametrize("n", range(2, 31))
+    def test_integer_multiple_addition_formula(self, n):
+        assert is_zero(parse_expr(
+            f"sin({n}*x) - (sin({n - 1}*x)*cos(x) + cos({n - 1}*x)*sin(x))"))
+
+    def test_trig_of_large_integer_multiple_is_fast(self):
+        # sin and cos of n*w are stepped once per unit of n; expanding
+        # both from (n-1)*w at every step took time 2^n.
+        code = ("from liesym.symexpr import parse_expr, to_canonical, to_text\n"
+                "for text in ('cot(27)', 'cot(27*x)'):\n"
+                "    print(len(to_text(to_canonical(parse_expr(text)))))\n")
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=30)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["656", "656"]
 
     def test_structurally_close_nonzero(self):
         nonzeros = [

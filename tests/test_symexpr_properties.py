@@ -3,9 +3,11 @@
 Seeded generators rather than live randomness so failures replay.
 """
 
+import math
 import random
 from fractions import Fraction
 
+import reference_poly as ref
 from liesym.symexpr import (
     Add,
     Fn,
@@ -20,6 +22,8 @@ from liesym.symexpr import (
     to_canonical,
     to_text,
 )
+from liesym.symexpr.canonical import canonical_ratfunc
+from liesym.symexpr.poly import Poly, _reduce_fraction, poly_divexact, poly_gcd
 
 SYMBOLS = ["x", "y", "r", "t"]
 ANGLES = ["theta", "phi"]
@@ -113,8 +117,18 @@ def _tree_value(e, point):
             out *= _tree_value(f, point)
         return out
     if isinstance(e, Pow):
-        return _tree_value(e.base, point) ** int(e.exponent)
+        q = e.exponent
+        return _exact_root(_tree_value(e.base, point), q.denominator) ** q.numerator
     raise TypeError(f"cannot evaluate {e!r}")
+
+
+def _exact_root(v: Fraction, n: int) -> Fraction:
+    """The positive rational n-th root of v; the point must make it exact."""
+    if n == 1:
+        return v
+    roots = [round(float(part) ** (1 / n)) for part in (v.numerator, v.denominator)]
+    assert v > 0 and all(r ** n == part for r, part in zip(roots, (v.numerator, v.denominator)))
+    return Fraction(*roots)
 
 
 class _RationalPoint(dict):
@@ -160,3 +174,132 @@ def test_zero_test_agrees_with_tree_evaluation():
         zeros += truth
         nonzeros += not truth
     assert zeros >= 100 and nonzeros >= 100
+
+
+def test_products_of_radicals_of_one_base():
+    """Products of fractional powers of r against one power of r, checked
+    by the tree oracle at points where r is a sixth power: r^p * r^q
+    must fold to r^(p+q), whole parts into r."""
+    rng = random.Random(707)
+    exponents = [Fraction(p, q) for q in (2, 3, 6) for p in range(-q - 1, 2 * q + 2)]
+    zeros = nonzeros = 0
+    for i in range(200):
+        parts = [rng.choice(exponents) for _ in range(rng.randint(2, 4))]
+        total = sum(parts) + (rng.choice(exponents) if i % 3 == 0 else 0)
+        factor = random_expr(rng, 1)
+        e = Add.of(Mul.of(factor, *(Pow(Sym("r"), f) for f in parts)),
+                   Mul.of(Num(-1), factor, Pow(Sym("r"), total)))
+        truth = True
+        for _ in range(3):
+            point = _RationalPoint(rng)
+            point["r"] = Fraction(rng.randint(2, 7), rng.randint(1, 5)) ** 6
+            truth = truth and _tree_value(e, point) == 0
+        assert is_zero(e) == truth, to_text(e)
+        zeros += truth
+        nonzeros += not truth
+    assert zeros >= 100 and nonzeros >= 30
+
+
+# The integer-coefficient Poly against the Fraction-coefficient reference.
+
+def _atom_of(text):
+    (mono, _), = canonical_ratfunc(parse_expr(text, {"M": ("t",)})).num.terms.items()
+    (atom, _), = mono
+    return atom
+
+
+PLAIN_ATOMS = [_atom_of(t) for t in ("x", "y", "r", "sin(theta)", "cos(theta)", "M(t)")]
+POWER_ATOMS = [_atom_of(t) for t in ("r^(1/3)", "r^(2/3)", "r^(1/2)", "(x + 1)^(1/2)", "sqrt(2)")]
+
+
+def _random_terms(rng, n):
+    """n random canonical terms: cos to exponent <= 1, at most one power
+    atom, rational coefficients."""
+    terms = {}
+    for _ in range(n):
+        mono = {a: 1 if a.fold else rng.randint(1, 3)
+                for a in rng.sample(PLAIN_ATOMS, rng.randint(0, 3))}
+        if rng.random() < 0.5:
+            mono[rng.choice(POWER_ATOMS)] = 1
+        mono = tuple(sorted(mono.items(), key=lambda t: t[0].key()))
+        terms[mono] = Fraction(rng.choice([-1, 1]) * rng.randint(1, 12), rng.randint(1, 8))
+    return terms
+
+
+def _from_rationals(terms) -> Poly:
+    """The integer layout built directly: lcm of the denominators."""
+    if not terms:
+        return Poly()
+    den = math.lcm(*(c.denominator for c in terms.values()))
+    return Poly({m: c.numerator * (den // c.denominator) for m, c in terms.items()}, den)
+
+
+def _random_pair(rng, lo=1, hi=4):
+    terms = _random_terms(rng, rng.randint(lo, hi))
+    return _from_rationals(terms), ref.RefPoly(terms)
+
+
+def _assert_same(p: Poly, r: ref.RefPoly):
+    """Equal values, equal keys and the one normalized layout."""
+    assert all(type(c) is int and c for c in p.terms.values())
+    assert p.den > 0 and math.gcd(p.den, *p.terms.values()) == 1
+    assert dict(p.rational_terms()) == r.terms
+    assert p.key() == r.key()
+    assert p == _from_rationals(r.terms)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_poly_ring_operations_match_fraction_reference():
+    rng = random.Random(808)
+    for _ in range(300):
+        p, rp = _random_pair(rng)
+        q, rq = _random_pair(rng)
+        c = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        n = rng.randint(0, 3)
+        _assert_same(p + q, rp + rq)
+        _assert_same(p - q, rp - rq)
+        _assert_same(p - p, rp - rp)
+        _assert_same(p * q, rp * rq)
+        _assert_same(p ** n, rp ** n)
+        _assert_same(p.scale(c), rp.scale(c))
+        assert p.content() == rp.content()
+        cont, prim = p.primitive()
+        rcont, rprim = rp.primitive()
+        assert cont == rcont
+        _assert_same(prim, rprim)
+
+
+def test_poly_division_gcd_and_fractions_match_fraction_reference():
+    rng = random.Random(909)
+    exact = gcds = 0
+    for _ in range(150):
+        g, rg = _random_pair(rng, 1, 2)
+        a, ra = _random_pair(rng, 1, 2)
+        b, rb = _random_pair(rng, 1, 3)
+        p, rp = a * g, ra * rg
+        q, rq = b * g, rb * rg
+        quot, rquot = _outcome(poly_divexact, p, g), _outcome(ref.divexact, rp, rg)
+        if isinstance(quot, str):
+            assert quot == rquot
+        else:
+            _assert_same(quot, rquot)
+            exact += 1
+        got, want = _outcome(poly_gcd, p, q), _outcome(ref.gcd, rp, rq)
+        if isinstance(got, str):
+            assert got == want
+        else:
+            _assert_same(got, want)
+            gcds += 1
+        got, want = _outcome(_reduce_fraction, p, q), _outcome(ref.reduce_fraction, rp, rq)
+        if isinstance(got, str):
+            assert got == want
+        else:
+            _assert_same(got[0], want[0])
+            _assert_same(got[1], want[1])
+    assert exact >= 100 and gcds >= 100
