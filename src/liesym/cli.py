@@ -1,13 +1,15 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 a requested verification failed, 2 parse or
-format errors, 3 unsupported-math errors.  Reports are byte-identical
-for identical inputs.
+Exit codes: 0 success, 1 a requested verification failed, 2 parse,
+format or argument errors, 3 unsupported math: a singular metric, an
+algebra outside the optimal system's tables, or a failed numeric
+integration.  Reports are byte-identical for identical inputs.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from fractions import Fraction
 
@@ -19,17 +21,11 @@ from .errors import (
     LieSymError,
     NonClosureError,
     SingularMetricError,
-    UnsupportedAdjointError,
     VerificationError,
 )
 from .files import load_generators, load_metric
 from .geometry import geodesic_lagrangian, geodesic_system
-from .liealg import (
-    adjoint_exp,
-    radical,
-    levi_check,
-    structure_constants,
-)
+from .liealg import radical, levi_check, structure_constants
 from .numeric import drift_along_trace, integrate_geodesic
 from .optimal import (
     OptimalSystemError,
@@ -50,7 +46,7 @@ from .reporting import (
     verify_payload,
     verify_text,
 )
-from .symexpr import ExprSyntaxError, derive, differentiate, parse_expr
+from .symexpr import ExprSyntaxError, canonical_ratfunc, derive, parse_expr
 from .symexpr.poly import RAT_ONE
 from .symmetry import (
     default_ansatz,
@@ -66,6 +62,24 @@ EXIT_FORMAT = 2
 EXIT_UNSUPPORTED = 3
 
 
+def _checked(convert, ok, requirement):
+    """An argparse type: convert the text, then require ok(value)."""
+    def parse(text):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {requirement}")
+        return value
+
+    return parse
+
+
+_positive_finite = _checked(float, lambda v: math.isfinite(v) and v > 0,
+                            "a finite number > 0")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="liesym",
@@ -78,7 +92,8 @@ def build_parser() -> argparse.ArgumentParser:
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--noether", action="store_true")
     mode.add_argument("--liepoint", action="store_true")
-    p.add_argument("--ansatz-degree", type=int, default=2)
+    p.add_argument("--ansatz-degree", type=_checked(int, lambda v: v >= 0, "an integer >= 0"),
+                   default=2)
     p.add_argument("--format", choices=("text", "json", "latex"), default="text")
 
     p = sub.add_parser("verify", help="verify generators from a file against a metric")
@@ -96,7 +111,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("optimal", help="one-dimensional optimal-system coverage")
     p.add_argument("generators")
     p.add_argument("--metric", required=True)
-    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--samples", type=_checked(int, lambda v: v >= 1, "an integer >= 1"),
+                   default=1000)
     p.add_argument("--seed", type=int, default=42)
 
     p = sub.add_parser("integrate", help="numerically integrate geodesics")
@@ -105,8 +121,8 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="NAME=EXPR", help="instantiate an opaque function")
     p.add_argument("--init", nargs="+", required=True, type=float,
                    help="initial coordinates then velocities")
-    p.add_argument("--step", type=float, required=True)
-    p.add_argument("--span", type=float, required=True)
+    p.add_argument("--step", type=_positive_finite, required=True)
+    p.add_argument("--span", type=_positive_finite, required=True)
     return parser
 
 
@@ -251,7 +267,11 @@ def cmd_integrate(args) -> int:
             raise FormatError("<bind>", 0, "--bind expects NAME=EXPR")
         if name not in metric.functions:
             raise FormatError("<bind>", 0, f"{name!r} is not a declared function")
-        bindings[name] = parse_expr(expr_text, None)
+        tree = parse_expr(expr_text, None)
+        try:
+            bindings[name] = canonical_ratfunc(tree)
+        except (ZeroDivisionError, ValueError) as exc:
+            raise FormatError("<bind>", 0, str(exc))
     missing = set(metric.functions) - set(bindings)
     if missing:
         raise FormatError("<bind>", 0, f"unbound functions: {sorted(missing)}")
@@ -262,9 +282,9 @@ def cmd_integrate(args) -> int:
     watches = [("lagrangian", lagrangian)]
     for c in chart.coords:
         cyclic = all(derive(comp, {c: RAT_ONE}).is_zero()
-                     for row in metric.ratfuncs for comp in row)
+                     for row in metric.components for comp in row)
         if cyclic:
-            watches.append((f"momentum_{c}", differentiate(lagrangian, chart.jet1(c))))
+            watches.append((f"momentum_{c}", derive(lagrangian, {chart.jet1(c): RAT_ONE})))
     lines = [f"steps: {len(trace.samples) - 1}", f"step: {trace.step!r}"]
     s_end, x_end, v_end = trace.samples[-1]
     lines.append("final s: " + repr(s_end))
@@ -292,8 +312,7 @@ def main(argv=None) -> int:
     except (FormatError, ExprSyntaxError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
-    except (UnsupportedAdjointError, OptimalSystemError, IntegrationError,
-            SingularMetricError) as exc:
+    except (OptimalSystemError, IntegrationError, SingularMetricError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
     except (VerificationError, NonClosureError, DependentBasisError, AnsatzError) as exc:

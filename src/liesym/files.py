@@ -15,6 +15,10 @@ Bare preset names (e.g. vaidya_bonner.metric) resolve against the
 packaged data directory when no such file exists on disk.  A metric
 whose determinant is canonically zero is rejected when it loads
 (SingularMetricError).
+
+Loading is the parse boundary: each expression is parsed and
+canonicalized once, and metrics and fields hold canonical RatFuncs.
+generators_to_text renders them back.
 """
 
 from __future__ import annotations
@@ -26,7 +30,8 @@ from .charts import CoordChart
 from .errors import ChartError, FormatError, SingularMetricError
 from .geometry import Metric, determinant
 from .jets import BundleVectorField
-from .symexpr import ExprSyntaxError, Num, parse_expr, to_canonical
+from .symexpr import ExprSyntaxError, canonical_ratfunc, parse_expr
+from .symexpr.poly import RAT_ZERO
 
 # What the expression kernel raises for input it cannot represent:
 # ZeroDivisionError for a zero denominator (1/0), ValueError for an even
@@ -97,21 +102,20 @@ def load_metric(path) -> Metric:
     except ChartError as exc:
         raise FormatError(path, 0, str(exc))
     n = chart.dim
-    comps = [[Num(0) for _ in range(n)] for _ in range(n)]
+    comps = [[RAT_ZERO] * n for _ in range(n)]
     for (i, j), (expr_text, lineno) in entries.items():
         if not (0 <= i < n and 0 <= j < n):
             raise FormatError(path, lineno, f"component index ({i}, {j}) out of range")
         if i > j:
             raise FormatError(path, lineno, "specify the upper triangle only (i <= j)")
         try:
-            e = to_canonical(parse_expr(expr_text, functions))
+            e = canonical_ratfunc(parse_expr(expr_text, functions))
         except (ExprSyntaxError, *_KERNEL_ERRORS) as exc:
             raise FormatError(path, lineno, str(exc))
         comps[i][j] = e
         comps[j][i] = e
     try:
-        metric = Metric(chart, tuple(tuple(row) for row in comps), functions,
-                        name=Path(path).stem)
+        metric = Metric(chart, comps, functions, name=Path(path).stem)
     except ChartError as exc:
         raise FormatError(path, 0, str(exc))
     if determinant(metric).is_zero():
@@ -177,7 +181,7 @@ def load_generators(path, chart: CoordChart, functions=None) -> list:
         if stray:
             raise FormatError(path, lineno, f"undeclared symbols: {sorted(stray)}")
         try:
-            f = BundleVectorField(chart, exprs[0], tuple(exprs[1:]), name=name)
+            f = BundleVectorField(chart, [canonical_ratfunc(e) for e in exprs], name=name)
         except (ChartError, *_KERNEL_ERRORS) as exc:
             raise FormatError(path, lineno, str(exc))
         fields.append(f)

@@ -1,5 +1,12 @@
 """Metric geometry pipeline: inverse metric, Christoffel symbols,
-geodesic system, geodesic Lagrangian, Euler-Lagrange operator."""
+geodesic system, geodesic Lagrangian, Euler-Lagrange operator.
+
+Every value is a canonical RatFunc: metric components (as loaded by
+`files`), the inverse adj(g)/det(g), Christoffel symbols gamma[i][j][k],
+the accelerations G^i and equations xddot^i - G^i of the geodesic
+system, the Lagrangian and its Euler-Lagrange expressions.  Partial
+derivatives are `symexpr.derive`; the system's `on_shell` map restricts
+a RatFunc to the solution manifold through `substitute_atoms`."""
 
 from __future__ import annotations
 
@@ -10,49 +17,34 @@ from fractions import Fraction
 from .charts import CoordChart
 from .errors import ChartError, SingularMetricError
 from .jets import symbol, total
-from .symexpr import Expr, canonical_ratfunc, derive, render_ratfunc
-from .symexpr.nodes import Sym, as_expr
-from .symexpr.poly import RAT_ONE, RAT_ZERO, RatFunc, rat_sum
+from .symexpr import derive
+from .symexpr.poly import RAT_ONE, RAT_ZERO, RatFunc, rat_sum, sym_atom
 
 
 @dataclass(frozen=True)
 class Metric:
     """Symmetric metric components over a chart, with declared opaque
-    functions (name -> argument symbols).
-
-    `ratfuncs` holds the canonical RatFuncs of the components; the
-    components are their rendered trees."""
+    functions (name -> argument symbols)."""
 
     chart: CoordChart
-    components: tuple  # n x n tuple of canonical Expr
+    components: tuple  # n x n canonical RatFuncs
     functions: dict = field(default_factory=dict)
     name: str = ""
-    ratfuncs: tuple = field(default=(), compare=False, repr=False)
 
     def __post_init__(self):
         n = self.chart.dim
-        rfs = self.ratfuncs or tuple(
-            tuple(canonical_ratfunc(as_expr(self.components[i][j])) for j in range(n))
-            for i in range(n)
-        )
-        object.__setattr__(self, "ratfuncs", rfs)
-        object.__setattr__(self, "components", tuple(
-            tuple(render_ratfunc(rf) for rf in row) for row in rfs))
+        g = tuple(tuple(row) for row in self.components)
+        object.__setattr__(self, "components", g)
         allowed = set(self.chart.coords)
         for args in self.functions.values():
             allowed |= set(args)
         for i in range(n):
             for j in range(n):
-                if not (rfs[i][j] - rfs[j][i]).is_zero():
+                if not (g[i][j] - g[j][i]).is_zero():
                     raise ChartError(f"metric is not symmetric at ({i}, {j})")
-                extra = rfs[i][j].free_symbols() - allowed
+                extra = g[i][j].free_symbols() - allowed
                 if extra:
                     raise ChartError(f"undeclared symbols in metric: {sorted(extra)}")
-
-    @classmethod
-    def from_ratfuncs(cls, chart: CoordChart, ratfuncs, functions=None, name: str = "") -> "Metric":
-        """The metric whose components are the given canonical RatFuncs."""
-        return cls(chart, (), dict(functions or {}), name, tuple(map(tuple, ratfuncs)))
 
     def __getitem__(self, ij):
         i, j = ij
@@ -60,44 +52,28 @@ class Metric:
 
 
 @dataclass(frozen=True)
-class ChristoffelTensor:
-    chart: CoordChart
-    gamma: tuple  # gamma[i][j][k], canonical Expr
-
-    def __getitem__(self, ijk):
-        i, j, k = ijk
-        return self.gamma[i][j][k]
-
-
-@dataclass(frozen=True)
 class GeodesicSystem:
     """Equations in solved form xddot^i - G^i(s, x, xdot) = 0 with
-    G^i = -Gamma^i_{jk} xdot^j xdot^k; `accelerations` holds each G^i
-    as a canonical RatFunc."""
+    G^i = -Gamma^i_{jk} xdot^j xdot^k; `accelerations` holds each G^i."""
 
     chart: CoordChart
     accelerations: tuple
 
     @cached_property
-    def rhs(self) -> tuple:
-        """G^i as trees."""
-        return tuple(render_ratfunc(g) for g in self.accelerations)
-
-    @cached_property
-    def equation_ratfuncs(self) -> tuple:
+    def equations(self) -> tuple:
+        """xddot^i - G^i for each coordinate."""
         return tuple(
             symbol(self.chart.jet2(c)) - g
             for c, g in zip(self.chart.coords, self.accelerations)
         )
 
     @cached_property
-    def equations(self) -> tuple:
-        return tuple(render_ratfunc(eq) for eq in self.equation_ratfuncs)
-
-    def solved_bindings(self) -> dict:
-        """Bindings substituting each acceleration by its on-shell value."""
+    def on_shell(self) -> dict:
+        """The atom map xddot^i -> G^i that restricts a RatFunc to the
+        solution manifold: substitute_atoms(rf, system.on_shell.get)."""
         return {
-            Sym(self.chart.jet2(c)): g for c, g in zip(self.chart.coords, self.rhs)
+            sym_atom(self.chart.jet2(c)): g
+            for c, g in zip(self.chart.coords, self.accelerations)
         }
 
 
@@ -116,13 +92,13 @@ def _det(a):
 
 def determinant(metric: Metric):
     """det g as a canonical RatFunc."""
-    return _det(metric.ratfuncs)
+    return _det(metric.components)
 
 
 def _inverse(metric: Metric):
     """adj(g)/det(g) as a matrix of canonical RatFuncs."""
     n = metric.chart.dim
-    a = [list(row) for row in metric.ratfuncs]
+    a = [list(row) for row in metric.components]
     det = _det(a)
     if det.is_zero():
         raise SingularMetricError("metric determinant is canonically zero")
@@ -141,15 +117,15 @@ def inverse_metric(metric: Metric) -> Metric:
     """Exact inverse adj(g)/det(g); the product with the input
     canonicalizes to the identity.  Raises SingularMetricError when the
     determinant vanishes."""
-    return Metric.from_ratfuncs(metric.chart, _inverse(metric), metric.functions,
-                                name=metric.name)
+    return Metric(metric.chart, _inverse(metric), metric.functions, metric.name)
 
 
-def _christoffel(metric: Metric):
-    """Gamma^i_{jk} as nested lists of canonical RatFuncs."""
+def christoffel(metric: Metric):
+    """Gamma^i_{jk} = (1/2) g^{il} (g_{lj,k} + g_{lk,j} - g_{jk,l}),
+    indexed gamma[i][j][k]."""
     n = metric.chart.dim
     coords = metric.chart.coords
-    g = metric.ratfuncs
+    g = metric.components
     ginv = _inverse(metric)
     dg = [
         [[derive(g[i][j], {coords[k]: RAT_ONE}) for k in range(n)] for j in range(n)]
@@ -171,19 +147,11 @@ def _christoffel(metric: Metric):
     ]
 
 
-def christoffel(metric: Metric) -> ChristoffelTensor:
-    """Gamma^i_{jk} = (1/2) g^{il} (g_{lj,k} + g_{lk,j} - g_{jk,l})."""
-    gamma = _christoffel(metric)
-    return ChristoffelTensor(metric.chart, tuple(
-        tuple(tuple(render_ratfunc(x) for x in row) for row in block) for block in gamma
-    ))
-
-
 def geodesic_system(metric: Metric) -> GeodesicSystem:
     """Solved-form geodesics xddot^i = -Gamma^i_{jk} xdot^j xdot^k."""
     chart = metric.chart
     n = chart.dim
-    gamma = _christoffel(metric)
+    gamma = christoffel(metric)
     v = [symbol(chart.jet1(c)) for c in chart.coords]
     accelerations = tuple(
         -rat_sum(
@@ -195,28 +163,22 @@ def geodesic_system(metric: Metric) -> GeodesicSystem:
     return GeodesicSystem(chart, accelerations)
 
 
-def _lagrangian(metric: Metric) -> RatFunc:
+def geodesic_lagrangian(metric: Metric) -> RatFunc:
+    """Quadratic form L = g_{mu nu} xdot^mu xdot^nu."""
     chart = metric.chart
     v = [symbol(chart.jet1(c)) for c in chart.coords]
     return rat_sum(
         comp * v[i] * v[j]
-        for i, row in enumerate(metric.ratfuncs) for j, comp in enumerate(row)
+        for i, row in enumerate(metric.components) for j, comp in enumerate(row)
         if not comp.is_zero()
     )
 
 
-def geodesic_lagrangian(metric: Metric) -> Expr:
-    """Quadratic form L = g_{mu nu} xdot^mu xdot^nu."""
-    return render_ratfunc(_lagrangian(metric))
-
-
-def euler_lagrange(lagrangian: Expr, chart: CoordChart) -> tuple:
+def euler_lagrange(lagrangian: RatFunc, chart: CoordChart) -> tuple:
     """d/ds (dL/dxdot^i) - dL/dx^i for each coordinate."""
-    lag = canonical_ratfunc(lagrangian)
     return tuple(
-        render_ratfunc(
-            total(derive(lag, {chart.jet1(c): RAT_ONE}), chart) - derive(lag, {c: RAT_ONE})
-        )
+        total(derive(lagrangian, {chart.jet1(c): RAT_ONE}), chart)
+        - derive(lagrangian, {c: RAT_ONE})
         for c in chart.coords
     )
 
@@ -225,8 +187,8 @@ def covariant_metric_derivative_is_zero(metric: Metric) -> bool:
     """Metric compatibility nabla g = 0, a full internal consistency check."""
     n = metric.chart.dim
     coords = metric.chart.coords
-    g = metric.ratfuncs
-    gamma = _christoffel(metric)
+    g = metric.components
+    gamma = christoffel(metric)
     for k in range(n):
         for i in range(n):
             for j in range(n):

@@ -33,18 +33,18 @@ from .errors import (
     NonClosureError,
     UnsupportedAdjointError,
 )
-from .jets import BundleVectorField
+from .jets import BundleVectorField, symbol
 from .linalg import express_in_basis, rank, sparse_nullspace, sparse_rref
-from .symexpr import Add, Expr, Fn, Mul, Num, Pow, Sym, is_zero, to_canonical
-from .symexpr.poly import RatFunc, poly_divexact, poly_lcm
+from .symexpr import fn_ratfunc, pow_ratfunc, substitute_atoms
+from .symexpr.poly import RAT_ONE, RAT_ZERO, RatFunc, poly_divexact, poly_lcm, rat_sum, sym_atom
 
 
 def field_bracket(x: BundleVectorField, y: BundleVectorField) -> BundleVectorField:
     """[X, Y]^a = X(Y^a) - Y(X^a) componentwise over (xi, eta)."""
     if x.chart != y.chart:
         raise ChartError("bracket of fields on different charts")
-    return BundleVectorField.from_ratfuncs(x.chart, [
-        x.act(cy) - y.act(cx) for cx, cy in zip(x.ratfuncs, y.ratfuncs)
+    return BundleVectorField(x.chart, [
+        x.act(cy) - y.act(cx) for cx, cy in zip(x.components, y.components)
     ])
 
 
@@ -59,8 +59,8 @@ def _coordinates(fields):
     vector per field.
     """
     lcms, index = [], {}
-    for i in range(len(fields[0].ratfuncs)):
-        rfs = [f.ratfuncs[i] for f in fields]
+    for i in range(len(fields[0].components)):
+        rfs = [f.components[i] for f in fields]
         common = poly_lcm(rf.den for rf in rfs)
         lcms.append(common)
         for rf in rfs:
@@ -74,7 +74,7 @@ def _coordinates_of(field, lcms, index):
     a component cleared by its slot's lcm is not a polynomial in that
     slot's monomials (then the field is outside the fields' span)."""
     vec = [Fraction(0)] * len(index)
-    for i, (comp, common) in enumerate(zip(field.ratfuncs, lcms)):
+    for i, (comp, common) in enumerate(zip(field.components, lcms)):
         cleared = comp * RatFunc.from_poly(common)
         if not cleared.den.is_const():
             return None
@@ -541,25 +541,25 @@ class AdjointMap:
 
     generator_index: int
     parameter: str
-    matrix: tuple  # rows of canonical Expr
+    matrix: tuple  # rows of canonical RatFuncs
 
     @property
     def dim(self):
         return len(self.matrix)
 
-    def apply_row(self, coeffs, q_value: Expr):
-        """Transform a coefficient vector, substituting the parameter."""
-        from .symexpr import substitute
+    def at(self, q_value: RatFunc):
+        """The matrix with the parameter replaced by q_value."""
+        image = {sym_atom(self.parameter): q_value}.get
+        return [[substitute_atoms(x, image) for x in row] for row in self.matrix]
 
+    def apply_row(self, coeffs, q_value: RatFunc):
+        """Transform a coefficient vector, substituting the parameter."""
+        mat = self.at(q_value)
         m = self.dim
-        out = []
-        for k in range(m):
-            total = Num(0)
-            for j in range(m):
-                entry = substitute(self.matrix[j][k], {self.parameter: q_value})
-                total = Add.of(total, Mul.of(Num(coeffs[j]), entry))
-            out.append(to_canonical(total))
-        return out
+        return [
+            rat_sum(RatFunc.const(coeffs[j]) * mat[j][k] for j in range(m) if coeffs[j])
+            for k in range(m)
+        ]
 
 
 def adjoint_exp(g: LieAlgebra, index: int, parameter: str = "q") -> AdjointMap:
@@ -610,8 +610,8 @@ def adjoint_exp(g: LieAlgebra, index: int, parameter: str = "q") -> AdjointMap:
     for cval in sorted(quads):
         factors.append(([cval, Fraction(0), Fraction(1)], "rotation", cval))
 
-    q = Sym(parameter)
-    total = [[Num(0) for _ in range(m)] for _ in range(m)]
+    q = symbol(parameter)
+    total = [[RAT_ZERO] * m for _ in range(m)]
     for f, kind, data in factors:
         rest, remcheck = _poly_divmod(mu, f)
         if remcheck:
@@ -622,10 +622,9 @@ def adjoint_exp(g: LieAlgebra, index: int, parameter: str = "q") -> AdjointMap:
         # projector P = v(a) rest(a) and exp(-qa) restricted to im P
         proj = _mat_mul(_poly_eval_matrix(v, a), _poly_eval_matrix(rest, a))
         block = _exp_block(a, proj, kind, data, q)
-        total = [[Add.of(total[i][j], block[i][j]) for j in range(m)] for i in range(m)]
-    closed = [[to_canonical(total[i][j]) for j in range(m)] for i in range(m)]
+        total = [[total[i][j] + block[i][j] for j in range(m)] for i in range(m)]
     # rows = images: transpose the column-action matrix
-    rows = tuple(tuple(closed[i][j] for i in range(m)) for j in range(m))
+    rows = tuple(tuple(total[i][j] for i in range(m)) for j in range(m))
     amap = AdjointMap(index, parameter, rows)
     _check_identity_at_zero(amap)
     return amap
@@ -640,78 +639,50 @@ def _poly_mul_linear(f, lam):
     return out, None
 
 
-def _exp_block(a, proj, kind, data, q: Sym):
-    """exp(-q a) restricted to a spectral block, as Expr matrix."""
+def _exp_block(a, proj, kind, data, q: RatFunc):
+    """exp(-q a) restricted to a spectral block, as a RatFunc matrix."""
     m = len(a)
-    minus_q = Mul.of(Num(-1), q)
+    out = [[RAT_ZERO] * m for _ in range(m)]
+    if kind == "rotation":
+        # a^2 = -c on im(P); exp(-q a) = cos(w q) - sin(w q)/w a
+        cval = RatFunc.const(data)
+        w_q = pow_ratfunc(cval, Fraction(1, 2)) * q
+        cos_part = fn_ratfunc("cos", w_q)
+        sin_part = -pow_ratfunc(cval, Fraction(-1, 2)) * fn_ratfunc("sin", w_q)
+        ap = _mat_mul(a, proj)
+        for i in range(m):
+            for j in range(m):
+                if proj[i][j]:
+                    out[i][j] = out[i][j] + RatFunc.const(proj[i][j]) * cos_part
+                if ap[i][j]:
+                    out[i][j] = out[i][j] + RatFunc.const(ap[i][j]) * sin_part
+        return out
+    # nilpotent: sum_l (-q)^l a^l / l! on im(P); exponential: the same
+    # series in (a - lam) times exp(-lam q)
     if kind == "nilpotent":
-        k = data
-        out = [[Num(0)] * m for _ in range(m)]
-        power = proj
-        fact = 1
-        for l in range(k):
-            coeff = Fraction(1, fact)
-            term = power
-            for i in range(m):
-                for j in range(m):
-                    if term[i][j]:
-                        out[i][j] = Add.of(
-                            out[i][j],
-                            Mul.of(Num(coeff * term[i][j]), Pow(minus_q, Fraction(l)) if l else Num(1)),
-                        )
-            power = _mat_mul(power, a)
-            fact *= l + 1
-        return out
-    if kind == "exponential":
-        lam, mult = data
-        scalar = Fn("exp", Mul.of(Num(-lam), q))
-        shifted = _mat_add(a, _mat_scale(_identity(m), -lam))  # (a - lam)
-        out = [[Num(0)] * m for _ in range(m)]
-        power = proj
-        fact = 1
-        for l in range(mult):
-            coeff = Fraction(1, fact)
-            for i in range(m):
-                for j in range(m):
-                    if power[i][j]:
-                        piece = Mul.of(
-                            Num(coeff * power[i][j]),
-                            scalar,
-                            Pow(minus_q, Fraction(l)) if l else Num(1),
-                        )
-                        out[i][j] = Add.of(out[i][j], piece)
-            power = _mat_mul(power, shifted)
-            fact *= l + 1
-        return out
-    # rotation block: a^2 = -c on im(P); exp(-q a) = cos(w q) - sin(w q)/w a
-    cval = data
-    root = Pow(Num(cval), Fraction(1, 2))
-    w_q = Mul.of(root, q)
-    cos_part = Fn("cos", w_q)
-    sin_part = Mul.of(Num(-1), Pow(Num(cval), Fraction(-1, 2)), Fn("sin", w_q))
-    ap = _mat_mul(a, proj)
-    out = [[Num(0)] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(m):
-            pieces = []
-            if proj[i][j]:
-                pieces.append(Mul.of(Num(proj[i][j]), cos_part))
-            if ap[i][j]:
-                pieces.append(Mul.of(Num(ap[i][j]), sin_part))
-            if pieces:
-                out[i][j] = Add.of(*pieces)
+        terms, scalar, step = data, RAT_ONE, a
+    else:
+        lam, terms = data
+        scalar = fn_ratfunc("exp", RatFunc.const(-lam) * q)
+        step = _mat_add(a, _mat_scale(_identity(m), -lam))
+    power = proj
+    fact = 1
+    for l in range(terms):
+        factor = scalar * (-q) ** l
+        for i in range(m):
+            for j in range(m):
+                if power[i][j]:
+                    out[i][j] = out[i][j] + RatFunc.const(Fraction(power[i][j], fact)) * factor
+        power = _mat_mul(power, step)
+        fact *= l + 1
     return out
 
 
 def _check_identity_at_zero(amap: AdjointMap):
-    from .symexpr import substitute
-
-    m = amap.dim
-    for i in range(m):
-        for j in range(m):
-            v = substitute(amap.matrix[i][j], {amap.parameter: Num(0)})
-            expected = Num(1) if i == j else Num(0)
-            if not is_zero(Add.of(v, Mul.of(Num(-1), expected))):
+    at0 = amap.at(RAT_ZERO)
+    for i, row in enumerate(at0):
+        for j, v in enumerate(row):
+            if not (v - (RAT_ONE if i == j else RAT_ZERO)).is_zero():
                 raise UnsupportedAdjointError("adjoint map is not identity at 0")
 
 
@@ -722,20 +693,15 @@ def adjoint_series_truncation(g: LieAlgebra, index: int, parameter: str, order: 
     Returned with the same row-orientation as AdjointMap."""
     m = g.dim
     a = ad_matrix(g, _unit(m, index))
-    q = Sym(parameter)
-    out = [[Num(0)] * m for _ in range(m)]
+    minus_q = -symbol(parameter)
+    out = [[RAT_ZERO] * m for _ in range(m)]
     power = _identity(m)
     fact = 1
     for l in range(order + 1):
-        coeff = Fraction(1, fact)
         for i in range(m):
             for j in range(m):
                 if power[i][j]:
-                    term = Mul.of(
-                        Num(coeff * power[i][j] * Fraction(-1) ** l),
-                        Pow(q, Fraction(l)) if l else Num(1),
-                    )
-                    out[i][j] = Add.of(out[i][j], term)
+                    out[i][j] = out[i][j] + RatFunc.const(power[i][j] / fact) * minus_q ** l
         power = _mat_mul(power, a)
         fact *= l + 1
-    return tuple(tuple(to_canonical(out[i][j]) for i in range(m)) for j in range(m))
+    return tuple(tuple(out[i][j] for i in range(m)) for j in range(m))

@@ -1,6 +1,7 @@
 """Double-precision evaluation and the RK4 geodesic integrator.
 
-Expressions are compiled once into Python callables; the integrator is
+Canonical RatFuncs are compiled once into Python callables, their
+numerator and denominator rendered to Python source; the integrator is
 classical fixed-step RK4, which keeps drift measurements deterministic.
 """
 
@@ -11,8 +12,7 @@ from dataclasses import dataclass
 
 from .errors import IntegrationError
 from .geometry import GeodesicSystem
-from .symexpr import Expr, substitute_function, to_canonical
-from .symexpr.canonical import canonical_ratfunc, render_ratfunc
+from .symexpr import Expr, render_ratfunc, substitute_function
 from .symexpr.poly import RatFunc
 
 _SINGULAR = 1e-12
@@ -52,10 +52,9 @@ def _py_src(e: Expr) -> str:
     raise TypeError(f"unknown node {e!r}")
 
 
-def compile_numeric(e: Expr):
-    """Compile an expression into f(values: dict) -> float with a
-    singular-denominator guard on the canonical denominator."""
-    rf = canonical_ratfunc(to_canonical(e))
+def compile_numeric(rf: RatFunc):
+    """Compile a canonical RatFunc into f(values: dict) -> float with a
+    singular-denominator guard on its denominator."""
     num_src = _py_src(render_ratfunc(RatFunc.from_poly(rf.num)))
     num_fn = eval(f"lambda _v: {num_src}", {"math": math})
     den_fn = None
@@ -91,18 +90,17 @@ def integrate_geodesic(system: GeodesicSystem, function_bindings: dict,
     """Classical RK4 on xddot^i = G^i(s, x, xdot).
 
     `function_bindings` instantiates every opaque function (name ->
-    expression in its declared arguments).  Raises IntegrationError on
+    RatFunc in its declared arguments).  Raises IntegrationError on
     near-singular denominators or non-finite state.
     """
     chart = system.chart
     n = chart.dim
     if len(initial_position) != n or len(initial_velocity) != n:
         raise IntegrationError(f"initial state must have {n} + {n} numbers")
-    rhs_exprs = [
-        substitute_function(g, function_bindings) if function_bindings else to_canonical(g)
-        for g in system.rhs
+    rhs = [
+        compile_numeric(substitute_function(g, function_bindings) if function_bindings else g)
+        for g in system.accelerations
     ]
-    rhs = [compile_numeric(g) for g in rhs_exprs]
     names = [chart.param, *chart.coords, *chart.jets1]
 
     def accel(s, x, v):
@@ -145,11 +143,10 @@ def integrate_geodesic(system: GeodesicSystem, function_bindings: dict,
     return GeodesicTrace(step=h, samples=samples)
 
 
-def drift_along_trace(e: Expr, trace: GeodesicTrace, chart,
+def drift_along_trace(rf: RatFunc, trace: GeodesicTrace, chart,
                       function_bindings: dict | None = None) -> float:
-    """Max absolute deviation of e(s, x, xdot) from its initial value."""
-    expr = substitute_function(e, function_bindings) if function_bindings else to_canonical(e)
-    f = compile_numeric(expr)
+    """Max absolute deviation of rf(s, x, xdot) from its initial value."""
+    f = compile_numeric(substitute_function(rf, function_bindings) if function_bindings else rf)
     names = [chart.param, *chart.coords, *chart.jets1]
     first = None
     worst = 0.0

@@ -17,8 +17,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import LieSymError
+from .jets import symbol
 from .liealg import LieAlgebra, adjoint_exp
-from .symexpr import Add, Mul, Num, Sym, is_zero, substitute, to_canonical
+from .symexpr import substitute_atoms
+from .symexpr.poly import rat_sum, sym_atom
 
 MATCH_TOL = 1e-9
 
@@ -270,14 +272,12 @@ def orbit_invariants_check(g: LieAlgebra, candidates=None, parameter="q") -> dic
 
     Default candidates: a1, a2, a3^2 + a4^2 + a5^2."""
     m = g.dim
-    syms = [Sym(f"a{i + 1}") for i in range(m)]
+    syms = [symbol(f"a{i + 1}") for i in range(m)]
     if candidates is None:
         candidates = {
             "a1": syms[0],
             "a2": syms[1],
-            "a3^2 + a4^2 + a5^2": to_canonical(
-                Add.of(*[Mul.of(syms[i], syms[i]) for i in (2, 3, 4)])
-            ),
+            "a3^2 + a4^2 + a5^2": rat_sum(syms[i] * syms[i] for i in (2, 3, 4)),
         }
     maps = [adjoint_exp(g, i, parameter) for i in range(m)]
     report = {}
@@ -285,14 +285,12 @@ def orbit_invariants_check(g: LieAlgebra, candidates=None, parameter="q") -> dic
         invariant = True
         failing = []
         for i, amap in enumerate(maps):
-            transformed = []
-            for k in range(m):
-                total = Num(0)
-                for j in range(m):
-                    total = Add.of(total, Mul.of(syms[j], amap.matrix[j][k]))
-                transformed.append(total)
-            image = substitute(expr, dict(zip([s.name for s in syms], transformed)))
-            if not is_zero(image - expr):
+            transformed = {
+                sym_atom(f"a{k + 1}"): rat_sum(syms[j] * amap.matrix[j][k] for j in range(m))
+                for k in range(m)
+            }
+            image = substitute_atoms(expr, transformed.get)
+            if not (image - expr).is_zero():
                 invariant = False
                 failing.append(i + 1)
         report[label] = {"invariant": invariant, "failing_generators": failing}

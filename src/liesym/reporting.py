@@ -1,4 +1,7 @@
-"""Deterministic text, JSON, and LaTeX report emitters."""
+"""Deterministic text, JSON, and LaTeX report emitters.
+
+This is the render boundary: field components, residuals and first
+integrals arrive as canonical RatFuncs and are printed with str()."""
 
 from __future__ import annotations
 
@@ -49,10 +52,10 @@ def verify_payload(mode, metric, reports) -> dict:
 
 def _field_text(field) -> str:
     parts = []
-    if str(field.xi) != "0":
+    if not field.xi.is_zero():
         parts.append(f"({field.xi}) d_{field.chart.param}")
     for c, comp in zip(field.chart.coords, field.eta):
-        if str(comp) != "0":
+        if not comp.is_zero():
             parts.append(f"({comp}) d_{c}")
     return " + ".join(parts) if parts else "0"
 
@@ -64,7 +67,7 @@ def verify_text(payload, reports) -> str:
         lines.append(f"  {rep.field.name}: {status}   {_field_text(rep.field)}")
         if not rep.passed:
             for r in rep.residuals:
-                if str(r) != "0":
+                if not r.is_zero():
                     lines.append(f"      residual: {r}")
             for note in rep.notes:
                 lines.append(f"      note: {note}")

@@ -2,13 +2,13 @@
 
 The calculus runs on canonical RatFuncs: `derive` applies a derivation
 sum_v c_v d/dv by the chain rule per kernel atom, `substitute_atoms`
-replaces symbol and opaque-function atoms, and `collect_ratfunc` splits
-a RatFunc over monomials in chosen symbols.  The tree functions
-`differentiate`, `collect`, `substitute_function` and `is_zero` are
-boundaries over them: each canonicalizes its input once and renders its
-result.  Tree `substitute` stays for kernel-level keys such as
-sin(theta) -> 1, which a canonical RatFunc has already rewritten
-(cos^2 -> 1 - sin^2).
+replaces symbol and opaque-function atoms, `substitute_function`
+instantiates an opaque function with all its derivatives, and
+`collect_ratfunc` splits a RatFunc over monomials in chosen symbols.
+The tree functions `differentiate`, `collect`, `is_zero`, `equals` and
+`evaluate_rational` are the kernel's tree API over them: each
+canonicalizes its input once and, where it returns an expression,
+renders its result.
 """
 
 from __future__ import annotations
@@ -17,14 +17,13 @@ from fractions import Fraction
 
 from .canonical import (
     _cos_of,
-    _fn_ratfunc,
-    _pow_ratfunc,
     _sin_of,
     canonical_ratfunc,
+    fn_ratfunc,
+    pow_ratfunc,
     render_ratfunc,
-    to_canonical,
 )
-from .nodes import Add, Expr, Fn, Mul, Num, Op, Pow, Sym, as_expr
+from .nodes import Add, Expr, Mul, Num, Sym
 from .poly import POLY_ONE, RAT_ONE, Poly, RatFunc, op_atom, rat_sum
 
 
@@ -70,7 +69,7 @@ def _derive_over_monomial(rf: RatFunc, dnum: RatFunc, coefficients: dict, memo: 
         da = _atom_derivative(a, coefficients, memo)
         if da is not None:
             others = RatFunc(POLY_ONE, Poly({mono[:i] + mono[i + 1:]: 1}), reduced=True)
-            raised = _pow_ratfunc(RatFunc.atom(a), Fraction(-e - 1))
+            raised = pow_ratfunc(RatFunc.atom(a), Fraction(-e - 1))
             terms.append(num * RatFunc.const(-e) * raised * da * others)
     return rat_sum(terms)
 
@@ -118,7 +117,7 @@ def _atom_derivative(a, coefficients: dict, memo: dict):
         base = RatFunc.from_poly(base)
         out = _derive(base, coefficients, memo)
         if not out.is_zero():
-            out = out * _pow_ratfunc(base, frac - 1) * RatFunc.const(frac)
+            out = out * pow_ratfunc(base, frac - 1) * RatFunc.const(frac)
     if out is not None and out.is_zero():
         out = None
     memo[a] = out
@@ -195,65 +194,33 @@ def _atom_image(a, image, memo: dict):
     elif a.kind == "fn":
         name, arg = a.payload
         new = _substitute(arg, image, memo)
-        out = None if new is arg else _fn_ratfunc(name, new)
+        out = None if new is arg else fn_ratfunc(name, new)
     else:
         base, frac = a.payload
         new = _substitute_poly(base, image, memo)
-        out = None if new is None else _pow_ratfunc(new, frac)
+        out = None if new is None else pow_ratfunc(new, frac)
     memo[a] = out
     return out
 
 
-def substitute(e: Expr, bindings: dict) -> Expr:
-    """Simultaneous structural replacement followed by canonicalization.
+def substitute_function(rf: RatFunc, replacements: dict) -> RatFunc:
+    """Replace opaque functions by concrete RatFuncs of their arguments.
 
-    Keys may be symbols, opaque function applications, or elementary
-    function applications (kernel-level bindings like sin(theta) -> 1).
-    """
-    table = {}
-    for k, val in bindings.items():
-        k = Sym(k) if isinstance(k, str) else k
-        table[k] = as_expr(val)
-    return to_canonical(_replace(e, table))
-
-
-def _replace(e: Expr, table: dict) -> Expr:
-    hit = table.get(e)
-    if hit is not None:
-        return hit
-    if isinstance(e, (Num, Sym, Op)):
-        return e
-    if isinstance(e, Add):
-        return Add.of(*[_replace(t, table) for t in e.terms])
-    if isinstance(e, Mul):
-        return Mul.of(*[_replace(f, table) for f in e.factors])
-    if isinstance(e, Pow):
-        return Pow(_replace(e.base, table), e.exponent)
-    if isinstance(e, Fn):
-        return Fn(e.name, _replace(e.arg, table))
-    raise TypeError(f"unknown Expr node: {e!r}")
-
-
-def substitute_function(e: Expr, replacements: dict) -> Expr:
-    """Replace opaque functions by concrete expressions of their arguments.
-
-    `replacements` maps a function name to an expression written in the
+    `replacements` maps a function name to a RatFunc written in the
     declared argument symbols; every derivative order of the function is
-    replaced by the corresponding derivative of the expression.
+    replaced by the corresponding derivative of the replacement.
     """
-    repl = {name: canonical_ratfunc(as_expr(x)) for name, x in replacements.items()}
-
     def image(a):
-        if a.kind != "op" or a.payload[0] not in repl:
+        if a.kind != "op" or a.payload[0] not in replacements:
             return None
         name, args, orders = a.payload
-        out = repl[name]
+        out = replacements[name]
         for arg, order in zip(args, orders):
             for _ in range(order):
                 out = derive(out, {arg: RAT_ONE})
         return out
 
-    return render_ratfunc(substitute_atoms(canonical_ratfunc(e), image))
+    return substitute_atoms(rf, image)
 
 
 def is_zero(e: Expr) -> bool:

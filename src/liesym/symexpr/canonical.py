@@ -49,16 +49,17 @@ def canonical_ratfunc(e: Expr, _memo=None) -> RatFunc:
         for f in e.factors:
             out = out * canonical_ratfunc(f, _memo)
     elif isinstance(e, Pow):
-        out = _pow_ratfunc(canonical_ratfunc(e.base, _memo), e.exponent)
+        out = pow_ratfunc(canonical_ratfunc(e.base, _memo), e.exponent)
     elif isinstance(e, Fn):
-        out = _fn_ratfunc(e.name, canonical_ratfunc(e.arg, _memo))
+        out = fn_ratfunc(e.name, canonical_ratfunc(e.arg, _memo))
     else:
         raise TypeError(f"unknown Expr node: {e!r}")
     _memo[key] = out
     return out
 
 
-def _fn_ratfunc(name: str, arg: RatFunc) -> RatFunc:
+def fn_ratfunc(name: str, arg: RatFunc) -> RatFunc:
+    """The canonical RatFunc of the elementary function `name` at arg."""
     if name == "sin":
         return _sin_of(arg)
     if name == "cos":
@@ -156,7 +157,8 @@ def _exp_of(arg: RatFunc) -> RatFunc:
     return RatFunc.atom(Atom("fn", ("exp", arg)))
 
 
-def _pow_ratfunc(base: RatFunc, q: Fraction) -> RatFunc:
+def pow_ratfunc(base: RatFunc, q: Fraction) -> RatFunc:
+    """The canonical RatFunc of base^q for a rational exponent q."""
     if q.denominator == 1:
         return base ** q.numerator
     if base.is_zero():

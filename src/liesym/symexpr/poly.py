@@ -729,6 +729,13 @@ class RatFunc:
     def __repr__(self):
         return f"RatFunc({self.num!r}/{self.den!r})"
 
+    def __str__(self):
+        # canonical imports this module
+        from .canonical import render_ratfunc
+        from .printer import to_text
+
+        return to_text(render_ratfunc(self))
+
 
 def _reduce_fraction(num: Poly, den: Poly):
     if num.is_zero():

@@ -8,48 +8,35 @@ Residual conventions:
     substituting the solved-form accelerations; all residuals vanish
     iff the field generates a point symmetry.
 
-Determining equations come from collecting the residual RatFuncs (with
-unknown coefficient functions kept as opaque atoms) over velocity
-monomials.  Each equation is linear in the unknown jets, so the solver
-expands the unknowns in a finite ansatz on canonical forms alone: the
-equation's numerator is split by unknown jet once, each basis
-derivative is derived once from the next-lower order, and the rows are
-the kernel-monomial coefficients of their products.  It returns the
-exact rational nullspace.
+Lagrangians, gauges, residuals, first integrals, determining equations
+and ansatz functions are canonical RatFuncs; the unknown coefficient
+functions xi, eta^a are opaque-function atoms.  Determining equations
+are the coefficients of the residuals over velocity monomials.  Each is
+linear in the unknown jets, so the solver expands the unknowns in a
+finite ansatz: the equation's numerator is split by unknown jet once,
+each basis derivative is derived once from the next-lower order, and
+the rows are the kernel-monomial coefficients of their products.  It
+returns the exact rational nullspace as vector fields.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 
 from .charts import CoordChart
 from .errors import AnsatzError, VerificationError
 from .geometry import GeodesicSystem, Metric, geodesic_lagrangian, geodesic_system
 from .jets import BundleVectorField, prolong, symbol, total_coefficients
 from .linalg import sparse_nullspace
-from .symexpr import (
-    Expr,
-    Fn,
-    Mul,
-    Num,
-    Op,
-    Pow,
-    Sym,
-    canonical_ratfunc,
-    collect_ratfunc,
-    derive,
-    render_ratfunc,
-    substitute_atoms,
-)
-from .symexpr.nodes import as_expr
+from .symexpr import collect_ratfunc, derive, fn_ratfunc, substitute_atoms
 from .symexpr.poly import (
     RAT_ONE,
     RAT_ZERO,
     Poly,
     RatFunc,
+    op_atom,
     poly_divexact,
     poly_lcm,
     rat_sum,
@@ -73,46 +60,28 @@ def _assert_velocity_degree(rf, chart: CoordChart, bound: int, what: str):
         raise VerificationError(f"{what} exceeds velocity degree {bound}")
 
 
-def _gauge_ratfunc(gauge):
-    return None if gauge is None else canonical_ratfunc(as_expr(gauge))
-
-
-def _noether_residual(field: BundleVectorField, lagrangian, gauge=None):
-    """X^[1] L + (D_s xi) L - D_s A on canonical RatFuncs."""
+def noether_residual(field: BundleVectorField, lagrangian: RatFunc,
+                     gauge: RatFunc | None = None) -> RatFunc:
+    """X^[1] L + (D_s xi) L - D_s A."""
     chart = field.chart
     truncated = total_coefficients(chart, 1)
-    out = prolong(field, 1).act(lagrangian) + derive(field.ratfuncs[0], truncated) * lagrangian
+    out = prolong(field, 1).act(lagrangian) + derive(field.xi, truncated) * lagrangian
     if gauge is not None:
         out = out - derive(gauge, truncated)
     _assert_velocity_degree(out, chart, 3, "invariance residual")
     return out
 
 
-def noether_residual(field: BundleVectorField, lagrangian: Expr,
-                     gauge: Expr | None = None) -> Expr:
-    """X^[1] L + (D_s xi) L - D_s A, canonicalized."""
-    return render_ratfunc(
-        _noether_residual(field, canonical_ratfunc(lagrangian), _gauge_ratfunc(gauge)))
-
-
-def _liepoint_residuals(field: BundleVectorField, system: GeodesicSystem) -> tuple:
-    chart = field.chart
-    pf = prolong(field, 2)
-    on_shell = {
-        sym_atom(chart.jet2(c)): g for c, g in zip(chart.coords, system.accelerations)
-    }
-    out = []
-    for eq in system.equation_ratfuncs:
-        restricted = substitute_atoms(pf.act(eq), on_shell.get)
-        _assert_velocity_degree(restricted, chart, 3, "point-symmetry residual")
-        out.append(restricted)
-    return tuple(out)
-
-
 def liepoint_residuals(field: BundleVectorField, system: GeodesicSystem) -> tuple:
     """Second prolongation applied to each solved-form equation, then
     restricted to the solution manifold."""
-    return tuple(render_ratfunc(r) for r in _liepoint_residuals(field, system))
+    pf = prolong(field, 2)
+    out = []
+    for eq in system.equations:
+        restricted = substitute_atoms(pf.act(eq), system.on_shell.get)
+        _assert_velocity_degree(restricted, field.chart, 3, "point-symmetry residual")
+        out.append(restricted)
+    return tuple(out)
 
 
 def _constant_functions_pass(residuals) -> bool:
@@ -132,7 +101,7 @@ class SymmetryReport:
     mode: str  # "noether" | "liepoint"
     residuals: tuple
     passed: bool
-    first_integral: Expr | None = None
+    first_integral: RatFunc | None = None
     constant_functions_pass: bool = False
 
     @property
@@ -147,20 +116,18 @@ class SymmetryReport:
 
 
 def verify_noether(field: BundleVectorField, metric,
-                   gauge: Expr | None = None,
+                   gauge: RatFunc | None = None,
                    with_first_integral: bool = True) -> SymmetryReport:
     """Noether check of one field against a Metric or its geodesic
     Lagrangian (pass the Lagrangian to share it between fields)."""
     lagrangian = geodesic_lagrangian(metric) if isinstance(metric, Metric) else metric
-    lagrangian = canonical_ratfunc(lagrangian)
-    gauge = _gauge_ratfunc(gauge)
-    residual = _noether_residual(field, lagrangian, gauge)
+    residual = noether_residual(field, lagrangian, gauge)
     passed = residual.is_zero()
     integral = None
     if passed and with_first_integral:
-        integral = render_ratfunc(_first_integral(field, lagrangian, gauge))
+        integral = noether_first_integral(field, lagrangian, gauge, _verified=True)
     const_pass = not passed and _constant_functions_pass([residual])
-    return SymmetryReport(field, "noether", (render_ratfunc(residual),), passed,
+    return SymmetryReport(field, "noether", (residual,), passed,
                           first_integral=integral,
                           constant_functions_pass=const_pass)
 
@@ -171,37 +138,31 @@ def verify_liepoint(field: BundleVectorField, metric_or_system) -> SymmetryRepor
         if isinstance(metric_or_system, GeodesicSystem)
         else geodesic_system(metric_or_system)
     )
-    residuals = _liepoint_residuals(field, system)
+    residuals = liepoint_residuals(field, system)
     passed = all(r.is_zero() for r in residuals)
     const_pass = not passed and _constant_functions_pass(residuals)
-    return SymmetryReport(field, "liepoint", tuple(render_ratfunc(r) for r in residuals),
-                          passed, constant_functions_pass=const_pass)
+    return SymmetryReport(field, "liepoint", residuals, passed,
+                          constant_functions_pass=const_pass)
 
 
-def _first_integral(field: BundleVectorField, lagrangian, gauge=None):
-    chart = field.chart
-    xi = field.ratfuncs[0]
-    terms = [-(xi * lagrangian)]
-    if gauge is not None:
-        terms.append(gauge)
-    for c, comp in zip(chart.coords, field.ratfuncs[1:]):
-        p = derive(lagrangian, {chart.jet1(c): RAT_ONE})
-        terms.append(-((comp - xi * symbol(chart.jet1(c))) * p))
-    return rat_sum(terms)
-
-
-def noether_first_integral(field: BundleVectorField, lagrangian: Expr,
-                           gauge: Expr | None = None, _verified: bool = False) -> Expr:
+def noether_first_integral(field: BundleVectorField, lagrangian: RatFunc,
+                           gauge: RatFunc | None = None, _verified: bool = False) -> RatFunc:
     """I = A - xi L - (eta^a - xi xdot^a) dL/dxdot^a.
 
     The sign convention makes the d_s-translation integral equal to the
     Lagrangian itself for quadratic geodesic Lagrangians.
     """
-    lagrangian = canonical_ratfunc(lagrangian)
-    gauge = _gauge_ratfunc(gauge)
-    if not _verified and not _noether_residual(field, lagrangian, gauge).is_zero():
+    if not _verified and not noether_residual(field, lagrangian, gauge).is_zero():
         raise VerificationError("first integral requested for a non-symmetry")
-    return render_ratfunc(_first_integral(field, lagrangian, gauge))
+    chart = field.chart
+    xi = field.xi
+    terms = [-(xi * lagrangian)]
+    if gauge is not None:
+        terms.append(gauge)
+    for c, comp in zip(chart.coords, field.eta):
+        p = derive(lagrangian, {chart.jet1(c): RAT_ONE})
+        terms.append(-((comp - xi * symbol(chart.jet1(c))) * p))
+    return rat_sum(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -212,21 +173,15 @@ def noether_first_integral(field: BundleVectorField, lagrangian: Expr,
 class DeterminingSystem:
     """Collected coefficient equations, each required to vanish.
 
-    Entries are canonical nonzero expressions in (s, x) and the unknown
-    function atoms, with their canonical RatFuncs in `ratfuncs`;
-    `sources` records the velocity monomial each equation came from."""
+    Equations are nonzero canonical RatFuncs in (s, x) and the unknown
+    function atoms; `sources` records the velocity monomial each
+    equation came from."""
 
     chart: CoordChart
     mode: str
     equations: tuple
     sources: tuple
     unknowns: tuple
-    ratfuncs: tuple = field(default=(), compare=False, repr=False)
-
-    def __post_init__(self):
-        if not self.ratfuncs:
-            object.__setattr__(
-                self, "ratfuncs", tuple(canonical_ratfunc(e) for e in self.equations))
 
     def __len__(self):
         return len(self.equations)
@@ -249,16 +204,12 @@ def determining_system(target, mode: str) -> DeterminingSystem:
     if clash:
         raise AnsatzError(f"chart names collide with unknown functions: {sorted(clash)}")
     args = (chart.param, *chart.coords)
-    unknown = {
-        name: Op(name, args) for name in names
-    }
     generic = BundleVectorField(
-        chart, unknown[UNKNOWN_XI], tuple(unknown[n] for n in names[1:])
-    )
+        chart, tuple(RatFunc.atom(op_atom(name, args, (0,) * len(args))) for name in names))
     if mode == "noether":
-        residuals = [_noether_residual(generic, canonical_ratfunc(lagrangian))]
+        residuals = [noether_residual(generic, lagrangian)]
     else:
-        residuals = _liepoint_residuals(generic, target)
+        residuals = liepoint_residuals(generic, target)
     equations = []
     sources = []
     seen = set()
@@ -270,13 +221,13 @@ def determining_system(target, mode: str) -> DeterminingSystem:
             seen.add(key)
             equations.append(coeff)
             sources.append((eq_index, mono))
-    return DeterminingSystem(chart, mode, tuple(render_ratfunc(e) for e in equations),
-                             tuple(sources), tuple(names), tuple(equations))
+    return DeterminingSystem(chart, mode, tuple(equations), tuple(sources), tuple(names))
 
 
 @dataclass(frozen=True)
 class Ansatz:
-    """Finite basis of (s, x) functions spanning each unknown."""
+    """Finite basis of (s, x) functions, as canonical RatFuncs, spanning
+    each unknown."""
 
     basis: tuple
     degree: int = 2
@@ -300,34 +251,35 @@ def default_ansatz(chart: CoordChart, degree: int = 2,
     for exps in itertools.product(range(degree + 1), repeat=len(poly_vars)):
         if sum(exps) > degree:
             continue
-        factors = [Pow(Sym(v), Fraction(e)) for v, e in zip(poly_vars, exps) if e]
-        monos.append(Mul.of(*factors) if factors else Num(1))
+        mono = RAT_ONE
+        for v, e in zip(poly_vars, exps):
+            if e:
+                mono = mono * symbol(v) ** e
+        monos.append(mono)
     kernel_lists = []
     kernel_names = []
     for pos, a in enumerate(chart.angles):
         if angle_kernels and a in angle_kernels:
             kern = list(angle_kernels[a])
         elif pos == 0:
-            kern = [
-                Num(1),
-                Fn("sin", Sym(a)),
-                Fn("cos", Sym(a)),
-                Fn("cot", Sym(a)),
-                Pow(Fn("sin", Sym(a)), Fraction(-1)),
-            ]
+            sin = fn_ratfunc("sin", symbol(a))
+            kern = [RAT_ONE, sin, fn_ratfunc("cos", symbol(a)),
+                    fn_ratfunc("cot", symbol(a)), sin.inverse()]
             kernel_names.append(f"{a}: 1, sin, cos, cot, csc")
         else:
-            kern = [Num(1), Fn("sin", Sym(a)), Fn("cos", Sym(a))]
+            kern = [RAT_ONE, fn_ratfunc("sin", symbol(a)), fn_ratfunc("cos", symbol(a))]
             kernel_names.append(f"{a}: 1, sin, cos")
         kernel_lists.append(kern)
     basis = []
     seen = set()
     for mono in monos:
         for kerns in itertools.product(*kernel_lists) if kernel_lists else [()]:
-            rf = canonical_ratfunc(Mul.of(mono, *kerns))
+            rf = mono
+            for k in kerns:
+                rf = rf * k
             if rf.key() not in seen:
                 seen.add(rf.key())
-                basis.append(render_ratfunc(rf))
+                basis.append(rf)
     return Ansatz(tuple(basis), degree=degree, kernels=tuple(kernel_names))
 
 
@@ -362,7 +314,7 @@ def _basis_derivatives(basis, args):
                 lower = orders[:i] + (orders[i] - 1,) + orders[i + 1:]
                 hit = derive(entry(k, lower), {args[i]: RAT_ONE})
             else:
-                hit = canonical_ratfunc(basis[k])
+                hit = basis[k]
             cache[(k, orders)] = hit
         return hit
 
@@ -409,7 +361,7 @@ def _split_by_unknown(rf, names, args) -> dict:
 
 def solve_determining(system: DeterminingSystem, ansatz: Ansatz) -> list:
     """Expand each unknown in the ansatz, collect over all kernel
-    monomials, and return the exact nullspace rendered as vector fields
+    monomials, and return the exact nullspace as vector fields
     (reduced echelon pivot order).
 
     Rows are assembled on canonical forms: each equation's numerator is
@@ -432,7 +384,7 @@ def solve_determining(system: DeterminingSystem, ansatz: Ansatz) -> list:
 
     rows = []
     cleared = {}  # (k, orders, lcm key) -> d^orders b_k brought over the lcm
-    for eq in system.ratfuncs:
+    for eq in system.equations:
         coeffs = _split_by_unknown(eq, names, args)
         terms = [
             (col_of[(name, k)], A, k, orders, d)
@@ -472,5 +424,5 @@ def solve_determining(system: DeterminingSystem, ansatz: Ansatz) -> list:
             )
             for u in unknowns
         ]
-        fields.append(BundleVectorField.from_ratfuncs(chart, comps, name=f"X{i + 1}"))
+        fields.append(BundleVectorField(chart, comps, name=f"X{i + 1}"))
     return fields

@@ -5,8 +5,13 @@ import pytest
 from liesym.charts import CoordChart
 from liesym.geometry import Metric, geodesic_lagrangian, geodesic_system
 from liesym.jets import BundleVectorField
-from liesym.symexpr import Mul, Num, parse_expr
+from liesym.symexpr import canonical_ratfunc, parse_expr
 from liesym.symmetry import default_ansatz, determining_system, solve_determining
+
+
+def rf(text, functions=None):
+    """The canonical RatFunc of an expression written as text."""
+    return canonical_ratfunc(parse_expr(text, functions))
 
 
 @pytest.fixture(scope="session")
@@ -15,13 +20,13 @@ def chart():
 
 
 def _radiating_metric(chart, f_text, functions, name):
-    f = parse_expr(f_text, functions)
-    zero = Num(0)
+    f = rf(f_text, functions)
+    zero, one = rf("0"), rf("1")
     comps = (
-        (Mul.of(Num(-1), f), Num(-1), zero, zero),
-        (Num(-1), zero, zero, zero),
-        (zero, zero, parse_expr("r^2"), zero),
-        (zero, zero, zero, parse_expr("r^2*sin(theta)^2")),
+        (-f, -one, zero, zero),
+        (-one, zero, zero, zero),
+        (zero, zero, rf("r^2"), zero),
+        (zero, zero, zero, rf("r^2*sin(theta)^2")),
     )
     return Metric(chart, comps, functions, name=name)
 
@@ -61,10 +66,7 @@ def mtqt2_noether_solve(vb_mt_qt2):
 
 
 def make_field(chart, name, xi, eta):
-    f = BundleVectorField(
-        chart, parse_expr(xi), tuple(parse_expr(c) for c in eta), name=name
-    )
-    return f
+    return BundleVectorField(chart, [rf(c) for c in (xi, *eta)], name=name)
 
 
 @pytest.fixture(scope="session")

@@ -12,7 +12,6 @@ import liesym
 from liesym.cli import main
 from liesym.errors import FormatError
 from liesym.files import load_generators, load_metric, generators_to_text
-from liesym.symexpr import is_zero
 
 
 class TestMetricFiles:
@@ -22,7 +21,7 @@ class TestMetricFiles:
         n = metric.chart.dim
         for i in range(n):
             for j in range(n):
-                assert is_zero(metric[i, j] - vb_general[i, j])
+                assert (metric[i, j] - vb_general[i, j]).is_zero()
 
     def test_shipped_instances(self, vb_m1_qt, vb_mt_qt2):
         for name, reference in [
@@ -32,7 +31,7 @@ class TestMetricFiles:
             metric = load_metric(name)
             for i in range(4):
                 for j in range(4):
-                    assert is_zero(metric[i, j] - reference[i, j])
+                    assert (metric[i, j] - reference[i, j]).is_zero()
 
     def test_lower_triangle_rejected(self, tmp_path):
         p = tmp_path / "bad.metric"
@@ -71,9 +70,9 @@ class TestGeneratorFiles:
         fields = load_generators("vb_general.gens", metric.chart, metric.functions)
         assert [f.name for f in fields] == ["X1", "X2", "X3", "X4", "X5"]
         for got, want in zip(fields, general_fields):
-            assert is_zero(got.xi - want.xi)
+            assert (got.xi - want.xi).is_zero()
             for a, b in zip(got.eta, want.eta):
-                assert is_zero(a - b)
+                assert (a - b).is_zero()
 
     def test_arity_mismatch(self, tmp_path, chart):
         p = tmp_path / "bad.gens"
@@ -99,7 +98,7 @@ class TestGeneratorFiles:
         try:
             fields = load_generators(tmp, chart)
             for got, want in zip(fields, general_fields):
-                assert is_zero(got.xi - want.xi)
+                assert (got.xi - want.xi).is_zero()
         finally:
             os.unlink(tmp)
 
@@ -156,6 +155,39 @@ class TestCliExitCodes:
                      "0", "10", "1.5", "0", "1", "0", "0", "0",
                      "--step", "0.01", "--span", "1"])
         assert code == 2
+
+
+INIT = ("--init", "0", "10", "1.5707963267948966", "0", "1", "0", "0", "0.05")
+INTEGRATE = ("integrate", "vaidya_bonner_M1_Qt.metric", *INIT)
+OPTIMAL = ("optimal", "vb_general.gens", "--metric", "vaidya_bonner.metric")
+
+
+@pytest.mark.parametrize("argv, option", [
+    ((*INTEGRATE, "--step", "0", "--span", "1"), "--step"),
+    ((*INTEGRATE, "--step", "nan", "--span", "1"), "--step"),
+    ((*INTEGRATE, "--step", "-0.1", "--span", "1"), "--step"),
+    ((*INTEGRATE, "--step", "0.01", "--span", "inf"), "--span"),
+    ((*INTEGRATE, "--step", "0.01", "--span", "-1"), "--span"),
+    ((*OPTIMAL, "--samples", "-5"), "--samples"),
+    ((*OPTIMAL, "--samples", "0"), "--samples"),
+    (("analyze", "vaidya_bonner_M1_Qt.metric", "--ansatz-degree", "-1"), "--ansatz-degree"),
+], ids=["step-0", "step-nan", "step-negative", "span-inf", "span-negative",
+        "samples-negative", "samples-0", "ansatz-degree-negative"])
+def test_out_of_range_numeric_argument_exits_2(capsys, argv, option):
+    with pytest.raises(SystemExit) as stop:
+        main(list(argv))
+    err = capsys.readouterr().err
+    assert stop.value.code == 2
+    assert f"argument {option}:" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("expr", ["1/0", "ln(0)"])
+def test_kernel_error_in_binding_exits_2(capsys, expr):
+    code = main(["integrate", "vaidya_bonner.metric", "--bind", f"M={expr}",
+                 "--bind", "Q=t", *INIT, "--step", "0.01", "--span", "1"])
+    assert code == 2
+    assert "<bind>" in capsys.readouterr().err
 
 
 class TestCliReports:

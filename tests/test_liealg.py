@@ -26,19 +26,15 @@ from liesym.liealg import (
     radical,
     structure_constants,
 )
-from liesym.symexpr import (
-    Add,
-    Mul,
-    Num,
-    Sym,
-    differentiate,
-    is_zero,
-    parse_expr,
-    substitute,
-    to_canonical,
-)
+from liesym.symexpr import derive, substitute_atoms
+from liesym.symexpr.poly import RAT_ONE, RAT_ZERO, RatFunc, sym_atom
 
-from conftest import make_field
+from conftest import make_field, rf
+
+
+def at(e, name, value):
+    """e with the symbol `name` replaced by the RatFunc value."""
+    return substitute_atoms(e, {sym_atom(name): value}.get)
 
 
 def unit(m, i):
@@ -71,22 +67,19 @@ class TestFieldBracket:
         # bracket of the azimuthal rotation with the first tilt gives the
         # second tilt
         br = field_bracket(rotation_fields[1], rotation_fields[2])
-        diff = [
-            Add.of(a, Mul.of(Num(-1), b))
-            for a, b in zip(br.components(), rotation_fields[3].components())
-        ]
-        assert all(is_zero(d) for d in diff)
+        diff = [a - b for a, b in zip(br.components, rotation_fields[3].components)]
+        assert all(d.is_zero() for d in diff)
 
     def test_scaling_and_translation(self, chart, scaling_fields):
         # [d_s, s d_s + t d_t + r d_r] = d_s
         br = field_bracket(scaling_fields[1], scaling_fields[0])
-        assert is_zero(br.xi - Num(1))
-        assert all(is_zero(c) for c in br.eta)
+        assert (br.xi - rf("1")).is_zero()
+        assert all(c.is_zero() for c in br.eta)
 
     def test_chart_mismatch(self, chart):
         other = CoordChart("u", ("x",))
         X = make_field(chart, "X", "1", ["0", "0", "0", "0"])
-        Y = BundleVectorField(other, Num(1), (Num(0),))
+        Y = BundleVectorField(other, (rf("1"), rf("0")))
         with pytest.raises(ChartError):
             field_bracket(X, Y)
 
@@ -392,40 +385,39 @@ class TestAdjointExp:
             amap = adjoint_exp(general_algebra, idx, f"s{idx + 1}")
             for i in range(5):
                 for j in range(5):
-                    expected = Num(1) if i == j else Num(0)
-                    assert is_zero(amap.matrix[i][j] - expected)
+                    expected = rf("1") if i == j else rf("0")
+                    assert (amap.matrix[i][j] - expected).is_zero()
 
     def test_azimuthal_rotation_matrix(self, general_algebra):
         amap = adjoint_exp(general_algebra, 2, "q")
-        q = Sym("q")
         expected = {
-            (3, 3): parse_expr("cos(q)"),
-            (3, 4): parse_expr("-sin(q)"),
-            (4, 3): parse_expr("sin(q)"),
-            (4, 4): parse_expr("cos(q)"),
+            (3, 3): rf("cos(q)"),
+            (3, 4): rf("-sin(q)"),
+            (4, 3): rf("sin(q)"),
+            (4, 4): rf("cos(q)"),
         }
         for i in range(5):
             for j in range(5):
-                want = expected.get((i, j), Num(1) if i == j else Num(0))
-                assert is_zero(amap.matrix[i][j] - want), (i, j)
+                want = expected.get((i, j), rf("1") if i == j else rf("0"))
+                assert (amap.matrix[i][j] - want).is_zero(), (i, j)
 
     def test_tilt_rotation_matrices(self, general_algebra):
         m4 = adjoint_exp(general_algebra, 3, "q")
-        assert is_zero(m4.matrix[2][4] - parse_expr("sin(q)"))
-        assert is_zero(m4.matrix[4][2] - parse_expr("-sin(q)"))
+        assert (m4.matrix[2][4] - rf("sin(q)")).is_zero()
+        assert (m4.matrix[4][2] - rf("-sin(q)")).is_zero()
         m5 = adjoint_exp(general_algebra, 4, "q")
-        assert is_zero(m5.matrix[2][3] - parse_expr("-sin(q)"))
-        assert is_zero(m5.matrix[3][2] - parse_expr("sin(q)"))
+        assert (m5.matrix[2][3] - rf("-sin(q)")).is_zero()
+        assert (m5.matrix[3][2] - rf("sin(q)")).is_zero()
 
     def test_scaling_exponential(self, scaling_algebra):
         amap = adjoint_exp(scaling_algebra, 0, "q")
-        assert is_zero(amap.matrix[1][1] - parse_expr("exp(q)"))
+        assert (amap.matrix[1][1] - rf("exp(q)")).is_zero()
         for i in range(5):
             for j in range(5):
                 if (i, j) == (1, 1):
                     continue
-                expected = Num(1) if i == j else Num(0)
-                assert is_zero(amap.matrix[i][j] - expected)
+                expected = rf("1") if i == j else rf("0")
+                assert (amap.matrix[i][j] - expected).is_zero()
 
     def test_nilpotent_case(self, chart):
         # heisenberg-like: [A, B] = C with C central gives a linear-in-q
@@ -445,8 +437,8 @@ class TestAdjointExp:
         g = LieAlgebra((fields[0], fields[1], fields[2]),
                        tuple(tuple(tuple(r) for r in p) for p in c))
         amap = adjoint_exp(g, 0, "q")
-        assert is_zero(amap.matrix[1][2] - parse_expr("-q"))
-        assert is_zero(amap.matrix[1][1] - Num(1))
+        assert (amap.matrix[1][2] - rf("-q")).is_zero()
+        assert (amap.matrix[1][1] - rf("1")).is_zero()
 
     def test_mixed_rational_eigenvalues(self, chart):
         # [A, B] = 2B and [A, C] = (1/2) C: minimal polynomial of ad A
@@ -465,12 +457,12 @@ class TestAdjointExp:
         c[2][0][2] = Fraction(-1, 2)
         g = LieAlgebra(tuple(fields), tuple(tuple(tuple(r) for r in p) for p in c))
         amap = adjoint_exp(g, 0, "q")
-        assert is_zero(amap.matrix[1][1] - parse_expr("exp(-2*q)"))
-        assert is_zero(amap.matrix[2][2] - parse_expr("exp(-q/2)"))
+        assert (amap.matrix[1][1] - rf("exp(-2*q)")).is_zero()
+        assert (amap.matrix[2][2] - rf("exp(-q/2)")).is_zero()
         for i in range(3):
             for j in range(3):
                 if i != j:
-                    assert is_zero(amap.matrix[i][j])
+                    assert amap.matrix[i][j].is_zero()
 
     def test_unsupported_spectrum(self, chart):
         # [A, B] = B + C, [A, C] = -B + C gives eigenvalues -1 +/- i
@@ -500,19 +492,19 @@ class TestAdjointExp:
                 amap = adjoint_exp(g, idx, "q")
                 for i in range(g.dim):
                     for j in range(g.dim):
-                        v = substitute(amap.matrix[i][j], {"q": Num(0)})
-                        assert is_zero(v - (Num(1) if i == j else Num(0)))
+                        v = at(amap.matrix[i][j], "q", RAT_ZERO)
+                        assert (v - (rf("1") if i == j else rf("0"))).is_zero()
 
 
 class TestAdjointApply:
     def test_apply_row_rotates_coefficients(self, general_algebra):
         amap = adjoint_exp(general_algebra, 2, "q")
         coeffs = [Fraction(0), Fraction(0), Fraction(0), Fraction(1), Fraction(0)]
-        out = amap.apply_row(coeffs, Num(0))
+        out = amap.apply_row(coeffs, rf("0"))
         assert [str(v) for v in out] == ["0", "0", "0", "1", "0"]
-        rotated = amap.apply_row(coeffs, parse_expr("q"))
-        assert is_zero(rotated[3] - parse_expr("cos(q)"))
-        assert is_zero(rotated[4] - parse_expr("-sin(q)"))
+        rotated = amap.apply_row(coeffs, rf("q"))
+        assert (rotated[3] - rf("cos(q)")).is_zero()
+        assert (rotated[4] - rf("-sin(q)")).is_zero()
 
 
 class TestAdjointProperties:
@@ -527,32 +519,31 @@ class TestAdjointProperties:
                 for i in range(m):
                     for j in range(m):
                         for k in range(m):
-                            lhs = Num(0)
+                            lhs = rf("0")
                             for a in range(m):
                                 for b in range(m):
                                     if g.c[a][b][k]:
-                                        lhs = Add.of(lhs, Mul.of(
-                                            Num(g.c[a][b][k]), mat[i][a], mat[j][b]))
-                            rhs = Num(0)
+                                        lhs = lhs + RatFunc.const(
+                                            g.c[a][b][k]) * mat[i][a] * mat[j][b]
+                            rhs = rf("0")
                             for l in range(m):
                                 if g.c[i][j][l]:
-                                    rhs = Add.of(rhs, Mul.of(Num(g.c[i][j][l]), mat[l][k]))
-                            assert is_zero(Add.of(lhs, Mul.of(Num(-1), rhs)))
+                                    rhs = rhs + RatFunc.const(g.c[i][j][l]) * mat[l][k]
+                            assert (lhs - rhs).is_zero()
 
     def test_group_law(self, general_algebra, scaling_algebra):
         for g in (general_algebra, scaling_algebra):
             m = g.dim
             for idx in range(m):
                 m1 = self._matrices(g, idx, "q1")
-                m2 = [[substitute(e, {"q1": Sym("q2")}) for e in row] for row in m1]
-                m12 = [[substitute(e, {"q1": parse_expr("q1 + q2")}) for e in row]
-                       for row in m1]
+                m2 = [[at(e, "q1", rf("q2")) for e in row] for row in m1]
+                m12 = [[at(e, "q1", rf("q1 + q2")) for e in row] for row in m1]
                 for i in range(m):
                     for j in range(m):
-                        prod = Num(0)
+                        prod = rf("0")
                         for k in range(m):
-                            prod = Add.of(prod, Mul.of(m1[i][k], m2[k][j]))
-                        assert is_zero(Add.of(prod, Mul.of(Num(-1), m12[i][j])))
+                            prod = prod + m1[i][k] * m2[k][j]
+                        assert (prod - m12[i][j]).is_zero()
 
     def test_killing_invariance_under_adjoint(self, general_algebra, scaling_algebra):
         for g in (general_algebra, scaling_algebra):
@@ -563,13 +554,12 @@ class TestAdjointProperties:
                 # rows are images: K(Ad X_i, Ad X_j) == K(X_i, X_j)
                 for i in range(m):
                     for j in range(m):
-                        acc = Num(0)
+                        acc = rf("0")
                         for a in range(m):
                             for b in range(m):
                                 if K[a, b]:
-                                    acc = Add.of(acc, Mul.of(
-                                        Num(K[a, b]), mat[i][a], mat[j][b]))
-                        assert is_zero(acc - Num(K[i, j]))
+                                    acc = acc + RatFunc.const(K[a, b]) * mat[i][a] * mat[j][b]
+                        assert (acc - RatFunc.const(K[i, j])).is_zero()
 
     def test_series_truncation_matches_taylor_expansion(self, general_algebra,
                                                         scaling_algebra):
@@ -581,16 +571,12 @@ class TestAdjointProperties:
                 series = adjoint_series_truncation(g, idx, "q", order)
                 for i in range(m):
                     for j in range(m):
-                        taylor = Num(0)
+                        taylor = rf("0")
                         d = closed[i][j]
                         fact = 1
                         for l in range(order + 1):
-                            at0 = substitute(d, {"q": Num(0)})
-                            taylor = Add.of(
-                                taylor,
-                                Mul.of(Num(Fraction(1, fact)), at0,
-                                       Sym("q") ** l if l else Num(1)),
-                            )
-                            d = differentiate(d, "q")
+                            at0 = at(d, "q", RAT_ZERO)
+                            taylor = taylor + RatFunc.const(Fraction(1, fact)) * at0 * rf("q") ** l
+                            d = derive(d, {"q": RAT_ONE})
                             fact *= l + 1
-                        assert is_zero(Add.of(taylor, Mul.of(Num(-1), series[i][j])))
+                        assert (taylor - series[i][j]).is_zero()
