@@ -26,7 +26,7 @@ from .errors import (
 from .files import load_generators, load_metric
 from .geometry import geodesic_lagrangian, geodesic_system
 from .liealg import radical, levi_check, structure_constants
-from .numeric import drift_along_trace, integrate_geodesic
+from .numeric import drift_along_trace, integrate_geodesic, step_count
 from .optimal import (
     OptimalSystemError,
     default_representatives,
@@ -123,6 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="initial coordinates then velocities")
     p.add_argument("--step", type=_positive_finite, required=True)
     p.add_argument("--span", type=_positive_finite, required=True)
+    p.set_defaults(usage_error=p.error)
     return parser
 
 
@@ -255,6 +256,10 @@ def cmd_optimal(args) -> int:
 
 
 def cmd_integrate(args) -> int:
+    try:
+        step_count(args.step, args.span)
+    except IntegrationError as exc:
+        args.usage_error(f"argument --span/--step: {exc}")
     metric = load_metric(args.metric)
     chart = metric.chart
     n = chart.dim
@@ -290,8 +295,8 @@ def cmd_integrate(args) -> int:
     lines.append("final s: " + repr(s_end))
     lines.append("final x: " + " ".join(repr(v) for v in x_end))
     lines.append("final xdot: " + " ".join(repr(v) for v in v_end))
-    for label, expr in watches:
-        drift = drift_along_trace(expr, trace, chart, bindings)
+    drifts = drift_along_trace([expr for _, expr in watches], trace, chart, bindings)
+    for (label, _), drift in zip(watches, drifts):
         lines.append(f"drift {label}: {drift!r}")
     sys.stdout.write("\n".join(lines) + "\n")
     return EXIT_OK

@@ -14,7 +14,11 @@ Generator files:
 Bare preset names (e.g. vaidya_bonner.metric) resolve against the
 packaged data directory when no such file exists on disk.  A metric
 whose determinant is canonically zero is rejected when it loads
-(SingularMetricError).
+(SingularMetricError).  Every symbol in a component must be a
+coordinate or a declared function argument, and in a generator also
+the parameter; the check runs on the parse tree, before
+canonicalization could cancel a stray symbol (w - w), and the error
+names the file and line.
 
 Loading is the parse boundary: each expression is parsed and
 canonicalized once, and metrics and fields hold canonical RatFuncs.
@@ -102,6 +106,7 @@ def load_metric(path) -> Metric:
     except ChartError as exc:
         raise FormatError(path, 0, str(exc))
     n = chart.dim
+    allowed = _allowed_symbols(chart.coords, functions)
     comps = [[RAT_ZERO] * n for _ in range(n)]
     for (i, j), (expr_text, lineno) in entries.items():
         if not (0 <= i < n and 0 <= j < n):
@@ -109,7 +114,9 @@ def load_metric(path) -> Metric:
         if i > j:
             raise FormatError(path, lineno, "specify the upper triangle only (i <= j)")
         try:
-            e = canonical_ratfunc(parse_expr(expr_text, functions))
+            tree = parse_expr(expr_text, functions)
+            _check_symbols(path, lineno, [tree], allowed)
+            e = canonical_ratfunc(tree)
         except (ExprSyntaxError, *_KERNEL_ERRORS) as exc:
             raise FormatError(path, lineno, str(exc))
         comps[i][j] = e
@@ -121,6 +128,24 @@ def load_metric(path) -> Metric:
     if determinant(metric).is_zero():
         raise SingularMetricError(f"{path}: metric determinant is canonically zero")
     return metric
+
+
+def _allowed_symbols(names, functions) -> set:
+    """`names` and the declared arguments of every opaque function."""
+    allowed = set(names)
+    for args in (functions or {}).values():
+        allowed |= set(args)
+    return allowed
+
+
+def _check_symbols(path, lineno, trees, allowed):
+    """Reject a symbol outside `allowed` in any parse tree, before
+    canonicalization can cancel it (w - w)."""
+    stray = set()
+    for e in trees:
+        stray |= e.free_symbols() - allowed
+    if stray:
+        raise FormatError(path, lineno, f"undeclared symbols: {sorted(stray)}")
 
 
 def _parse_function_decl(text: str):
@@ -153,9 +178,7 @@ def _split_component(rest: str):
 
 def load_generators(path, chart: CoordChart, functions=None) -> list:
     path = resolve_input_path(path)
-    allowed = {chart.param, *chart.coords}
-    for args in (functions or {}).values():
-        allowed |= set(args)
+    allowed = _allowed_symbols((chart.param, *chart.coords), functions)
     fields = []
     for lineno, line in _content_lines(path):
         if not line.startswith("gen "):
@@ -175,11 +198,7 @@ def load_generators(path, chart: CoordChart, functions=None) -> list:
             exprs = [parse_expr(p, functions) for p in pieces]
         except ExprSyntaxError as exc:
             raise FormatError(path, lineno, str(exc))
-        stray = set()
-        for e in exprs:
-            stray |= e.free_symbols() - allowed
-        if stray:
-            raise FormatError(path, lineno, f"undeclared symbols: {sorted(stray)}")
+        _check_symbols(path, lineno, exprs, allowed)
         try:
             f = BundleVectorField(chart, [canonical_ratfunc(e) for e in exprs], name=name)
         except (ChartError, *_KERNEL_ERRORS) as exc:

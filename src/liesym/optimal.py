@@ -7,6 +7,11 @@ scale the leading surviving coefficient to one.  Rotation parameters
 follow atan2 semantics; when the rotation hypotenuse is rational the
 move is performed exactly, otherwise in floating point against a 1e-9
 match tolerance.
+
+`verify_optimal_cover` runs the structure gate (`_check_structure`)
+once per cover, before drawing any sample, and matches every sample
+against representative patterns prepared once, with their float values;
+`adjoint_orbit_reduce` gates each call and shares the reduction routine.
 """
 
 from __future__ import annotations
@@ -154,19 +159,32 @@ def _apply_rotation(vec, generator, cos_v, sin_v):
     return out
 
 
-def _match_pattern(vec, rep: OptimalRep, exact: bool):
-    params = {}
-    for i, p in enumerate(rep.pattern):
-        v = vec[i]
-        if isinstance(p, str):
-            params[p] = v
-        else:
-            if exact:
-                if v != p:
-                    return None
-            elif abs(float(v) - float(p)) > MATCH_TOL:
-                return None
-    return params
+def _exact(p: Fraction):
+    """p, as an int when it is one: Fraction == int is the cheaper test."""
+    return p.numerator if p.denominator == 1 else p
+
+
+def _patterns(reps) -> list:
+    """Each representative as (case, fixed slots, free slots); a fixed
+    slot is (index, exact value, float value), a free one (index, name)."""
+    return [
+        (rep.case_id,
+         tuple((i, _exact(p), float(p)) for i, p in enumerate(rep.pattern)
+               if not isinstance(p, str)),
+         tuple((i, p) for i, p in enumerate(rep.pattern) if isinstance(p, str)))
+        for rep in reps
+    ]
+
+
+def _match_pattern(vec, pattern, exact: bool):
+    """The free-slot parameters when vec matches the pattern, else None."""
+    _, fixed, free = pattern
+    if exact:
+        if any(vec[i] != p for i, p, _ in fixed):
+            return None
+    elif any(abs(vec[i] - fp) > MATCH_TOL for i, _, fp in fixed):
+        return None
+    return {name: vec[i] for i, name in free}
 
 
 def adjoint_orbit_reduce(coeffs, g: LieAlgebra, reps=None) -> ReductionTrace:
@@ -181,12 +199,18 @@ def adjoint_orbit_reduce(coeffs, g: LieAlgebra, reps=None) -> ReductionTrace:
     if not any(vec):
         raise OptimalSystemError("zero vector does not span a subalgebra")
     _check_structure(g)
+    return _reduce(vec, _patterns(reps))
+
+
+def _reduce(vec, patterns) -> ReductionTrace:
+    """adjoint_orbit_reduce on a nonzero Fraction vector of an algebra
+    that passed _check_structure, against _patterns(reps)."""
     # already a representative: identity trace
-    for rep in reps:
-        params = _match_pattern(vec, rep, exact=True)
+    for pattern in patterns:
+        params = _match_pattern(vec, pattern, exact=True)
         if params is not None:
             return ReductionTrace(tuple(vec), [], Fraction(1), tuple(vec),
-                                  rep.case_id, params, exact=True)
+                                  pattern[0], params, exact=True)
     exact = True
     work = list(vec)
     moves = []
@@ -218,11 +242,10 @@ def adjoint_orbit_reduce(coeffs, g: LieAlgebra, reps=None) -> ReductionTrace:
             work = [float(v) for v in work]
         work = _apply_rotation(work, gen_index, cos_v, sin_v)
 
-    # clear the fourth slot into the fifth, then the third into the fifth
+    # clear the fourth slot into the fifth, then the third into the
+    # fifth; exact moves keep every entry a Fraction
     rotation_move(2)
     rotation_move(3)
-    if exact:
-        work = [Fraction(v) for v in work]
 
     def nonzero(v):
         return v != 0 if exact else abs(v) > MATCH_TOL
@@ -243,10 +266,10 @@ def adjoint_orbit_reduce(coeffs, g: LieAlgebra, reps=None) -> ReductionTrace:
     work = [v * scale for v in work]
     matched = None
     params = {}
-    for rep in reps:
-        got = _match_pattern(work, rep, exact=exact)
+    for pattern in patterns:
+        got = _match_pattern(work, pattern, exact=exact)
         if got is not None:
-            matched = rep.case_id
+            matched = pattern[0]
             params = got
             break
     return ReductionTrace(tuple(vec), moves, scale, tuple(work), matched, params, exact)
@@ -334,6 +357,10 @@ def verify_optimal_cover(g: LieAlgebra, reps=None, samples: int = 1000,
     invariant drift, and representative separation."""
     if reps is None:
         reps = default_representatives()
+    _check_structure(g)
+    patterns = _patterns(reps)
+    # every value a sample can draw, made once
+    values = {(p, q): Fraction(p, q) for p in range(-9, 10) for q in range(1, 5)}
     rng = random.Random(seed)
     matched = {}
     unmatched = []
@@ -341,11 +368,11 @@ def verify_optimal_cover(g: LieAlgebra, reps=None, samples: int = 1000,
     drift_max = 0.0
     replay_max = 0.0
     for _ in range(samples):
-        vec = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(g.dim)]
+        vec = [values[rng.randint(-9, 9), rng.randint(1, 4)] for _ in range(g.dim)]
         if not any(vec):
             rejected += 1
             continue
-        trace = adjoint_orbit_reduce(vec, g, reps)
+        trace = _reduce(vec, patterns)
         if trace.matched_case is None:
             unmatched.append([str(v) for v in vec])
             continue

@@ -416,13 +416,13 @@ def test_criterion_8_numerical_first_integral_drift(vb_m1_qt, rotation_fields):
         sys, {}, [0.0, 10.0, math.pi / 2, 0.0], [1.0, 0.0, 0.0, 0.05], 1e-3, 10.0
     )
     lagrangian = geodesic_lagrangian(vb_m1_qt)
-    phi_drift = drift_along_trace(
-        rf("2*r^2*sin(theta)^2*phidot"), trace, chart)
+    [phi_drift] = drift_along_trace(
+        [rf("2*r^2*sin(theta)^2*phidot")], trace, chart)
     rot_drifts = []
     for X in rotation_fields[2:]:
         integral = noether_first_integral(X, lagrangian)
-        rot_drifts.append(drift_along_trace(integral, trace, chart))
-    broken = drift_along_trace(derive(lagrangian, {"tdot": RAT_ONE}), trace, chart)
+        rot_drifts.extend(drift_along_trace([integral], trace, chart))
+    [broken] = drift_along_trace([derive(lagrangian, {"tdot": RAT_ONE})], trace, chart)
     elapsed = time.monotonic() - started
     ok = (
         phi_drift < 1e-6

@@ -182,6 +182,22 @@ def test_out_of_range_numeric_argument_exits_2(capsys, argv, option):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("step, span", [("1e-300", "1e300"), ("1", "1000001")],
+                         ids=["ratio-inf", "just-over-cap"])
+def test_step_count_over_cap_exits_2(capsys, monkeypatch, step, span):
+    # rejected before the metric loads, so nothing is integrated
+    def no_load(path):
+        raise AssertionError("the metric was loaded")
+
+    monkeypatch.setattr("liesym.cli.load_metric", no_load)
+    with pytest.raises(SystemExit) as stop:
+        main([*INTEGRATE, "--step", step, "--span", span])
+    err = capsys.readouterr().err
+    assert stop.value.code == 2
+    assert "argument --span/--step:" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("expr", ["1/0", "ln(0)"])
 def test_kernel_error_in_binding_exits_2(capsys, expr):
     code = main(["integrate", "vaidya_bonner.metric", "--bind", f"M={expr}",
@@ -314,6 +330,24 @@ def test_kernel_error_in_input_exits_2(tmp_path, expr, where):
     out = _run_cli("verify", "in.metric", "in.gens", "--liepoint", cwd=tmp_path)
     assert out.returncode == 2
     assert line in out.stderr
+    assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("where", ["metric", "generators"])
+def test_cancelling_undeclared_symbol_exits_2(tmp_path, where):
+    # w - w canonicalizes to 0; the symbol check runs on the parse tree
+    metric, gens = FLAT_PLANE, TRANSLATIONS
+    if where == "metric":
+        metric = metric.replace("g 0 0 = 1", "g 0 0 = 1 + w - w")
+        line = "in.metric:3"
+    else:
+        gens += "gen bad = 0 | w - w | 0\n"
+        line = "in.gens:3"
+    (tmp_path / "in.metric").write_text(metric)
+    (tmp_path / "in.gens").write_text(gens)
+    out = _run_cli("verify", "in.metric", "in.gens", "--liepoint", cwd=tmp_path)
+    assert out.returncode == 2
+    assert f"{line}: undeclared symbols: ['w']" in out.stderr
     assert "Traceback" not in out.stderr
 
 

@@ -21,6 +21,13 @@ for byte:
   `vaidya_bonner.metric` with M = 1, Q = t and a fixed initial state.
   It guards `substitute_function` and the geodesic right-hand sides
   that RK4 compiles.
+- `vaidya_bonner.integrate_M1_Qt_off_equator.txt`: the same off the
+  equator (theta = 1.2, thetadot = 0.01), where the sin(theta) and
+  cos(theta) terms of the right-hand sides do not vanish.  It guards
+  the compiled floats, bit for bit.
+- `vb_general.optimal.json`: `optimal` on `vb_general.gens` with 1000
+  samples and seed 7.  It guards the sample draws, the reduction moves,
+  replay and the invariant drift.
 """
 
 from pathlib import Path
@@ -81,12 +88,31 @@ def test_verify_matches_golden(gens, mode, capsys):
     assert capsys.readouterr().out.encode() == expected
 
 
-def test_integrate_matches_golden(capsys):
-    code = main([
+def _integrate_vb_m1_qt(init):
+    """Exit code of `integrate` on vaidya_bonner.metric with M = 1, Q = t."""
+    return main([
         "integrate", "vaidya_bonner.metric", "--bind", "M=1", "--bind", "Q=t",
-        "--init", "0", "10", "1.5707963267948966", "0", "1", "0", "0", "0.05",
-        "--step", "0.0005", "--span", "10",
+        "--init", *init, "--step", "0.0005", "--span", "10",
     ])
+
+
+def test_integrate_matches_golden(capsys):
+    code = _integrate_vb_m1_qt(("0", "10", "1.5707963267948966", "0", "1", "0", "0", "0.05"))
     assert code == 0
     expected = (GOLDEN / "vaidya_bonner.integrate_M1_Qt.txt").read_bytes()
+    assert capsys.readouterr().out.encode() == expected
+
+
+def test_integrate_off_equator_matches_golden(capsys):
+    code = _integrate_vb_m1_qt(("0", "10", "1.2", "0", "1", "0", "0.01", "0.05"))
+    assert code == 0
+    expected = (GOLDEN / "vaidya_bonner.integrate_M1_Qt_off_equator.txt").read_bytes()
+    assert capsys.readouterr().out.encode() == expected
+
+
+def test_optimal_matches_golden(capsys):
+    code = main(["optimal", "vb_general.gens", "--metric", "vaidya_bonner.metric",
+                 "--samples", "1000", "--seed", "7"])
+    assert code == 0
+    expected = (GOLDEN / "vb_general.optimal.json").read_bytes()
     assert capsys.readouterr().out.encode() == expected
