@@ -273,6 +273,11 @@ def cmd_integrate(args) -> int:
         if name not in metric.functions:
             raise FormatError("<bind>", 0, f"{name!r} is not a declared function")
         tree = parse_expr(expr_text, None)
+        fargs = metric.functions[name]
+        stray = sorted(tree.free_symbols() - set(fargs))
+        if stray:
+            raise FormatError("<bind>", 0, f"symbols {stray} are not arguments of "
+                              f"{name}({', '.join(fargs)})")
         try:
             bindings[name] = canonical_ratfunc(tree)
         except (ZeroDivisionError, ValueError) as exc:

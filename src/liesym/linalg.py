@@ -6,7 +6,9 @@ them over the integers to the reduced row echelon form.  That form is
 unique, so rank, nullspace, the canonical basis of a row space and the
 coordinates of a vector in a basis are all short reads of its pivot
 rows; the large homogeneous systems of the determining equations and
-the small ones of the Lie-algebra layer share it.
+the small ones of the Lie-algebra layer share it.  `ZeroPins` combines
+no rows: it only takes out, ahead of it, the columns that single-entry
+rows force to zero.
 """
 
 from __future__ import annotations
@@ -104,6 +106,57 @@ def sparse_rref(rows, ncols: int):
             if c in pivot_rows[c2]:
                 pivot_rows[c2] = _eliminate(pivot_rows[c2], piv, c)
     return pivot_rows, pivots
+
+
+class ZeroPins:
+    """Rows of a homogeneous system, added in batches, with the columns
+    they force to zero taken out as they are found.
+
+    A row with one nonzero entry forces its column to 0 in every
+    solution.  Such a column is pinned and deleted from every kept row,
+    which may leave another single-entry row, until none is left.  Rows
+    are indexed by column, as in `sparse_rref`, so a pin touches only
+    the rows that hold its column.  `system()` has the same solutions,
+    hence the same row space and RREF, as all the rows added."""
+
+    def __init__(self):
+        self.pinned = set()
+        self._rows = []  # id -> row dict, None once emptied
+        self._holders = {}  # col -> ids of rows that held it
+
+    def add(self, rows):
+        """Keep integer rows (dicts col -> int) without their zero entries
+        and their entries in pinned columns, then pin until no kept row
+        has a single entry."""
+        singles = []
+        for row in rows:
+            row = {c: v for c, v in row.items() if v and c not in self.pinned}
+            if not row:
+                continue
+            rid = len(self._rows)
+            self._rows.append(row)
+            for c in row:
+                self._holders.setdefault(c, []).append(rid)
+            if len(row) == 1:
+                singles.append(rid)
+        while singles:
+            row = self._rows[singles.pop()]
+            if row is None:
+                continue
+            c, = row
+            self.pinned.add(c)
+            for rid in self._holders.pop(c):
+                holder = self._rows[rid]
+                del holder[c]
+                if not holder:
+                    self._rows[rid] = None
+                elif len(holder) == 1:
+                    singles.append(rid)
+
+    def system(self) -> list:
+        """The kept rows, then one unit row {c: 1} per pinned column."""
+        return ([row for row in self._rows if row]
+                + [{c: 1} for c in sorted(self.pinned)])
 
 
 def sparse_nullspace(rows, ncols: int):

@@ -164,6 +164,13 @@ def _exact(p: Fraction):
     return p.numerator if p.denominator == 1 else p
 
 
+def _float(v) -> float:
+    """float(v) for an int, Fraction or float.  A rational converts by
+    integer true division, the rounding Fraction.__float__ uses, without
+    its Python-level numbers.Rational dispatch."""
+    return v if type(v) is float else v.numerator / v.denominator
+
+
 def _patterns(reps) -> list:
     """Each representative as (case, fixed slots, free slots); a fixed
     slot is (index, exact value, float value), a free one (index, name)."""
@@ -229,17 +236,17 @@ def _reduce(vec, patterns) -> ReductionTrace:
         if root is not None:
             cos_v = Fraction(y, root)
             sin_v = Fraction(-x, root) * orient
-            param = math.atan2(float(sin_v), float(cos_v))
+            param = math.atan2(_float(sin_v), _float(cos_v))
             moves.append(Move(gen_index, param, (cos_v, sin_v)))
         else:
-            fx, fy = float(x), float(y)
+            fx, fy = _float(x), _float(y)
             h = math.hypot(fx, fy)
             cos_v = fy / h
             sin_v = -fx / h * orient
             param = math.atan2(sin_v, cos_v)
             moves.append(Move(gen_index, param, None))
             exact = False
-            work = [float(v) for v in work]
+            work = [_float(v) for v in work]
         work = _apply_rotation(work, gen_index, cos_v, sin_v)
 
     # clear the fourth slot into the fifth, then the third into the
@@ -278,13 +285,13 @@ def _reduce(vec, patterns) -> ReductionTrace:
 def replay(trace: ReductionTrace):
     """Re-apply the recorded moves and scaling to the recorded input."""
     exact = trace.exact
-    work = [Fraction(v) for v in trace.input] if exact else [float(v) for v in trace.input]
+    work = [Fraction(v) for v in trace.input] if exact else [_float(v) for v in trace.input]
     for mv in trace.moves:
         if mv.exact_cos_sin is not None and exact:
             cos_v, sin_v = mv.exact_cos_sin
         else:
             cos_v, sin_v = math.cos(mv.parameter), math.sin(mv.parameter)
-            work = [float(v) for v in work]
+            work = [_float(v) for v in work]
         work = _apply_rotation(work, mv.generator, cos_v, sin_v)
     return [v * trace.scale for v in work]
 
@@ -381,7 +388,7 @@ def verify_optimal_cover(g: LieAlgebra, reps=None, samples: int = 1000,
         replayed = replay(trace)
         replay_max = max(
             replay_max,
-            max(abs(float(a) - float(b)) for a, b in zip(replayed, trace.output)),
+            max(abs(_float(a) - _float(b)) for a, b in zip(replayed, trace.output)),
         )
     return {
         "samples": samples,
@@ -399,9 +406,9 @@ def verify_optimal_cover(g: LieAlgebra, reps=None, samples: int = 1000,
 
 def _invariant_drift(trace: ReductionTrace) -> float:
     """Scale-adjusted drift of (a1, a2, rotation norm) along a trace."""
-    a_in = [float(v) for v in trace.input]
-    a_out = [float(v) for v in trace.output]
-    scale = float(trace.scale)
+    a_in = [_float(v) for v in trace.input]
+    a_out = [_float(v) for v in trace.output]
+    scale = _float(trace.scale)
     drift = max(
         abs(a_out[0] - a_in[0] * scale),
         abs(a_out[1] - a_in[1] * scale),

@@ -31,7 +31,7 @@ class NonPolynomialError(ValueError):
     """Raised by collect when a variable occurs non-polynomially."""
 
 
-def derive(rf: RatFunc, coefficients: dict) -> RatFunc:
+def derive(rf: RatFunc, coefficients: dict, memo: dict | None = None) -> RatFunc:
     """Apply the derivation sum_v c_v d/dv to a canonical RatFunc.
 
     `coefficients` maps symbol names v to RatFuncs c_v; {v: RAT_ONE} is
@@ -41,8 +41,12 @@ def derive(rf: RatFunc, coefficients: dict) -> RatFunc:
     denominator is differentiated factor by factor, as the product rule
     runs over the rendered tree.  So the result is the canonical form of
     the tree derivative of render_ratfunc(rf), with no tree built.
+
+    `memo` holds each atom's derivative; an atom's derivative depends
+    only on the atom and `coefficients`, so calls with equal
+    coefficients may share one memo.
     """
-    return _derive(rf, coefficients, {})
+    return _derive(rf, coefficients, {} if memo is None else memo)
 
 
 def _derive(rf: RatFunc, coefficients: dict, memo: dict) -> RatFunc:

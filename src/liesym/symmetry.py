@@ -15,8 +15,11 @@ are the coefficients of the residuals over velocity monomials.  Each is
 linear in the unknown jets, so the solver expands the unknowns in a
 finite ansatz: the equation's numerator is split by unknown jet once,
 each basis derivative is derived once from the next-lower order, and
-the rows are the kernel-monomial coefficients of their products.  It
-returns the exact rational nullspace as vector fields.
+the rows are the kernel-monomial coefficients of their products.
+Equations are assembled in order, and columns their rows force to zero
+are pinned before the next one, which builds products only for the
+free columns.  It returns the exact rational nullspace as vector
+fields.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .charts import CoordChart
 from .errors import AnsatzError, VerificationError
 from .geometry import GeodesicSystem, Metric, geodesic_lagrangian, geodesic_system
 from .jets import BundleVectorField, prolong, symbol, total_coefficients
-from .linalg import sparse_nullspace
+from .linalg import ZeroPins, sparse_nullspace
 from .symexpr import collect_ratfunc, derive, fn_ratfunc, substitute_atoms
 from .symexpr.poly import (
     RAT_ONE,
@@ -303,8 +306,10 @@ def _basis_derivatives(basis, args):
     """derivative(k, orders) -> canonical RatFunc of d^orders basis[k].
 
     Each derivative is derived from the next-lower order and cached by
-    (k, orders), so every one is computed once."""
+    (k, orders), so every one is computed once; the atom derivatives of
+    each d/dv are shared across the basis."""
     cache = {}
+    memos = [{} for _ in args]
 
     def entry(k, orders):
         hit = cache.get((k, orders))
@@ -312,7 +317,7 @@ def _basis_derivatives(basis, args):
             if any(orders):
                 i = max(j for j, o in enumerate(orders) if o)
                 lower = orders[:i] + (orders[i] - 1,) + orders[i + 1:]
-                hit = derive(entry(k, lower), {args[i]: RAT_ONE})
+                hit = derive(entry(k, lower), {args[i]: RAT_ONE}, memos[i])
             else:
                 hit = basis[k]
             cache[(k, orders)] = hit
@@ -370,7 +375,14 @@ def solve_determining(system: DeterminingSystem, ansatz: Ansatz) -> list:
     denominator, the coefficient of each kernel monomial in
     sum A * d^a b_k gives one integer row over the columns (u, k).  A
     cleared derivative depends only on (k, a) and that denominator, so
-    equations sharing one reuse it."""
+    equations sharing one reuse it.
+
+    After each equation, every column its rows force to zero is pinned
+    (`linalg.ZeroPins`), and later equations build products only for
+    the columns still free.  A pinned column is 0 in every solution, so
+    an equation restricted to the free columns keeps its solutions, and
+    the kept rows plus one unit row per pinned column have the row
+    space, hence the RREF, of the rows over all columns."""
     if not ansatz.basis:
         raise AnsatzError("empty ansatz")
     chart = system.chart
@@ -382,15 +394,16 @@ def solve_determining(system: DeterminingSystem, ansatz: Ansatz) -> list:
     names = set(unknowns)
     col_of = {(u, k): i * nb + k for i, u in enumerate(unknowns) for k in range(nb)}
 
-    rows = []
+    pins = ZeroPins()
     cleared = {}  # (k, orders, lcm key) -> d^orders b_k brought over the lcm
     for eq in system.equations:
         coeffs = _split_by_unknown(eq, names, args)
         terms = [
-            (col_of[(name, k)], A, k, orders, d)
+            (col, A, k, orders, d)
             for (name, orders), A in coeffs.items()
             for k in range(nb)
-            if not (d := derivative(k, orders)).is_zero()
+            if (col := col_of[(name, k)]) not in pins.pinned
+            and not (d := derivative(k, orders)).is_zero()
         ]
         dens = {d.den.key(): d.den for *_, d in terms}
         lcm = poly_lcm(dens.values())
@@ -409,11 +422,8 @@ def solve_determining(system: DeterminingSystem, ansatz: Ansatz) -> list:
             for mono, c in P.terms.items():
                 row = buckets.setdefault(mono, {})
                 row[col] = row.get(col, 0) + c * f
-        for row in buckets.values():
-            row = {c: v for c, v in row.items() if v}
-            if row:
-                rows.append(row)
-    basis_vectors = sparse_nullspace(rows, len(col_of))
+        pins.add(buckets.values())
+    basis_vectors = sparse_nullspace(pins.system(), len(col_of))
     zero = (0,) * len(args)
     fields = []
     for i, vec in enumerate(basis_vectors):

@@ -206,6 +206,19 @@ def test_kernel_error_in_binding_exits_2(capsys, expr):
     assert "<bind>" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("expr, symbol", [("w", "w"), ("s", "s"), ("w - w", "w"),
+                                          ("t + sin(r)", "r")])
+def test_binding_outside_function_arguments_exits_2(capsys, expr, symbol):
+    # M(t) admits only t: any other symbol, even one that cancels or the
+    # parameter s, is rejected before integration
+    code = main(["integrate", "vaidya_bonner.metric", "--bind", f"M={expr}",
+                 "--bind", "Q=t", *INIT, "--step", "0.01", "--span", "1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "<bind>" in err and f"'{symbol}'" in err
+    assert "Traceback" not in err
+
+
 class TestCliReports:
     def test_algebra_text_report(self, capsys):
         code = main(["algebra", "vb_general.gens", "--metric", "vaidya_bonner.metric"])

@@ -6,7 +6,9 @@ and empty rows, compares its pivots and pivot rows, the nullspace,
 `rank`, `span_rref` and `express_in_basis` with the dense Gauss-Jordan
 of `reference_linalg`, and checks them against the definitions:
 A v = 0, rank + nullity = ncols, and a target outside the span has no
-coordinates.
+coordinates.  A second seeded suite of sparse integer systems, fed to
+`ZeroPins` in batches, checks that pinning forced-zero columns keeps
+the RREF.
 """
 
 import random
@@ -16,7 +18,7 @@ import pytest
 
 import reference_linalg as ref
 from liesym.liealg import span_rref
-from liesym.linalg import express_in_basis, rank, sparse_nullspace, sparse_rref
+from liesym.linalg import ZeroPins, express_in_basis, rank, sparse_nullspace, sparse_rref
 
 SEEDS = range(250)
 
@@ -116,3 +118,75 @@ def test_express_in_basis_matches_reference_and_definition(seed):
     for w in outside_dirs:
         # w . w > 0 while w is orthogonal to the span
         assert express_in_basis(vectors, w) is None
+
+
+PIN_SEEDS = range(150)
+
+
+def random_pinned_system(seed):
+    """(batches of integer dict rows, ncols).  A singleton row starts a
+    chain {a}, {a, b}, {b, c}, ... that pins column after column; rows
+    over chain columns only empty out once the chain is pinned; other
+    rows are sparse and free; some rows repeat.  The rows arrive
+    shuffled, in batches."""
+    rng = random.Random(seed)
+    ncols = rng.randint(2, 12)
+
+    def value():
+        return rng.choice((-5, -3, -2, -1, 1, 2, 3, 4, 7))
+
+    chain = rng.sample(range(ncols), rng.randint(0, ncols))
+    rows = [{c: value()} if i == 0 else {chain[i - 1]: value(), c: value()}
+            for i, c in enumerate(chain)]
+    for _ in range(rng.randint(0, 3) if chain else 0):
+        rows.append({c: value() for c in rng.sample(chain, rng.randint(1, len(chain)))})
+    for _ in range(rng.randint(0, 6)):
+        rows.append({c: value() for c in rng.sample(range(ncols), rng.randint(1, min(4, ncols)))})
+    for _ in range(rng.randint(0, 3) if rows else 0):
+        rows.append(dict(rng.choice(rows)))
+    rng.shuffle(rows)
+    batches = []
+    while rows:
+        n = rng.randint(1, len(rows))
+        batches.append(rows[:n])
+        rows = rows[n:]
+    return batches, ncols
+
+
+def _pinned(seed):
+    batches, ncols = random_pinned_system(seed)
+    pins = ZeroPins()
+    for batch in batches:
+        pins.add(batch)
+    return [r for b in batches for r in b], ncols, pins
+
+
+def test_pin_suite_covers_the_edge_cases():
+    cases = [_pinned(s) for s in PIN_SEEDS]
+    assert sum(len(pins.pinned) >= 3 for *_, pins in cases) >= 30
+    assert sum(any(len(r) > 1 and r.keys() <= pins.pinned for r in rows)
+               for rows, _, pins in cases) >= 30
+    assert sum(any(rows.count(r) > 1 for r in rows) for rows, *_ in cases) >= 30
+    assert sum(0 < len(pins.pinned) < ncols and len(pins.system()) > len(pins.pinned)
+               for _, ncols, pins in cases) >= 30
+
+
+@pytest.mark.parametrize("seed", PIN_SEEDS)
+def test_zero_pins_keep_the_rref(seed):
+    rows, ncols, pins = _pinned(seed)
+    system = pins.system()
+    pivot_rows, pivots = sparse_rref(system, ncols)
+    assert (pivot_rows, pivots) == sparse_rref(rows, ncols)
+    dense = [[Fraction(r.get(c, 0)) for c in range(ncols)] for r in rows]
+    red, ref_pivots = ref.rref(dense)
+    assert pivots == ref_pivots
+    for p, expected in zip(pivots, red):
+        row = pivot_rows[p]
+        assert [Fraction(row.get(j, 0), row[p]) for j in range(ncols)] == expected
+    # a pinned column is 0 in every solution; no kept row holds one, and
+    # none is left with a single entry
+    for v in ref.nullspace(dense, ncols):
+        assert not any(v[c] for c in pins.pinned)
+    kept = system[:len(system) - len(pins.pinned)]
+    assert system[len(kept):] == [{c: 1} for c in sorted(pins.pinned)]
+    assert all(len(r) > 1 and not r.keys() & pins.pinned for r in kept)

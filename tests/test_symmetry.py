@@ -8,8 +8,9 @@ import pytest
 from liesym.charts import CoordChart
 from liesym.errors import AnsatzError, VerificationError
 from liesym.geometry import Metric, geodesic_lagrangian, geodesic_system
+from liesym.files import load_metric
 from liesym.jets import total
-from liesym.linalg import express_in_basis
+from liesym.linalg import express_in_basis, sparse_rref
 from liesym.symexpr import (
     collect_ratfunc,
     derive,
@@ -32,6 +33,8 @@ from liesym.symmetry import (
 )
 from liesym.liealg import field_bracket, _coordinates
 
+import liesym.symmetry
+import reference_solver
 from conftest import make_field, rf
 from reference_linalg import rank as reference_rank
 
@@ -269,6 +272,68 @@ class TestFreeParticleSolver:
         assert len(sols) == oracle
 
 
+def _diagonal_metric(coords, diagonal, name):
+    chart = CoordChart("s", coords)
+    n = len(coords)
+    return Metric(chart, tuple(tuple(rf(diagonal[i]) if i == j else rf("0")
+                                     for j in range(n)) for i in range(n)), name=name)
+
+
+PINNING_CASES = [
+    # (metric, mode, nullspace dimension)
+    ("vaidya_bonner.metric", "noether", 4),
+    ("vaidya_bonner.metric", "liepoint", 5),
+    ("vaidya_bonner_M1_Qt.metric", "noether", 4),
+    ("vaidya_bonner_M1_Qt.metric", "liepoint", 5),
+    ("vaidya_bonner_Mt_Qt2.metric", "noether", 5),
+    ("vaidya_bonner_Mt_Qt2.metric", "liepoint", 6),
+    ("flat_plane", "noether", 5),
+    ("flat_plane", "liepoint", 15),
+    ("minkowski4", "noether", 12),
+    ("minkowski4", "liepoint", 35),
+    ("de_sitter2", "noether", 3),
+    ("de_sitter2", "liepoint", 4),
+]
+
+
+def _pinning_metric(name):
+    if name == "flat_plane":
+        return _diagonal_metric(("x", "y"), ("1", "1"), name)
+    if name == "minkowski4":
+        return _diagonal_metric(("t", "x", "y", "z"), ("-1", "1", "1", "1"), name)
+    if name == "de_sitter2":
+        return _diagonal_metric(("t", "x"), ("-1", "exp(2*t)"), name)
+    return load_metric(name)
+
+
+class TestPinnedAssembly:
+    """The solver pins forced-zero columns while it assembles; the rows it
+    hands to the nullspace must have the RREF of every row of the
+    unpruned assembly, and give the same fields."""
+
+    @pytest.mark.parametrize("name, mode, dim", PINNING_CASES)
+    def test_matches_unpruned_assembly(self, monkeypatch, name, mode, dim):
+        metric = _pinning_metric(name)
+        system = determining_system(metric, mode)
+        ansatz = default_ansatz(metric.chart, 2)
+        handed = []
+        nullspace = liesym.symmetry.sparse_nullspace
+
+        def spy(rows, ncols):
+            handed.append((rows, ncols))
+            return nullspace(rows, ncols)
+
+        monkeypatch.setattr(liesym.symmetry, "sparse_nullspace", spy)
+        fields = solve_determining(system, ansatz)
+        (rows, ncols), = handed
+        ref_rows, ref_ncols, ref_fields = reference_solver.solve(system, ansatz)
+        assert ncols == ref_ncols
+        assert sparse_rref(rows, ncols) == sparse_rref(ref_rows, ref_ncols)
+        assert len(fields) == len(ref_fields) == dim
+        assert [[c.key() for c in f.components] for f in fields] == \
+            [[c.key() for c in f.components] for f in ref_fields]
+
+
 class TestSolverOnConcreteMetrics:
 
     def test_invariant_action_solve_dimension(self, m1qt_noether_solve):
@@ -421,3 +486,16 @@ class TestDeterminingEquationShape:
     def test_wrong_unknown_arguments_rejected(self, eq):
         with pytest.raises(AnsatzError, match="unexpected unknown arguments"):
             self._solve(eq, functions=None)
+
+    @pytest.mark.parametrize("eq, message, functions", [
+        ("xi(s, x)^2", "linear in the unknowns", UNKNOWNS),
+        ("D(xi, s)*D(xi, x)", "linear in the unknowns", UNKNOWNS),
+        ("xi(s, x) + 1", "inhomogeneous", UNKNOWNS),
+        ("xi(s)", "unexpected unknown arguments", None),
+    ])
+    def test_malformed_equation_rejected_after_its_columns_are_pinned(self, eq, message,
+                                                                      functions):
+        # xi = 0 and eta1 = 0 pin every column before the last equation,
+        # which is still split and rejected
+        with pytest.raises(AnsatzError, match=message):
+            self._solve("xi(s, x)", "eta1(s, x)", eq, functions=functions)
