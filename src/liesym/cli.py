@@ -272,7 +272,12 @@ def cmd_integrate(args) -> int:
             raise FormatError("<bind>", 0, "--bind expects NAME=EXPR")
         if name not in metric.functions:
             raise FormatError("<bind>", 0, f"{name!r} is not a declared function")
-        tree = parse_expr(expr_text, None)
+        try:
+            # No declared functions: an opaque call or D(...) marker is
+            # rejected here, as a binding must be numeric.
+            tree = parse_expr(expr_text, {})
+        except ExprSyntaxError as exc:
+            raise FormatError("<bind>", 0, str(exc))
         fargs = metric.functions[name]
         stray = sorted(tree.free_symbols() - set(fargs))
         if stray:

@@ -219,6 +219,17 @@ def test_binding_outside_function_arguments_exits_2(capsys, expr, symbol):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("expr, name", [("N(t)", "N"), ("D(t,t)", "t"), ("D(M, t)", "M")])
+def test_opaque_call_in_binding_exits_2(capsys, expr, name):
+    # a binding is numeric: no opaque application and no derivative marker
+    code = main(["integrate", "vaidya_bonner.metric", "--bind", f"M={expr}",
+                 "--bind", "Q=t", *INIT, "--step", "0.01", "--span", "1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "<bind>" in err and f"unknown function '{name}'" in err
+    assert "Traceback" not in err
+
+
 class TestCliReports:
     def test_algebra_text_report(self, capsys):
         code = main(["algebra", "vb_general.gens", "--metric", "vaidya_bonner.metric"])
