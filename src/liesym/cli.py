@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from fractions import Fraction
 
 from .errors import (
     AnsatzError,
@@ -178,18 +177,11 @@ def cmd_verify(args) -> int:
 def _heuristic_levi_split(g, rad_vectors):
     """Complement guess: the coordinate block outside the radical span
     (the block carrying the nondegenerate part of the Killing form for
-    every bundled algebra).  levi_check verifies the guess."""
-    from .linalg import express_in_basis
-
-    m = g.dim
-    h = []
-    rad = [list(v) for v in rad_vectors]
-    for i in range(m):
-        v = [Fraction(0)] * m
-        v[i] = Fraction(1)
-        if not rad or express_in_basis(rad, v) is None:
-            h.append(v)
-    return h
+    every bundled algebra).  The radical is a canonical RREF with
+    leading 1s, so a unit vector lies in its span exactly when it is one
+    of its rows.  levi_check verifies the guess."""
+    units = [tuple(int(i == j) for j in range(g.dim)) for i in range(g.dim)]
+    return [e for e in units if e not in rad_vectors]
 
 
 def cmd_algebra(args) -> int:

@@ -14,6 +14,12 @@ The Killing form and derived series are computed once per algebra, and
 the basis coordinates once per structure_constants call; every bracket
 is read in those coordinates.  All elimination is linalg.sparse_rref.
 
+Every question about a subspace V of coefficient vectors is a rank
+comparison or a derived chain: V is a subalgebra (an ideal) when its
+nonzero brackets with V (with the basis) leave rank(V) unchanged, and
+solvable when the chain span(V) >= [V, V] >= ... of RREF bases, the
+same chain that gives the derived series, ends at zero.
+
 Adjoint convention: Ad(exp(q X_i)) X_j expands with the alternating
 series X_j - q [X_i, X_j] + (q^2/2) [X_i, [X_i, X_j]] - ..., and the
 AdjointMap matrix stores images by rows, so coefficient vectors
@@ -238,24 +244,32 @@ class SubalgebraChain:
         return tuple(len(s) for s in self.subspaces)
 
 
+def _brackets(g: LieAlgebra, us, vs):
+    """The nonzero brackets [u, v] for u in us and v in vs."""
+    out = []
+    for u in us:
+        for v in vs:
+            w = g.bracket_coeffs(u, v)
+            if any(w):
+                out.append(w)
+    return out
+
+
+def _derived_chain(g: LieAlgebra, vectors):
+    """RREF bases of span(V), [V, V], [[V, V], [V, V]], ...; the chain
+    stops at zero or when the dimension no longer falls."""
+    chain = [span_rref(vectors)]
+    while True:
+        current = chain[-1]
+        chain.append(span_rref(_brackets(g, current, current)))
+        if not chain[-1] or len(chain[-1]) >= len(current):
+            return chain
+
+
 def derived_series(g: LieAlgebra):
     """Chain g >= [g, g] >= ... ; returns (chain, is_solvable)."""
-    m = g.dim
-    current = span_rref([_unit(m, i) for i in range(m)])
-    chain = [current]
-    while True:
-        brackets = []
-        for a in range(len(current)):
-            for b in range(a + 1, len(current)):
-                w = g.bracket_coeffs(current[a], current[b])
-                if any(w):
-                    brackets.append(w)
-        nxt = span_rref(brackets)
-        chain.append(nxt)
-        if len(nxt) == 0 or len(nxt) == len(current):
-            break
-        current = nxt
-    return SubalgebraChain(tuple(tuple(tuple(v) for v in s) for s in chain)), len(chain[-1]) == 0
+    chain = _derived_chain(g, [_unit(g.dim, i) for i in range(g.dim)])
+    return SubalgebraChain(tuple(tuple(tuple(v) for v in s) for s in chain)), not chain[-1]
 
 
 @dataclass(frozen=True)
@@ -291,15 +305,8 @@ def radical(g: LieAlgebra):
     m = g.dim
     K, _ = g.killing
     chain, _ = g.derived
-    derived = chain.subspaces[1] if len(chain.subspaces) > 1 else ()
-    rows = []
-    for w in derived:
-        rows.append([
-            sum(K[i, j] * w[j] for j in range(m)) for i in range(m)
-        ])
-    if not rows:
-        basis = span_rref([_unit(m, i) for i in range(m)])
-        return [tuple(v) for v in basis]
+    rows = [[sum(K[i, j] * w[j] for j in range(m)) for i in range(m)]
+            for w in chain.subspaces[1]]
     basis = span_rref(sparse_nullspace(rows, m))
     if not _is_ideal(g, basis):
         raise NonClosureError("radical candidate is not an ideal (structure bug)")
@@ -309,42 +316,18 @@ def radical(g: LieAlgebra):
 
 
 def _is_subalgebra(g: LieAlgebra, vectors) -> bool:
-    if not vectors:
-        return True
-    for a in range(len(vectors)):
-        for b in range(a + 1, len(vectors)):
-            w = g.bracket_coeffs(vectors[a], vectors[b])
-            if any(w) and express_in_basis([list(v) for v in vectors], w) is None:
-                return False
-    return True
+    m = g.dim
+    return rank(list(vectors) + _brackets(g, vectors, vectors), m) == rank(vectors, m)
 
 
 def _is_ideal(g: LieAlgebra, vectors) -> bool:
     m = g.dim
-    if not vectors:
-        return True
-    for v in vectors:
-        for i in range(m):
-            w = g.bracket_coeffs(list(v), _unit(m, i))
-            if any(w) and express_in_basis([list(x) for x in vectors], w) is None:
-                return False
-    return True
+    units = [_unit(m, i) for i in range(m)]
+    return rank(list(vectors) + _brackets(g, vectors, units), m) == rank(vectors, m)
 
 
 def _is_solvable_subspace(g: LieAlgebra, vectors) -> bool:
-    current = [list(v) for v in vectors]
-    while current:
-        brackets = []
-        for a in range(len(current)):
-            for b in range(a + 1, len(current)):
-                w = g.bracket_coeffs(current[a], current[b])
-                if any(w):
-                    brackets.append(w)
-        nxt = span_rref(brackets)
-        if len(nxt) == len(current):
-            return False
-        current = nxt
-    return True
+    return not _derived_chain(g, vectors)[-1]
 
 
 def levi_check(g: LieAlgebra, r_vectors, h_vectors) -> bool:

@@ -149,7 +149,7 @@ def _define(name: str, params, body):
         f"def {name}({', '.join(params)}):",
         "    try:",
         *body,
-        "    except (ValueError, OverflowError, ZeroDivisionError) as exc:",
+        "    except (ValueError, OverflowError, ZeroDivisionError, TypeError) as exc:",
         "        raise IntegrationError(f'numeric evaluation failed: {exc}')",
     ])
     scope = dict(_SCOPE)
@@ -162,8 +162,9 @@ def compile_numeric(rfs, names):
 
     `names` are the symbols bound, in order, to the positional
     arguments.  A denominator within 1e-12 of zero, and a ValueError,
-    OverflowError or ZeroDivisionError of the arithmetic, raise
-    IntegrationError from the first component that meets one."""
+    OverflowError, ZeroDivisionError or TypeError (a complex value that
+    reaches a float operation) of the arithmetic, raise IntegrationError
+    from the first component that meets one."""
     args = {name: f"_x{i}" for i, name in enumerate(names)}
     outputs = [f"_c{k}" for k in range(len(rfs))]
     body = _emit(_trees(rfs), args, outputs, " " * 8)

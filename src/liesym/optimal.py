@@ -42,9 +42,6 @@ class OptimalRep:
     case_id: int
     pattern: tuple  # entries: Fraction | str
 
-    def free_slots(self):
-        return [i for i, p in enumerate(self.pattern) if isinstance(p, str)]
-
     def describe(self, names):
         parts = []
         for i, p in enumerate(self.pattern):
@@ -84,13 +81,6 @@ class Move:
     parameter: float
     exact_cos_sin: tuple | None = None
 
-    def as_dict(self):
-        out = {"generator": self.generator + 1, "parameter": self.parameter}
-        if self.exact_cos_sin is not None:
-            out["cos"] = str(self.exact_cos_sin[0])
-            out["sin"] = str(self.exact_cos_sin[1])
-        return out
-
 
 @dataclass
 class ReductionTrace:
@@ -101,17 +91,6 @@ class ReductionTrace:
     matched_case: int | None
     parameters: dict
     exact: bool
-
-    def as_dict(self):
-        return {
-            "input": [str(v) for v in self.input],
-            "moves": [m.as_dict() for m in self.moves],
-            "scale": str(self.scale),
-            "output": [str(v) for v in self.output],
-            "matched_case": self.matched_case,
-            "parameters": {k: str(v) for k, v in self.parameters.items()},
-            "exact": self.exact,
-        }
 
 
 def _check_structure(g: LieAlgebra):

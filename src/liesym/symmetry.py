@@ -240,14 +240,12 @@ class Ansatz:
         return len(self.basis)
 
 
-def default_ansatz(chart: CoordChart, degree: int = 2,
-                   angle_kernels: dict | None = None) -> Ansatz:
+def default_ansatz(chart: CoordChart, degree: int = 2) -> Ansatz:
     """Polynomials of total degree <= `degree` in the parameter and the
     non-angle coordinates, times per-angle trig kernels.
 
     The first declared angle carries {1, sin, cos, cot, 1/sin}; later
-    angles carry {1, sin, cos}.  `angle_kernels` overrides the kernel
-    list per angle name.
+    angles carry {1, sin, cos}.
     """
     poly_vars = [chart.param] + [c for c in chart.coords if c not in chart.angles]
     monos = []
@@ -262,9 +260,7 @@ def default_ansatz(chart: CoordChart, degree: int = 2,
     kernel_lists = []
     kernel_names = []
     for pos, a in enumerate(chart.angles):
-        if angle_kernels and a in angle_kernels:
-            kern = list(angle_kernels[a])
-        elif pos == 0:
+        if pos == 0:
             sin = fn_ratfunc("sin", symbol(a))
             kern = [RAT_ONE, sin, fn_ratfunc("cos", symbol(a)),
                     fn_ratfunc("cot", symbol(a)), sin.inverse()]

@@ -388,3 +388,14 @@ def test_degenerate_metric_exits_3(tmp_path, argv):
     assert out.returncode == 3
     assert "in.metric: metric determinant is canonically zero" in out.stderr
     assert "Traceback" not in out.stderr
+
+
+def test_complex_value_during_integrate_exits_3():
+    # M = t^(1/2) turns complex once t < 0; the RK4 step meets the
+    # complex value in a float operation
+    out = _run_cli("integrate", "vaidya_bonner.metric", "--bind", "M=t^(1/2)",
+                   "--bind", "Q=t", "--init", "0.05", "10", "1.2", "0", "-1", "0",
+                   "0.01", "0.05", "--step", "0.01", "--span", "1")
+    assert out.returncode == 3
+    assert "error: numeric evaluation failed:" in out.stderr
+    assert "Traceback" not in out.stderr

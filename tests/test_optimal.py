@@ -89,7 +89,7 @@ class TestDeterminism:
     def test_identical_traces(self, algebra):
         t1 = adjoint_orbit_reduce([5, -3, 2, 7, 1], algebra)
         t2 = adjoint_orbit_reduce([5, -3, 2, 7, 1], algebra)
-        assert t1.as_dict() == t2.as_dict()
+        assert t1 == t2
 
     def test_representative_idempotence(self, algebra):
         for rep_vec in ([1, 3, 0, 0, 2], [0, 1, 0, 0, 5], [0, 0, 1, 0, 0],
