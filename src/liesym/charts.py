@@ -2,12 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import ChartError
 
 
-@dataclass(frozen=True)
 class CoordChart:
     """Affine parameter plus ordered coordinates, some flagged as angles.
 
@@ -15,14 +12,11 @@ class CoordChart:
     second as `<name>ddot`.
     """
 
-    param: str
-    coords: tuple
-    angles: tuple = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(self.coords))
-        object.__setattr__(self, "angles", tuple(self.angles))
-        names = [self.param, *self.coords]
+    def __init__(self, param: str, coords, angles=()):
+        self.param = param
+        self.coords = tuple(coords)
+        self.angles = tuple(angles)
+        names = [param, *self.coords]
         if len(set(names)) != len(names):
             raise ChartError("parameter and coordinate names must be distinct")
         if len(self.coords) < 1:
@@ -33,6 +27,14 @@ class CoordChart:
         jets = set(self.jets1 + self.jets2)
         if jets & set(names):
             raise ChartError("coordinate names collide with jet symbol names")
+
+    def __eq__(self, other):
+        if not isinstance(other, CoordChart):
+            return NotImplemented
+        return (self.param, self.coords, self.angles) == (other.param, other.coords, other.angles)
+
+    def __hash__(self):
+        return hash((self.param, self.coords, self.angles))
 
     @property
     def dim(self) -> int:

@@ -27,7 +27,6 @@ generators_to_text renders them back.
 
 from __future__ import annotations
 
-from importlib import resources
 from pathlib import Path
 
 from .charts import CoordChart
@@ -47,9 +46,9 @@ def resolve_input_path(path) -> Path:
     p = Path(path)
     if p.exists():
         return p
-    candidate = resources.files("liesym").joinpath("data", p.name)
+    candidate = Path(__file__).parent / "data" / p.name
     if p.parent == Path(".") and candidate.is_file():
-        return Path(str(candidate))
+        return candidate
     raise FormatError(path, 0, "file not found")
 
 

@@ -10,7 +10,6 @@ a RatFunc to the solution manifold through `substitute_atoms`."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 
@@ -21,43 +20,40 @@ from .symexpr import derive
 from .symexpr.poly import RAT_ONE, RAT_ZERO, RatFunc, rat_sum, sym_atom
 
 
-@dataclass(frozen=True)
 class Metric:
     """Symmetric metric components over a chart, with declared opaque
     functions (name -> argument symbols)."""
 
-    chart: CoordChart
-    components: tuple  # n x n canonical RatFuncs
-    functions: dict = field(default_factory=dict)
-    name: str = ""
-
-    def __post_init__(self):
-        n = self.chart.dim
-        g = tuple(tuple(row) for row in self.components)
-        object.__setattr__(self, "components", g)
-        allowed = set(self.chart.coords)
-        for args in self.functions.values():
+    def __init__(self, chart: CoordChart, components, functions=None, name: str = ""):
+        g = tuple(tuple(row) for row in components)  # n x n canonical RatFuncs
+        functions = {} if functions is None else functions
+        allowed = set(chart.coords)
+        for args in functions.values():
             allowed |= set(args)
-        for i in range(n):
-            for j in range(n):
+        for i in range(chart.dim):
+            for j in range(chart.dim):
                 if not (g[i][j] - g[j][i]).is_zero():
                     raise ChartError(f"metric is not symmetric at ({i}, {j})")
                 extra = g[i][j].free_symbols() - allowed
                 if extra:
                     raise ChartError(f"undeclared symbols in metric: {sorted(extra)}")
+        self.chart = chart
+        self.components = g
+        self.functions = functions
+        self.name = name
 
     def __getitem__(self, ij):
         i, j = ij
         return self.components[i][j]
 
 
-@dataclass(frozen=True)
 class GeodesicSystem:
     """Equations in solved form xddot^i - G^i(s, x, xdot) = 0 with
     G^i = -Gamma^i_{jk} xdot^j xdot^k; `accelerations` holds each G^i."""
 
-    chart: CoordChart
-    accelerations: tuple
+    def __init__(self, chart: CoordChart, accelerations: tuple):
+        self.chart = chart
+        self.accelerations = accelerations
 
     @cached_property
     def equations(self) -> tuple:

@@ -13,7 +13,6 @@ components, their arguments and their results are canonical RatFuncs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .charts import CoordChart
@@ -27,27 +26,24 @@ def symbol(name: str) -> RatFunc:
     return RatFunc.atom(sym_atom(name))
 
 
-@dataclass(frozen=True)
 class BundleVectorField:
     """Candidate symmetry generator: `components` holds (xi, eta^1, ...,
     eta^n) as canonical RatFuncs, xi on the parameter and eta^a per
     coordinate."""
 
-    chart: CoordChart
-    components: tuple
-    name: str = ""
-
-    def __post_init__(self):
-        comps = tuple(self.components)
-        if len(comps) != self.chart.dim + 1:
+    def __init__(self, chart: CoordChart, components, name: str = ""):
+        comps = tuple(components)
+        if len(comps) != chart.dim + 1:
             raise ChartError(
-                f"field has {len(comps) - 1} eta components for {self.chart.dim} coordinates"
+                f"field has {len(comps) - 1} eta components for {chart.dim} coordinates"
             )
-        jets = set(self.chart.jets1) | set(self.chart.jets2)
+        jets = set(chart.jets1) | set(chart.jets2)
         for rf in comps:
             if rf.free_symbols() & jets:
                 raise ChartError("vector field components must not contain jet symbols")
-        object.__setattr__(self, "components", comps)
+        self.chart = chart
+        self.components = comps
+        self.name = name
 
     @property
     def xi(self) -> RatFunc:
@@ -79,14 +75,14 @@ class BundleVectorField:
         return derive(rf, self.coefficients())
 
 
-@dataclass(frozen=True)
 class ProlongedField:
     """Base field plus first and second prolongation coefficients, as
     canonical RatFuncs; `second` is empty when prolonged to order 1 only."""
 
-    base: BundleVectorField
-    first: tuple
-    second: tuple
+    def __init__(self, base: BundleVectorField, first: tuple, second: tuple):
+        self.base = base
+        self.first = first
+        self.second = second
 
     def act(self, rf: RatFunc) -> RatFunc:
         """The prolonged field acting on a canonical RatFunc in

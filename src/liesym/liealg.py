@@ -29,7 +29,6 @@ transform as row vectors: a' = a . M.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
@@ -92,13 +91,13 @@ def _coordinates_of(field, lcms, index):
     return vec
 
 
-@dataclass(frozen=True)
 class LieAlgebra:
     """Ordered basis with exact structure constants
     [X_i, X_j] = sum_k c[i][j][k] X_k."""
 
-    basis: tuple
-    c: tuple  # c[i][j][k] Fraction
+    def __init__(self, basis: tuple, c: tuple):
+        self.basis = basis
+        self.c = c  # c[i][j][k] Fraction
 
     @property
     def dim(self) -> int:
@@ -176,8 +175,11 @@ def structure_constants(basis) -> LieAlgebra:
 def _validate_structure(g: LieAlgebra):
     """Antisymmetry c_ij^k = -c_ji^k and the Jacobi identity
     sum_l c_ij^l c_lk^t + c_jk^l c_li^t + c_ki^l c_lj^t = 0 for every
-    ordered (i, j, k) and every target t.  The sums run over nonzero
-    constants; a term they skip is a product with a zero factor."""
+    i < j < k and every target t.  Under antisymmetry that Jacobi sum
+    changes sign when two indices swap and vanishes when two are equal,
+    so the increasing triples decide every ordered one.  The sums run
+    over nonzero constants; a term they skip is a product with a zero
+    factor."""
     m = g.dim
     c = g.c
     nz = g.nonzero
@@ -188,8 +190,8 @@ def _validate_structure(g: LieAlgebra):
                 if c[j][i][k] != -x:
                     raise NonClosureError("antisymmetry violated in structure constants")
     for i in range(m):
-        for j in range(m):
-            for k in range(m):
+        for j in range(i + 1, m):
+            for k in range(j + 1, m):
                 total = {}
                 for a, b, d in ((i, j, k), (j, k, i), (k, i, j)):
                     for l, x in nz[a][b]:
@@ -233,11 +235,11 @@ def span_rref(vectors):
     return out
 
 
-@dataclass(frozen=True)
 class SubalgebraChain:
     """Derived series; each entry is a canonical RREF row basis."""
 
-    subspaces: tuple
+    def __init__(self, subspaces: tuple):
+        self.subspaces = subspaces
 
     @property
     def dims(self):
@@ -272,9 +274,9 @@ def derived_series(g: LieAlgebra):
     return SubalgebraChain(tuple(tuple(tuple(v) for v in s) for s in chain)), not chain[-1]
 
 
-@dataclass(frozen=True)
 class KillingMatrix:
-    entries: tuple  # m x m Fractions
+    def __init__(self, entries: tuple):
+        self.entries = entries  # m x m Fractions
 
     def __getitem__(self, ij):
         return self.entries[ij[0]][ij[1]]
@@ -517,14 +519,14 @@ def _divisors(n):
     return sorted(out)
 
 
-@dataclass(frozen=True)
 class AdjointMap:
     """Closed-form matrix of Ad(exp(q X_i)) on the basis, rows = images,
     so coefficient row vectors transform as a' = a . matrix."""
 
-    generator_index: int
-    parameter: str
-    matrix: tuple  # rows of canonical RatFuncs
+    def __init__(self, generator_index: int, parameter: str, matrix: tuple):
+        self.generator_index = generator_index
+        self.parameter = parameter
+        self.matrix = matrix  # rows of canonical RatFuncs
 
     @property
     def dim(self):

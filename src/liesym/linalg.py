@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Optional
 
 
 def _normalize_row(row: dict) -> dict:
@@ -181,7 +180,7 @@ def rank(rows, ncols: int) -> int:
     return len(sparse_rref(rows, ncols)[1])
 
 
-def express_in_basis(vectors, target) -> Optional[list]:
+def express_in_basis(vectors, target) -> list | None:
     """Exact coefficients c with sum c_i vectors[i] = target, or None.
 
     The RREF of the augmented matrix [vectors | target] (vectors as

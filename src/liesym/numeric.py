@@ -29,7 +29,6 @@ from __future__ import annotations
 import math
 import operator
 from array import array
-from dataclasses import dataclass
 
 from .errors import IntegrationError
 from .geometry import GeodesicSystem
@@ -203,16 +202,16 @@ class TraceSamples:
         return f[i], tuple(f[i + 1:i + 1 + d]), tuple(f[i + 1 + d:i + 1 + 2 * d])
 
 
-@dataclass(frozen=True)
 class GeodesicTrace:
     """Fixed-step trace of a geodesic on a `dim`-dimensional chart.
 
     `flat` holds sample k as s, x^0..x^(dim-1), xdot^0..xdot^(dim-1) at
     offset k * (1 + 2 * dim)."""
 
-    step: float
-    dim: int
-    flat: array
+    def __init__(self, step: float, dim: int, flat: array):
+        self.step = step
+        self.dim = dim
+        self.flat = flat
 
     @property
     def samples(self) -> TraceSamples:

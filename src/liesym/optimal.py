@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import LieSymError
@@ -34,13 +33,13 @@ class OptimalSystemError(LieSymError):
     pass
 
 
-@dataclass(frozen=True)
 class OptimalRep:
     """Representative pattern: fixed entries are rationals, free slots
     are parameter names like 'a2'."""
 
-    case_id: int
-    pattern: tuple  # entries: Fraction | str
+    def __init__(self, case_id: int, pattern: tuple):
+        self.case_id = case_id
+        self.pattern = pattern  # entries: Fraction | str
 
     def describe(self, names):
         parts = []
@@ -72,25 +71,35 @@ def default_representatives() -> list:
     ]
 
 
-@dataclass
-class Move:
+class _Record:
+    """Equal to another record of its class with equal attributes."""
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+
+class Move(_Record):
     """One adjoint move: generator index, rotation parameter, and the
     exact (cos, sin) pair when the parameter is exactly representable."""
 
-    generator: int
-    parameter: float
-    exact_cos_sin: tuple | None = None
+    def __init__(self, generator: int, parameter: float, exact_cos_sin: tuple | None = None):
+        self.generator = generator
+        self.parameter = parameter
+        self.exact_cos_sin = exact_cos_sin
 
 
-@dataclass
-class ReductionTrace:
-    input: tuple
-    moves: list
-    scale: Fraction | float
-    output: tuple
-    matched_case: int | None
-    parameters: dict
-    exact: bool
+class ReductionTrace(_Record):
+    def __init__(self, input: tuple, moves: list, scale: Fraction | float, output: tuple,
+                 matched_case: int | None, parameters: dict, exact: bool):
+        self.input = input
+        self.moves = moves
+        self.scale = scale
+        self.output = output
+        self.matched_case = matched_case
+        self.parameters = parameters
+        self.exact = exact
 
 
 def _check_structure(g: LieAlgebra):

@@ -5,12 +5,12 @@ integrals arrive as canonical RatFuncs and are printed with str()."""
 
 from __future__ import annotations
 
-import json
-
 from .liealg import LieAlgebra
 
 
 def dumps_json(payload) -> str:
+    import json  # only JSON reports load it
+
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 

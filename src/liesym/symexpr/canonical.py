@@ -28,6 +28,13 @@ from .poly import (
     sym_atom,
 )
 
+# Bounds on input whose canonical form would take unbounded work.  Each
+# is checked before the work starts and raises ValueError, which the file
+# loaders and --bind report at the offending line.
+MAX_EXPANDED_POWER = 64  # integer part of |exponent| for a power that expands
+MAX_TRIG_MULTIPLE = 100  # n in sin(n w), cos(n w) for a kernel monomial w
+MAX_TRIAL_DIVISOR = 10**6  # trial divisors for an integer under a fractional power
+
 
 def canonical_ratfunc(e: Expr, _memo=None) -> RatFunc:
     if _memo is None:
@@ -123,6 +130,9 @@ def _sin_cos(arg: RatFunc):
         return sa * cb + ca * sb, ca * cb - sa * sb
     if arg.den.is_const() and num.den == 1:
         (m, n), = num.terms.items()
+        if n > MAX_TRIG_MULTIPLE:
+            raise ValueError(f"sin/cos of {n} times one term: the multiple is above "
+                             f"{MAX_TRIG_MULTIPLE}")
         if n > 1:
             # sin(k w + w) and cos(k w + w) from the pair at k w
             s1, c1 = _sin_cos(RatFunc.from_poly(Poly({m: 1})))
@@ -157,8 +167,20 @@ def _exp_of(arg: RatFunc) -> RatFunc:
     return RatFunc.atom(Atom("fn", ("exp", arg)))
 
 
+def _expands(p: Poly) -> bool:
+    """Whether the powers of p expand: several terms, a cos factor, or a
+    fractional power of a base whose powers expand, which the rewrite
+    rules multiply out."""
+    return len(p.terms) > 1 or any(
+        a.fold == 1 or (a.fold == 2 and _expands(a.payload[0])) for a in p.atoms())
+
+
 def pow_ratfunc(base: RatFunc, q: Fraction) -> RatFunc:
     """The canonical RatFunc of base^q for a rational exponent q."""
+    if abs(q.numerator) // q.denominator > MAX_EXPANDED_POWER and (
+            _expands(base.num) or _expands(base.den)):
+        raise ValueError(f"exponent {q} of an expression whose powers expand: its integer "
+                         f"part is above {MAX_EXPANDED_POWER}")
     if q.denominator == 1:
         return base ** q.numerator
     if base.is_zero():
@@ -238,6 +260,10 @@ def _factorize(n: int):
     out = []
     d = 2
     while d * d <= n:
+        if d > MAX_TRIAL_DIVISOR:
+            raise ValueError(f"cannot factor the integer under a fractional power: a cofactor "
+                             f"above {MAX_TRIAL_DIVISOR}^2 has no prime factor up to "
+                             f"{MAX_TRIAL_DIVISOR}")
         if n % d == 0:
             e = 0
             while n % d == 0:

@@ -9,12 +9,12 @@ simplifying anything.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable, Union
 
 ELEMENTARY_FUNCTIONS = ("sin", "cos", "tan", "cot", "csc", "sec", "exp", "ln", "arctan")
 
-Rat = Union[int, Fraction]
+Rat = int | Fraction
 
 
 class Expr:

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 from .charts import CoordChart
 from .errors import AnsatzError, VerificationError
@@ -98,14 +97,15 @@ def _constant_functions_pass(residuals) -> bool:
     return all(substitute_atoms(rf, image).is_zero() for rf in residuals)
 
 
-@dataclass
 class SymmetryReport:
-    field: BundleVectorField
-    mode: str  # "noether" | "liepoint"
-    residuals: tuple
-    passed: bool
-    first_integral: RatFunc | None = None
-    constant_functions_pass: bool = False
+    def __init__(self, field: BundleVectorField, mode: str, residuals: tuple, passed: bool,
+                 first_integral: RatFunc | None = None, constant_functions_pass: bool = False):
+        self.field = field
+        self.mode = mode  # "noether" | "liepoint"
+        self.residuals = residuals
+        self.passed = passed
+        self.first_integral = first_integral
+        self.constant_functions_pass = constant_functions_pass
 
     @property
     def notes(self):
@@ -172,7 +172,6 @@ def noether_first_integral(field: BundleVectorField, lagrangian: RatFunc,
 # Determining equations and the finite-ansatz solver.
 
 
-@dataclass(frozen=True)
 class DeterminingSystem:
     """Collected coefficient equations, each required to vanish.
 
@@ -180,11 +179,13 @@ class DeterminingSystem:
     function atoms; `sources` records the velocity monomial each
     equation came from."""
 
-    chart: CoordChart
-    mode: str
-    equations: tuple
-    sources: tuple
-    unknowns: tuple
+    def __init__(self, chart: CoordChart, mode: str, equations: tuple, sources: tuple,
+                 unknowns: tuple):
+        self.chart = chart
+        self.mode = mode
+        self.equations = equations
+        self.sources = sources
+        self.unknowns = unknowns
 
     def __len__(self):
         return len(self.equations)
@@ -227,14 +228,14 @@ def determining_system(target, mode: str) -> DeterminingSystem:
     return DeterminingSystem(chart, mode, tuple(equations), tuple(sources), tuple(names))
 
 
-@dataclass(frozen=True)
 class Ansatz:
     """Finite basis of (s, x) functions, as canonical RatFuncs, spanning
     each unknown."""
 
-    basis: tuple
-    degree: int = 2
-    kernels: tuple = ()
+    def __init__(self, basis: tuple, degree: int = 2, kernels: tuple = ()):
+        self.basis = basis
+        self.degree = degree
+        self.kernels = kernels
 
     def __len__(self):
         return len(self.basis)

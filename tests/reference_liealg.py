@@ -8,15 +8,18 @@ bracket or per unit vector, with its own derived-chain loop:
 - `derived_series` and `is_solvable_subspace` each iterate the span of
   pairwise brackets `[v_a, v_b]`, a < b;
 - `levi_complement` keeps the unit vectors that `express_in_basis`
-  cannot write in the radical's rows.
+  cannot write in the radical's rows;
+- `validate_structure` checks antisymmetry entry by entry and sums the
+  Jacobi identity over all m^3 ordered triples (i, j, k).
 
-`liesym.liealg` answers the same questions by rank comparisons and one
-shared derived chain; tests/test_liealg_reference.py checks that both
-agree.
+`liesym.liealg` answers the same questions by rank comparisons, one
+shared derived chain and the Jacobi sum over i < j < k only;
+tests/test_liealg_reference.py checks that both agree.
 """
 
 from fractions import Fraction
 
+from liesym.errors import NonClosureError
 from liesym.liealg import span_rref
 from liesym.linalg import express_in_basis
 
@@ -90,3 +93,27 @@ def levi_complement(g, rad_vectors):
     rad = [list(v) for v in rad_vectors]
     return [_unit(m, i) for i in range(m)
             if not rad or express_in_basis(rad, _unit(m, i)) is None]
+
+
+def validate_structure(g):
+    """Raise NonClosureError unless c_ij^k = -c_ji^k and the Jacobi sum
+    c_ij^l c_lk^t + c_jk^l c_li^t + c_ki^l c_lj^t vanishes for every
+    ordered (i, j, k) and every t, summed over nonzero constants."""
+    m = g.dim
+    c = g.c
+    nz = g.nonzero
+    for i in range(m):
+        for j in range(m):
+            for k, x in nz[i][j]:
+                if c[j][i][k] != -x:
+                    raise NonClosureError("antisymmetry violated in structure constants")
+    for i in range(m):
+        for j in range(m):
+            for k in range(m):
+                total = {}
+                for a, b, d in ((i, j, k), (j, k, i), (k, i, j)):
+                    for l, x in nz[a][b]:
+                        for target, y in nz[l][d]:
+                            total[target] = total.get(target, 0) + x * y
+                if any(total.values()):
+                    raise NonClosureError("Jacobi identity violated")

@@ -1,5 +1,6 @@
 """Input formats, CLI exit codes, and report determinism."""
 
+import ast
 import json
 import os
 import subprocess
@@ -316,13 +317,14 @@ class TestCliReports:
         assert code == 0
 
 
-def _run_cli(*argv, cwd=None):
+def _run_cli(*argv, cwd=None, timeout=None):
     # the child imports the same liesym as this process, installed or not
     src = str(Path(liesym.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
         [sys.executable, "-m", "liesym.cli", *argv], cwd=cwd,
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
+        timeout=timeout,
     )
 
 
@@ -332,16 +334,48 @@ def test_console_entry_point():
     assert "analyze" in out.stdout
 
 
+STARTUP_FREE = ("dataclasses", "inspect", "json", "importlib.resources", "typing")
+
+
+def _modules_after(code):
+    # -S keeps modules that site and .pth files preload out of the result
+    src = str(Path(liesym.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-S", "-c", code + "; print(sorted(sys.modules))"],
+                         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert out.returncode == 0, out.stderr
+    return set(ast.literal_eval(out.stdout.splitlines()[-1]))
+
+
+def test_import_loads_no_startup_heavy_module():
+    # every command pays for what `import liesym.cli` loads
+    loaded = _modules_after("import liesym.cli; import sys")
+    assert "liesym.cli" in loaded
+    assert loaded.isdisjoint(STARTUP_FREE), sorted(loaded & set(STARTUP_FREE))
+
+
+def test_json_loads_with_a_json_report():
+    loaded = _modules_after(
+        "import sys; from liesym.cli import main; "
+        "main(['algebra', 'vb_general.gens', '--metric', 'vaidya_bonner.metric', "
+        "'--format', 'json'])")
+    assert "json" in loaded
+
+
 FLAT_PLANE = "param s\ncoords x y\ng 0 0 = 1\ng 1 1 = 1\n"
 TRANSLATIONS = "gen T_s = 1 | 0 | 0\ngen T_x = 0 | 1 | 0\n"
 
 
-@pytest.mark.parametrize("expr", ["1/0", "(-4)^(1/2)", "ln(0)"])
+@pytest.mark.parametrize("expr", [
+    "1/0", "(-4)^(1/2)", "ln(0)",
+    "(x+1)^99999999", "cos(x)^99999999", "sin(99999999*x)", "1000000016000000063^(1/2)",
+])
 @pytest.mark.parametrize("where", ["metric", "generators"])
 def test_kernel_error_in_input_exits_2(tmp_path, expr, where):
     # a zero denominator, an even root of a negative rational and the
     # logarithm of zero are rejected by the expression kernel, not by
-    # the parser
+    # the parser; so are a power that expands, a trig multiple and a
+    # radicand past their caps, before any expansion or trial division
+    # could run for long
     metric, gens = FLAT_PLANE, TRANSLATIONS
     if where == "metric":
         metric = metric.replace("g 0 0 = 1", f"g 0 0 = {expr}")
@@ -351,7 +385,7 @@ def test_kernel_error_in_input_exits_2(tmp_path, expr, where):
         line = "in.gens:3"
     (tmp_path / "in.metric").write_text(metric)
     (tmp_path / "in.gens").write_text(gens)
-    out = _run_cli("verify", "in.metric", "in.gens", "--liepoint", cwd=tmp_path)
+    out = _run_cli("verify", "in.metric", "in.gens", "--liepoint", cwd=tmp_path, timeout=10)
     assert out.returncode == 2
     assert line in out.stderr
     assert "Traceback" not in out.stderr

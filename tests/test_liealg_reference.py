@@ -10,7 +10,9 @@ constants of `vb_general` and sl(4); on them the complement guess must
 pick the same unit vectors as the reference, and the basis invariants
 (derived-series dims, radical dimension, semisimplicity, solvability)
 must not move.  The Levi verdict itself is basis-dependent and is not
-asserted.
+asserted.  The same basis changes, with and without one antisymmetric
+perturbation of a structure constant, check that the Jacobi sum over
+increasing triples gives the verdict of the sum over all ordered ones.
 """
 
 import random
@@ -21,6 +23,7 @@ import pytest
 
 import reference_liealg as ref
 from liesym.cli import _heuristic_levi_split
+from liesym.errors import NonClosureError
 from liesym.files import load_generators, load_metric
 from liesym.liealg import (
     LieAlgebra,
@@ -28,6 +31,7 @@ from liesym.liealg import (
     _is_ideal,
     _is_solvable_subspace,
     _is_subalgebra,
+    _validate_structure,
     derived_series,
     radical,
     span_rref,
@@ -173,3 +177,34 @@ def test_basis_changes_keep_invariants_and_complement(algebras, name):
         h = _heuristic_levi_split(g, rad)
         assert [list(e) for e in h] == ref.levi_complement(g, rad)
         assert ref.is_ideal(g, rad) and ref.is_solvable_subspace(g, rad)
+
+
+def _verdict(validate, g):
+    try:
+        validate(g)
+    except NonClosureError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("name, trials", [("sl4", 2), ("vb_general", 20), ("scaling", 20)])
+def test_jacobi_on_increasing_triples_matches_reference(algebras, name, trials):
+    g0 = algebras[name]
+    m = g0.dim
+    rng = random.Random(3141 + len(name))
+    rejected = 0
+    for _ in range(trials):
+        g = _changed_basis(g0, *_unimodular(m, rng))
+        assert _verdict(_validate_structure, g) is None
+        assert _verdict(ref.validate_structure, g) is None
+        c = [[list(row) for row in plane] for plane in g.c]
+        i, j = rng.sample(range(m), 2)
+        k = rng.randrange(m)
+        delta = rng.choice(SMALL)
+        c[i][j][k] += delta
+        c[j][i][k] -= delta
+        bent = LieAlgebra(g.basis, tuple(tuple(map(tuple, plane)) for plane in c))
+        verdict = _verdict(_validate_structure, bent)
+        assert verdict == _verdict(ref.validate_structure, bent)
+        rejected += verdict == "Jacobi identity violated"
+    assert rejected > trials // 2

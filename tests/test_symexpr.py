@@ -179,6 +179,44 @@ class TestCanonical:
         assert out.returncode == 0, out.stderr
         assert out.stdout.split() == ["656", "656"]
 
+    @pytest.mark.parametrize("text, expected", [
+        ("x^99999999", "x^99999999"),
+        ("sin(x)^99999999", "sin(x)^99999999"),
+        ("exp(99999999*x)", "exp(x)^99999999"),
+        ("(2^200)^(1/2)", str(2 ** 100)),
+        ("(x^(1/2))^99999999", "x^49999999*x^(1/2)"),
+        ("(x+1)^64", "65"),     # terms at the exponent cap
+        ("sin(100*x)", "50"),   # terms at the multiple cap
+    ])
+    def test_input_at_or_below_the_caps_canonicalizes_in_budget(self, text, expected):
+        # a monomial power, an atom power, a power of a radical of a
+        # monomial and exp of a multiple stay one term whatever the
+        # exponent; a fully factored radicand has no cofactor for trial
+        # division
+        code = ("import sys\n"
+                "from liesym.symexpr import parse_expr\n"
+                "from liesym.symexpr.canonical import canonical_ratfunc\n"
+                "rf = canonical_ratfunc(parse_expr(sys.argv[1]))\n"
+                "print(len(rf.num.terms) if len(rf.num.terms) > 1 else str(rf))\n")
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        out = subprocess.run([sys.executable, "-c", code, text], env=env, capture_output=True,
+                             text=True, timeout=10)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == expected
+
+    @pytest.mark.parametrize("text, message", [
+        ("(x+1)^65", "integer part is above 64"),
+        ("(x+1)^(-131/2)", "integer part is above 64"),
+        ("cos(x)^65", "integer part is above 64"),
+        ("((x+1)^(1/2))^65", "integer part is above 64"),
+        ("sin(101*x)", "multiple is above 100"),
+        ("cos(x + 101*y)", "multiple is above 100"),
+        ("(1000003*1000033)^(1/3)", "no prime factor up to 1000000"),
+    ])
+    def test_input_above_the_caps_is_rejected(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            canonical_ratfunc(parse_expr(text))
+
     def test_structurally_close_nonzero(self):
         nonzeros = [
             "sin(u)^2 + cos(v)^2 - 1",
