@@ -32,16 +32,13 @@ from .optimal import (
     verify_optimal_cover,
 )
 from .reporting import (
+    algebra_latex,
+    algebra_payload,
+    algebra_text,
     analyze_latex,
     analyze_payload,
     analyze_text,
-    commutator_table_latex,
-    commutator_table_text,
     dumps_json,
-    generator_entry,
-    killing_latex,
-    killing_text,
-    structure_constants_json,
     verify_payload,
     verify_text,
 )
@@ -153,12 +150,8 @@ def cmd_analyze(args) -> int:
     fields = solve_determining(system, ansatz)
     reports = _verify_all(fields, target, mode)
     payload = analyze_payload(mode, metric, reports, system, len(fields), ansatz)
-    if args.format == "json":
-        sys.stdout.write(dumps_json(payload))
-    elif args.format == "latex":
-        sys.stdout.write(analyze_latex(payload))
-    else:
-        sys.stdout.write(analyze_text(payload, reports))
+    view = {"text": analyze_text, "json": dumps_json, "latex": analyze_latex}[args.format]
+    sys.stdout.write(view(payload))
     if not all(r.passed for r in reports):
         return EXIT_VERIFICATION
     return EXIT_OK
@@ -170,7 +163,7 @@ def cmd_verify(args) -> int:
     mode = _mode_of(args)
     reports = _verify_all(fields, _verification_target(metric, mode), mode)
     payload = verify_payload(mode, metric, reports)
-    sys.stdout.write(verify_text(payload, reports))
+    sys.stdout.write(verify_text(payload))
     return EXIT_OK if payload["all_pass"] else EXIT_VERIFICATION
 
 
@@ -188,47 +181,13 @@ def cmd_algebra(args) -> int:
     metric = load_metric(args.metric)
     fields = load_generators(args.generators, metric.chart, metric.functions)
     g = structure_constants(fields)
-    K, semisimple = g.killing
-    chain, solvable = g.derived
     rad = radical(g)
     h_guess = _heuristic_levi_split(g, rad)
     levi_ok = False
     if len(rad) + len(h_guess) == g.dim:
         levi_ok = levi_check(g, rad, h_guess)
-    names = g.names()
-    payload = {
-        "basis": names,
-        "structure_constants": structure_constants_json(g),
-        "killing": [[str(K[i, j]) for j in range(g.dim)] for i in range(g.dim)],
-        "semisimple": semisimple,
-        "derived_series_dims": list(chain.dims),
-        "solvable": solvable,
-        "radical": [[str(c) for c in v] for v in rad],
-        "levi_split": {
-            "radical_dim": len(rad),
-            "complement_indices": [i + 1 for i in range(g.dim)
-                                   if any(v[i] for v in h_guess)],
-            "verified": levi_ok,
-        },
-    }
-    if args.format == "json":
-        sys.stdout.write(dumps_json(payload))
-    elif args.format == "latex":
-        out = [commutator_table_latex(g), killing_latex(K, g.dim)]
-        sys.stdout.write("\n".join(out))
-    else:
-        lines = ["commutator table:", commutator_table_text(g)]
-        lines.append("killing form:")
-        lines.append(killing_text(K, g.dim))
-        lines.append(f"semisimple: {semisimple}")
-        lines.append(f"derived series dims: {list(chain.dims)}")
-        lines.append(f"solvable: {solvable}")
-        rad_desc = ", ".join(
-            " + ".join(f"{c}*{names[i]}" for i, c in enumerate(v) if c) for v in rad
-        )
-        lines.append(f"radical: {rad_desc if rad_desc else '0'}")
-        lines.append(f"levi split verified: {levi_ok}")
-        sys.stdout.write("\n".join(lines) + "\n")
+    view = {"text": algebra_text, "json": dumps_json, "latex": algebra_latex}[args.format]
+    sys.stdout.write(view(algebra_payload(g, rad, h_guess, levi_ok)))
     return EXIT_OK
 
 

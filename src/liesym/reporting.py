@@ -1,11 +1,14 @@
 """Deterministic text, JSON, and LaTeX report emitters.
 
-This is the render boundary: field components, residuals and first
-integrals arrive as canonical RatFuncs and are printed with str()."""
+This is the render boundary.  Each multi-format command builds one
+payload of strings, numbers and lists, in which every field component,
+residual, first integral and structure constant is printed once with
+str().  The JSON report is the payload; the text and LaTeX reports are
+functions of the payload alone, so formatting `json.loads` of a
+`--format json` report gives the `--format text` and `--format latex`
+bytes."""
 
 from __future__ import annotations
-
-from .liealg import LieAlgebra
 
 
 def dumps_json(payload) -> str:
@@ -29,81 +32,105 @@ def generator_entry(report) -> dict:
     return entry
 
 
-def analyze_payload(mode, metric, reports, system, nullspace_dim, ansatz) -> dict:
+def _generators_payload(mode, metric, reports) -> dict:
     return {
         "mode": mode,
         "metric_id": metric.name,
         "chart": {"param": metric.chart.param, "coords": list(metric.chart.coords)},
         "generators": [generator_entry(r) for r in reports],
+    }
+
+
+def verify_payload(mode, metric, reports) -> dict:
+    return {**_generators_payload(mode, metric, reports),
+            "all_pass": all(r.passed for r in reports)}
+
+
+def analyze_payload(mode, metric, reports, system, nullspace_dim, ansatz) -> dict:
+    return {
+        **_generators_payload(mode, metric, reports),
         "determining_equations_count": len(system),
         "nullspace_dim": nullspace_dim,
         "ansatz": {"degree": ansatz.degree, "kernels": list(ansatz.kernels)},
     }
 
 
-def verify_payload(mode, metric, reports) -> dict:
+def algebra_payload(g, rad, complement, levi_ok) -> dict:
+    """The `algebra` report of g with radical rows `rad` and the
+    guessed Levi complement `complement`."""
+    m = g.dim
+    K, semisimple = g.killing
+    chain, solvable = g.derived
+    names = g.names()
     return {
-        "mode": mode,
-        "metric_id": metric.name,
-        "generators": [generator_entry(r) for r in reports],
-        "all_pass": all(r.passed for r in reports),
+        "basis": names,
+        "structure_constants": {
+            "basis": names,
+            "c": [[i, j, k, str(x)] for i, plane in enumerate(g.nonzero)
+                  for j, row in enumerate(plane) for k, x in row],
+        },
+        "killing": [[str(K[i, j]) for j in range(m)] for i in range(m)],
+        "semisimple": semisimple,
+        "derived_series_dims": list(chain.dims),
+        "solvable": solvable,
+        "radical": [[str(c) for c in v] for v in rad],
+        "levi_split": {
+            "radical_dim": len(rad),
+            "complement_indices": [i + 1 for i in range(m) if any(v[i] for v in complement)],
+            "verified": levi_ok,
+        },
     }
 
 
-def _field_text(field) -> str:
-    parts = []
-    if not field.xi.is_zero():
-        parts.append(f"({field.xi}) d_{field.chart.param}")
-    for c, comp in zip(field.chart.coords, field.eta):
-        if not comp.is_zero():
-            parts.append(f"({comp}) d_{c}")
+def _field_terms(gen, variables, term) -> str:
+    """A generator entry as term(component, variable) per nonzero
+    component, joined by ' + '."""
+    comps = [gen["xi"], *gen["eta"]]
+    parts = [term(comp, v) for comp, v in zip(comps, variables) if comp != "0"]
     return " + ".join(parts) if parts else "0"
 
 
-def verify_text(payload, reports) -> str:
+def _text_field(gen, chart) -> str:
+    return _field_terms(gen, [chart["param"], *chart["coords"]],
+                        lambda comp, v: f"({comp}) d_{v}")
+
+
+def verify_text(payload) -> str:
     lines = [f"mode: {payload['mode']}", f"metric: {payload['metric_id']}"]
-    for rep in reports:
-        status = "pass" if rep.passed else "FAIL"
-        lines.append(f"  {rep.field.name}: {status}   {_field_text(rep.field)}")
-        if not rep.passed:
-            for r in rep.residuals:
-                if not r.is_zero():
-                    lines.append(f"      residual: {r}")
-            for note in rep.notes:
-                lines.append(f"      note: {note}")
-        elif rep.first_integral is not None:
-            lines.append(f"      first integral: {rep.first_integral}")
+    for g in payload["generators"]:
+        status = "pass" if g["pass"] else "FAIL"
+        lines.append(f"  {g['name']}: {status}   {_text_field(g, payload['chart'])}")
+        if not g["pass"]:
+            lines += [f"      residual: {r}" for r in g["residuals"] if r != "0"]
+            lines += [f"      note: {note}" for note in g.get("notes", ())]
+        elif "first_integral" in g:
+            lines.append(f"      first integral: {g['first_integral']}")
     lines.append("result: " + ("all pass" if payload["all_pass"] else "failures present"))
     return "\n".join(lines) + "\n"
 
 
-def analyze_text(payload, reports) -> str:
+def analyze_text(payload) -> str:
     lines = [
         f"mode: {payload['mode']}",
         f"metric: {payload['metric_id']}",
         f"determining equations: {payload['determining_equations_count']}",
         f"nullspace dimension: {payload['nullspace_dim']}",
     ]
-    for rep in reports:
-        lines.append(f"  {rep.field.name}: {_field_text(rep.field)}")
-        if rep.first_integral is not None:
-            lines.append(f"      first integral: {rep.first_integral}")
+    for g in payload["generators"]:
+        lines.append(f"  {g['name']}: {_text_field(g, payload['chart'])}")
+        if "first_integral" in g:
+            lines.append(f"      first integral: {g['first_integral']}")
     return "\n".join(lines) + "\n"
 
 
 def analyze_latex(payload) -> str:
     lines = [r"\begin{align*}"]
     gens = payload["generators"]
-    param = payload["chart"]["param"]
-    coords = [_latexify(c) for c in payload["chart"]["coords"]]
+    chart = payload["chart"]
+    variables = [chart["param"], *(_latexify(c) for c in chart["coords"])]
     for i, g in enumerate(gens):
-        terms = []
-        if g["xi"] != "0":
-            terms.append(rf"({_latexify(g['xi'])})\,\partial_{{{param}}}")
-        for c, comp in zip(coords, g["eta"]):
-            if comp != "0":
-                terms.append(rf"({_latexify(comp)})\,\partial_{{{c}}}")
-        body = " + ".join(terms) if terms else "0"
+        body = _field_terms(g, variables,
+                            lambda comp, v: rf"({_latexify(comp)})\,\partial_{{{v}}}")
         sep = r"\\" if i + 1 < len(gens) else ""
         lines.append(rf"{g['name']} &= {body} {sep}")
     lines.append(r"\end{align*}")
@@ -119,83 +146,56 @@ def _latexify(text: str) -> str:
     return out.replace("*", r"\,")
 
 
-def commutator_table_text(g: LieAlgebra) -> str:
-    """Each column padded to its widest cell plus two spaces."""
-    names = g.names()
-    m = g.dim
+def _bracket_cells(payload, names, times) -> list:
+    """cells[i][j] writes [X_i, X_j] as its terms c X_k in ascending k:
+    names[k] for c = 1, -names[k] for c = -1, else c + times + names[k];
+    0 when the bracket vanishes."""
+    m = len(names)
+    cells = [[[] for _ in range(m)] for _ in range(m)]
+    for i, j, k, c in payload["structure_constants"]["c"]:
+        coeff = {"1": "", "-1": "-"}.get(c, c + times)
+        cells[i][j].append(coeff + names[k])
+    return [[" + ".join(terms) if terms else "0" for terms in row] for row in cells]
 
-    def entry(i, j):
-        parts = []
-        for k in range(m):
-            c = g.c[i][j][k]
-            if c == 0:
-                continue
-            if c == 1:
-                parts.append(names[k])
-            elif c == -1:
-                parts.append(f"-{names[k]}")
-            else:
-                parts.append(f"{c}*{names[k]}")
-        return " + ".join(parts) if parts else "0"
 
+def algebra_text(payload) -> str:
+    """Each commutator-table column padded to its widest cell plus two
+    spaces."""
+    names = payload["basis"]
     table = [["[ , ]", *names]]
-    table += [[names[i], *(entry(i, j) for j in range(m))] for i in range(m)]
-    widths = [max(len(row[col]) for row in table) + 2 for col in range(m + 1)]
-    lines = ["".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in table]
+    table += [[name, *row] for name, row in zip(names, _bracket_cells(payload, names, "*"))]
+    widths = [max(len(row[col]) for row in table) + 2 for col in range(len(names) + 1)]
+    radical = ", ".join(" + ".join(f"{c}*{names[i]}" for i, c in enumerate(v) if c != "0")
+                        for v in payload["radical"])
+    lines = [
+        "commutator table:",
+        *("".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in table),
+        "",
+        "killing form:",
+        *("  [ " + "  ".join(row) + " ]" for row in payload["killing"]),
+        "",
+        f"semisimple: {payload['semisimple']}",
+        f"derived series dims: {payload['derived_series_dims']}",
+        f"solvable: {payload['solvable']}",
+        f"radical: {radical or '0'}",
+        f"levi split verified: {payload['levi_split']['verified']}",
+    ]
     return "\n".join(lines) + "\n"
 
 
-def commutator_table_latex(g: LieAlgebra) -> str:
-    names = g.names()
-    m = g.dim
-
-    def entry(i, j):
-        parts = []
-        for k in range(m):
-            c = g.c[i][j][k]
-            if c == 0:
-                continue
-            coeff = "" if c == 1 else ("-" if c == -1 else str(c))
-            parts.append(f"{coeff}{{\\bf {names[k]}}}")
-        return " + ".join(parts) if parts else "0"
-
-    cols = "c" * (m + 1)
+def algebra_latex(payload) -> str:
+    bold = [f"{{\\bf {n}}}" for n in payload["basis"]]
+    killing = payload["killing"]
     lines = [
-        r"\begin{tabular}{" + cols + "}",
+        r"\begin{tabular}{" + "c" * (len(bold) + 1) + "}",
         r"\hline\hline",
-        "  $[~,~]$ & " + " & ".join(f"${{\\bf {n}}}$" for n in names) + r" \\",
+        "  $[~,~]$ & " + " & ".join(f"${b}$" for b in bold) + r" \\",
         r"\hline",
     ]
-    for i in range(m):
-        row = " & ".join(entry(i, j) for j in range(m))
-        lines.append(f"${{\\bf {names[i]}}}$ & {row} \\\\")
-        lines.append(r"\hline")
-    lines.append(r"\end{tabular}")
-    return "\n".join(lines) + "\n"
-
-
-def killing_text(K, dim) -> str:
-    rows = []
-    for i in range(dim):
-        rows.append("  [ " + "  ".join(str(K[i, j]) for j in range(dim)) + " ]")
-    return "\n".join(rows) + "\n"
-
-
-def killing_latex(K, dim) -> str:
-    lines = [r"\begin{bmatrix}"]
-    for i in range(dim):
-        row = " & ".join(str(K[i, j]) for j in range(dim))
-        lines.append(row + (r" \\" if i + 1 < dim else ""))
+    for b, row in zip(bold, _bracket_cells(payload, bold, "")):
+        lines += [f"${b}$ & {' & '.join(row)} \\\\", r"\hline"]
+    lines += [r"\end{tabular}", "", r"\begin{bmatrix}"]
+    lines += [" & ".join(row) + (r" \\" if i + 1 < len(killing) else "")
+              for i, row in enumerate(killing)]
     lines.append(r"\end{bmatrix}")
     return "\n".join(lines) + "\n"
-
-
-def structure_constants_json(g: LieAlgebra) -> dict:
-    entries = []
-    m = g.dim
-    for i in range(m):
-        for j in range(m):
-            for k in range(m):
-                if g.c[i][j][k]:
-                    entries.append([i, j, k, str(g.c[i][j][k])])
-    return {"basis": g.names(), "c": entries}

@@ -34,6 +34,10 @@ from .poly import (
 MAX_EXPANDED_POWER = 64  # integer part of |exponent| for a power that expands
 MAX_TRIG_MULTIPLE = 100  # n in sin(n w), cos(n w) for a kernel monomial w
 MAX_TRIAL_DIVISOR = 10**6  # trial divisors for an integer under a fractional power
+# bits of the coefficients of a power, bounded from its base and exponent;
+# 14000 bits keep every numerator and denominator under 4300 digits, the
+# longest int Python converts to str by default
+MAX_POWER_COEFFICIENT_BITS = 14_000
 
 
 def canonical_ratfunc(e: Expr, _memo=None) -> RatFunc:
@@ -175,12 +179,26 @@ def _expands(p: Poly) -> bool:
         a.fold == 1 or (a.fold == 2 and _expands(a.payload[0])) for a in p.atoms())
 
 
+def _coefficient_bits(p: Poly) -> int:
+    """k with 2^k at least p's denominator and the sum of its |integer
+    coefficients|: the numerators and denominators of p^n then have at
+    most n k bits, plus n where the cos^2 = 1 - sin^2 rewrite applies."""
+    total = sum(abs(c) for c in p.terms.values())
+    return max((max(total, 1) - 1).bit_length(), (p.den - 1).bit_length())
+
+
 def pow_ratfunc(base: RatFunc, q: Fraction) -> RatFunc:
     """The canonical RatFunc of base^q for a rational exponent q."""
     if abs(q.numerator) // q.denominator > MAX_EXPANDED_POWER and (
             _expands(base.num) or _expands(base.den)):
         raise ValueError(f"exponent {q} of an expression whose powers expand: its integer "
                          f"part is above {MAX_EXPANDED_POWER}")
+    # no coefficient of base^q exceeds those of base^n for n = ceil(|q|)
+    n = -(-abs(q.numerator) // q.denominator)
+    if n > 1 and n * max(_coefficient_bits(base.num), _coefficient_bits(base.den)) > \
+            MAX_POWER_COEFFICIENT_BITS:
+        raise ValueError(f"exponent {q}: the coefficients of the power would exceed "
+                         f"{MAX_POWER_COEFFICIENT_BITS} bits")
     if q.denominator == 1:
         return base ** q.numerator
     if base.is_zero():

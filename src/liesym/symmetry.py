@@ -283,19 +283,20 @@ def default_ansatz(chart: CoordChart, degree: int = 2) -> Ansatz:
     return Ansatz(tuple(basis), degree=degree, kernels=tuple(kernel_names))
 
 
-def _check_derivative_closure(ansatz: Ansatz, chart: CoordChart, derivative):
+def _check_derivative_closure(ansatz: Ansatz, chart: CoordChart):
+    """Every first derivative of each kernel atom of the basis lies in
+    the basis atoms and the chart symbols, so every derivative of every
+    basis function does too."""
     args = (chart.param, *chart.coords)
-    allowed = set()
-    for k in range(len(ansatz.basis)):
-        allowed |= derivative(k, (0,) * len(args)).atoms()
-    allowed |= {sym_atom(v) for v in args}
-    for k, b in enumerate(ansatz.basis):
-        for i, v in enumerate(args):
-            orders = tuple(int(j == i) for j in range(len(args)))
-            extra = derivative(k, orders).atoms() - allowed
+    atoms = sorted(set().union(*(b.atoms() for b in ansatz.basis)), key=lambda a: a.key())
+    allowed = set(atoms) | {sym_atom(v) for v in args}
+    for a in atoms:
+        for v in args:
+            extra = derive(RatFunc.atom(a), {v: RAT_ONE}).atoms() - allowed
             if extra:
                 raise AnsatzError(
-                    f"ansatz is not derivative-closed: d/d{v} of {b} introduces {sorted(a.key() for a in extra)}"
+                    f"ansatz is not derivative-closed: d/d{v} of {RatFunc.atom(a)} introduces "
+                    f"{sorted(e.key() for e in extra)}"
                 )
 
 
@@ -384,8 +385,8 @@ def solve_determining(system: DeterminingSystem, ansatz: Ansatz) -> list:
         raise AnsatzError("empty ansatz")
     chart = system.chart
     args = (chart.param, *chart.coords)
+    _check_derivative_closure(ansatz, chart)
     derivative = _basis_derivatives(ansatz.basis, args)
-    _check_derivative_closure(ansatz, chart, derivative)
     nb = len(ansatz.basis)
     unknowns = list(system.unknowns)
     names = set(unknowns)

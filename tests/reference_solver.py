@@ -28,8 +28,8 @@ def solve(system, ansatz):
     if not ansatz.basis:
         raise AnsatzError("empty ansatz")
     args = (system.chart.param, *system.chart.coords)
+    _check_derivative_closure(ansatz, system.chart)
     derivative = _basis_derivatives(ansatz.basis, args)
-    _check_derivative_closure(ansatz, system.chart, derivative)
     nb = len(ansatz.basis)
     col_of = {(u, k): i * nb + k
               for i, u in enumerate(system.unknowns) for k in range(nb)}

@@ -7,11 +7,16 @@ for byte:
 - `<metric>.<mode>.json`: `analyze <metric>.metric --<mode> --format json`
   for each bundled metric in each mode.  A change to the solver that
   keeps its nullspace must not change them.
+- `<metric>.<mode>.{txt,tex}`: `analyze --format text` and `--format
+  latex` for `vaidya_bonner_M1_Qt` and `vaidya_bonner_Mt_Qt2` in each
+  mode.  They guard the text and LaTeX views of the analyze payload.
 - `<gens>.algebra.{json,txt,tex}`: `algebra` in each format on the
   15-field sl(4) basis `tests/data/sl4.gens` with the flat-plane metric
-  `tests/data/flat_plane.metric`, and on the bundled `vb_general.gens`
-  with `vaidya_bonner.metric`.  A change to the structure-constant,
-  Killing form, radical or Levi computations must not change them.
+  `tests/data/flat_plane.metric`, on the bundled `vb_general.gens` with
+  `vaidya_bonner.metric`, and on `vb_Mt_Qt2.gens` with
+  `vaidya_bonner_Mt_Qt2.metric`, whose radical is not central (derived
+  series [5, 4, 3, 3]).  A change to the structure-constant, Killing
+  form, radical or Levi computations must not change them.
 - `<gens>.verify.<mode>.txt`: `verify <metric>.metric <gens>.gens
   --<mode>` in each mode for the three bundled generator files on their
   metrics, with the exit code each run returned.  They guard the
@@ -28,13 +33,19 @@ for byte:
 - `vb_general.optimal.json`: `optimal` on `vb_general.gens` with 1000
   samples and seed 7.  It guards the sample draws, the reduction moves,
   replay and the invariant drift.
+
+Every multi-format report is a view of one payload: formatting
+`json.loads` of a `--format json` report gives the `--format text` and
+`--format latex` bytes.
 """
 
+import json
 from pathlib import Path
 
 import pytest
 
 from liesym.cli import main
+from liesym.reporting import algebra_latex, algebra_text, analyze_latex, analyze_text
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden"
@@ -53,10 +64,43 @@ def test_analyze_json_matches_golden(metric, mode, capsys):
     assert capsys.readouterr().out.encode() == expected
 
 
+@pytest.mark.parametrize("fmt, ext", [("text", "txt"), ("latex", "tex")])
+@pytest.mark.parametrize("mode", ["liepoint", "noether"])
+@pytest.mark.parametrize("metric", ["vaidya_bonner_M1_Qt", "vaidya_bonner_Mt_Qt2"])
+def test_analyze_text_and_latex_match_golden(metric, mode, fmt, ext, capsys):
+    code = main(["analyze", f"{metric}.metric", f"--{mode}", "--format", fmt])
+    assert code == 0
+    expected = (GOLDEN / f"{metric}.{mode}.{ext}").read_bytes()
+    assert capsys.readouterr().out.encode() == expected
+
+
+def _reports(argv, capsys):
+    """stdout of argv in each --format, keyed by format."""
+    out = {}
+    for fmt in ("json", "text", "latex"):
+        assert main([*argv, "--format", fmt]) == 0
+        out[fmt] = capsys.readouterr().out
+    return out
+
+
+@pytest.mark.parametrize("mode", ["liepoint", "noether"])
+@pytest.mark.parametrize("metric", [
+    "vaidya_bonner",
+    "vaidya_bonner_M1_Qt",
+    "vaidya_bonner_Mt_Qt2",
+])
+def test_analyze_text_and_latex_are_views_of_the_json(metric, mode, capsys):
+    out = _reports(["analyze", f"{metric}.metric", f"--{mode}"], capsys)
+    payload = json.loads(out["json"])
+    assert analyze_text(payload) == out["text"]
+    assert analyze_latex(payload) == out["latex"]
+
+
 # basis name -> (generator file, metric file)
 ALGEBRA_INPUTS = {
     "sl4": (str(DATA / "sl4.gens"), str(DATA / "flat_plane.metric")),
     "vb_general": ("vb_general.gens", "vaidya_bonner.metric"),
+    "vb_Mt_Qt2": ("vb_Mt_Qt2.gens", "vaidya_bonner_Mt_Qt2.metric"),
 }
 
 
@@ -68,6 +112,15 @@ def test_algebra_matches_golden(name, fmt, ext, capsys):
     assert code == 0
     expected = (GOLDEN / f"{name}.algebra.{ext}").read_bytes()
     assert capsys.readouterr().out.encode() == expected
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRA_INPUTS))
+def test_algebra_text_and_latex_are_views_of_the_json(name, capsys):
+    gens, metric = ALGEBRA_INPUTS[name]
+    out = _reports(["algebra", gens, "--metric", metric], capsys)
+    payload = json.loads(out["json"])
+    assert algebra_text(payload) == out["text"]
+    assert algebra_latex(payload) == out["latex"]
 
 
 # generator file -> (metric file, {mode: exit code})
