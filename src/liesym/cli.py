@@ -22,7 +22,7 @@ from .errors import (
     SingularMetricError,
     VerificationError,
 )
-from .files import load_generators, load_metric
+from .files import canonical_input, load_generators, load_metric
 from .geometry import geodesic_lagrangian, geodesic_system
 from .liealg import radical, levi_check, structure_constants
 from .numeric import drift_along_trace, integrate_geodesic, step_count
@@ -42,7 +42,7 @@ from .reporting import (
     verify_payload,
     verify_text,
 )
-from .symexpr import ExprSyntaxError, canonical_ratfunc, derive, parse_expr
+from .symexpr import ExprSyntaxError, derive, parse_expr
 from .symexpr.poly import RAT_ONE
 from .symmetry import (
     default_ansatz,
@@ -235,7 +235,7 @@ def cmd_integrate(args) -> int:
             raise FormatError("<bind>", 0, f"symbols {stray} are not arguments of "
                               f"{name}({', '.join(fargs)})")
         try:
-            bindings[name] = canonical_ratfunc(tree)
+            bindings[name] = canonical_input(tree)
         except (ZeroDivisionError, ValueError) as exc:
             raise FormatError("<bind>", 0, str(exc))
     missing = set(metric.functions) - set(bindings)

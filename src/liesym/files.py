@@ -21,8 +21,9 @@ canonicalization could cancel a stray symbol (w - w), and the error
 names the file and line.
 
 Loading is the parse boundary: each expression is parsed and
-canonicalized once, and metrics and fields hold canonical RatFuncs.
-generators_to_text renders them back.
+canonicalized once, by canonical_input, which `--bind` shares, and
+metrics and fields hold canonical RatFuncs.  generators_to_text renders
+them back.
 """
 
 from __future__ import annotations
@@ -34,12 +35,30 @@ from .errors import ChartError, FormatError, SingularMetricError
 from .geometry import Metric, determinant
 from .jets import BundleVectorField
 from .symexpr import ExprSyntaxError, canonical_ratfunc, parse_expr
-from .symexpr.poly import RAT_ZERO
+from .symexpr.canonical import MAX_POWER_COEFFICIENT_BITS
+from .symexpr.poly import RAT_ZERO, RatFunc
 
 # What the expression kernel raises for input it cannot represent:
 # ZeroDivisionError for a zero denominator (1/0), ValueError for an even
-# root of a negative rational ((-4)^(1/2)) and for ln(0).
+# root of a negative rational ((-4)^(1/2)), for ln(0) and for input past
+# a size cap.
 _KERNEL_ERRORS = (ZeroDivisionError, ValueError)
+
+
+def canonical_input(tree) -> RatFunc:
+    """The canonical RatFunc of one parsed input expression.
+
+    Raises ValueError when a numerator or denominator coefficient has
+    more than MAX_POWER_COEFFICIENT_BITS bits, too long to print: a
+    product or sum of powers each below the kernel's cap can build one
+    (7^4000*7^4000)."""
+    rf = canonical_ratfunc(tree)
+    for p in (rf.num, rf.den):
+        bits = max([p.den, *map(abs, p.terms.values())]).bit_length()
+        if bits > MAX_POWER_COEFFICIENT_BITS:
+            raise ValueError(f"a coefficient of the canonical form has {bits} bits, "
+                             f"above {MAX_POWER_COEFFICIENT_BITS}")
+    return rf
 
 
 def resolve_input_path(path) -> Path:
@@ -115,7 +134,7 @@ def load_metric(path) -> Metric:
         try:
             tree = parse_expr(expr_text, functions)
             _check_symbols(path, lineno, [tree], allowed)
-            e = canonical_ratfunc(tree)
+            e = canonical_input(tree)
         except (ExprSyntaxError, *_KERNEL_ERRORS) as exc:
             raise FormatError(path, lineno, str(exc))
         comps[i][j] = e
@@ -199,7 +218,7 @@ def load_generators(path, chart: CoordChart, functions=None) -> list:
             raise FormatError(path, lineno, str(exc))
         _check_symbols(path, lineno, exprs, allowed)
         try:
-            f = BundleVectorField(chart, [canonical_ratfunc(e) for e in exprs], name=name)
+            f = BundleVectorField(chart, [canonical_input(e) for e in exprs], name=name)
         except (ChartError, *_KERNEL_ERRORS) as exc:
             raise FormatError(path, lineno, str(exc))
         fields.append(f)

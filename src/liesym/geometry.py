@@ -1,12 +1,12 @@
 """Metric geometry pipeline: inverse metric, Christoffel symbols,
-geodesic system, geodesic Lagrangian, Euler-Lagrange operator.
+geodesic system, geodesic Lagrangian.
 
 Every value is a canonical RatFunc: metric components (as loaded by
 `files`), the inverse adj(g)/det(g), Christoffel symbols gamma[i][j][k],
 the accelerations G^i and equations xddot^i - G^i of the geodesic
-system, the Lagrangian and its Euler-Lagrange expressions.  Partial
-derivatives are `symexpr.derive`; the system's `on_shell` map restricts
-a RatFunc to the solution manifold through `substitute_atoms`."""
+system, and the Lagrangian.  Partial derivatives are `symexpr.derive`;
+the system's `on_shell` map restricts a RatFunc to the solution
+manifold through `substitute_atoms`."""
 
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .charts import CoordChart
 from .errors import ChartError, SingularMetricError
-from .jets import symbol, total
+from .jets import symbol
 from .symexpr import derive
 from .symexpr.poly import RAT_ONE, RAT_ZERO, RatFunc, rat_sum, sym_atom
 
@@ -91,8 +91,10 @@ def determinant(metric: Metric):
     return _det(metric.components)
 
 
-def _inverse(metric: Metric):
-    """adj(g)/det(g) as a matrix of canonical RatFuncs."""
+def inverse_metric(metric: Metric):
+    """Exact inverse adj(g)/det(g) as a matrix of canonical RatFuncs;
+    its product with g canonicalizes to the identity.  Raises
+    SingularMetricError when the determinant vanishes."""
     n = metric.chart.dim
     a = [list(row) for row in metric.components]
     det = _det(a)
@@ -109,20 +111,13 @@ def _inverse(metric: Metric):
     return inv
 
 
-def inverse_metric(metric: Metric) -> Metric:
-    """Exact inverse adj(g)/det(g); the product with the input
-    canonicalizes to the identity.  Raises SingularMetricError when the
-    determinant vanishes."""
-    return Metric(metric.chart, _inverse(metric), metric.functions, metric.name)
-
-
 def christoffel(metric: Metric):
     """Gamma^i_{jk} = (1/2) g^{il} (g_{lj,k} + g_{lk,j} - g_{jk,l}),
     indexed gamma[i][j][k]."""
     n = metric.chart.dim
     coords = metric.chart.coords
     g = metric.components
-    ginv = _inverse(metric)
+    ginv = inverse_metric(metric)
     dg = [
         [[derive(g[i][j], {coords[k]: RAT_ONE}) for k in range(n)] for j in range(n)]
         for i in range(n)
@@ -168,29 +163,3 @@ def geodesic_lagrangian(metric: Metric) -> RatFunc:
         for i, row in enumerate(metric.components) for j, comp in enumerate(row)
         if not comp.is_zero()
     )
-
-
-def euler_lagrange(lagrangian: RatFunc, chart: CoordChart) -> tuple:
-    """d/ds (dL/dxdot^i) - dL/dx^i for each coordinate."""
-    return tuple(
-        total(derive(lagrangian, {chart.jet1(c): RAT_ONE}), chart)
-        - derive(lagrangian, {c: RAT_ONE})
-        for c in chart.coords
-    )
-
-
-def covariant_metric_derivative_is_zero(metric: Metric) -> bool:
-    """Metric compatibility nabla g = 0, a full internal consistency check."""
-    n = metric.chart.dim
-    coords = metric.chart.coords
-    g = metric.components
-    gamma = christoffel(metric)
-    for k in range(n):
-        for i in range(n):
-            for j in range(n):
-                expr = derive(g[i][j], {coords[k]: RAT_ONE}) - rat_sum(
-                    gamma[l][k][i] * g[l][j] + gamma[l][k][j] * g[i][l] for l in range(n)
-                )
-                if not expr.is_zero():
-                    return False
-    return True

@@ -41,7 +41,7 @@ from .errors import (
 from .jets import BundleVectorField, symbol
 from .linalg import express_in_basis, rank, sparse_nullspace, sparse_rref
 from .symexpr import fn_ratfunc, pow_ratfunc, substitute_atoms
-from .symexpr.poly import RAT_ONE, RAT_ZERO, RatFunc, poly_divexact, poly_lcm, rat_sum, sym_atom
+from .symexpr.poly import RAT_ONE, RAT_ZERO, RatFunc, poly_divexact, poly_lcm, sym_atom
 
 
 def field_bracket(x: BundleVectorField, y: BundleVectorField) -> BundleVectorField:
@@ -537,15 +537,6 @@ class AdjointMap:
         image = {sym_atom(self.parameter): q_value}.get
         return [[substitute_atoms(x, image) for x in row] for row in self.matrix]
 
-    def apply_row(self, coeffs, q_value: RatFunc):
-        """Transform a coefficient vector, substituting the parameter."""
-        mat = self.at(q_value)
-        m = self.dim
-        return [
-            rat_sum(RatFunc.const(coeffs[j]) * mat[j][k] for j in range(m) if coeffs[j])
-            for k in range(m)
-        ]
-
 
 def adjoint_exp(g: LieAlgebra, index: int, parameter: str = "q") -> AdjointMap:
     """Closed-form exp(-q ad X_i) assembled from the minimal-polynomial
@@ -669,24 +660,3 @@ def _check_identity_at_zero(amap: AdjointMap):
         for j, v in enumerate(row):
             if not (v - (RAT_ONE if i == j else RAT_ZERO)).is_zero():
                 raise UnsupportedAdjointError("adjoint map is not identity at 0")
-
-
-def adjoint_series_truncation(g: LieAlgebra, index: int, parameter: str, order: int):
-    """Partial sum of the alternating adjoint series as polynomial
-    matrices in the parameter: sum_{l<=order} (-q)^l ad^l / l!.
-
-    Returned with the same row-orientation as AdjointMap."""
-    m = g.dim
-    a = ad_matrix(g, _unit(m, index))
-    minus_q = -symbol(parameter)
-    out = [[RAT_ZERO] * m for _ in range(m)]
-    power = _identity(m)
-    fact = 1
-    for l in range(order + 1):
-        for i in range(m):
-            for j in range(m):
-                if power[i][j]:
-                    out[i][j] = out[i][j] + RatFunc.const(power[i][j] / fact) * minus_q ** l
-        power = _mat_mul(power, a)
-        fact *= l + 1
-    return tuple(tuple(out[i][j] for i in range(m)) for j in range(m))

@@ -21,10 +21,7 @@ import random
 from fractions import Fraction
 
 from .errors import LieSymError
-from .jets import symbol
-from .liealg import LieAlgebra, adjoint_exp
-from .symexpr import substitute_atoms
-from .symexpr.poly import rat_sum, sym_atom
+from .liealg import LieAlgebra
 
 MATCH_TOL = 1e-9
 
@@ -282,37 +279,6 @@ def replay(trace: ReductionTrace):
             work = [_float(v) for v in work]
         work = _apply_rotation(work, mv.generator, cos_v, sin_v)
     return [v * trace.scale for v in work]
-
-
-def orbit_invariants_check(g: LieAlgebra, candidates=None, parameter="q") -> dict:
-    """Canonical invariance of candidate functions of the coefficients
-    under every one-parameter adjoint map.
-
-    Default candidates: a1, a2, a3^2 + a4^2 + a5^2."""
-    m = g.dim
-    syms = [symbol(f"a{i + 1}") for i in range(m)]
-    if candidates is None:
-        candidates = {
-            "a1": syms[0],
-            "a2": syms[1],
-            "a3^2 + a4^2 + a5^2": rat_sum(syms[i] * syms[i] for i in (2, 3, 4)),
-        }
-    maps = [adjoint_exp(g, i, parameter) for i in range(m)]
-    report = {}
-    for label, expr in candidates.items():
-        invariant = True
-        failing = []
-        for i, amap in enumerate(maps):
-            transformed = {
-                sym_atom(f"a{k + 1}"): rat_sum(syms[j] * amap.matrix[j][k] for j in range(m))
-                for k in range(m)
-            }
-            image = substitute_atoms(expr, transformed.get)
-            if not (image - expr).is_zero():
-                invariant = False
-                failing.append(i + 1)
-        report[label] = {"invariant": invariant, "failing_generators": failing}
-    return report
 
 
 def _invariant_signature(rep: OptimalRep):

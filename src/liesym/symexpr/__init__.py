@@ -5,27 +5,23 @@ symbols, opaque functions such as M(t) and their derivatives, sums,
 products, rational powers, and elementary functions.
 canonical_ratfunc reduces a tree to a rational function (RatFunc) over
 kernel atoms, with cot/csc/tan/sec rewritten to sin/cos and cos^2
-eliminated; is_zero tests its numerator.  The calculus (derive,
+eliminated; RatFunc.is_zero tests its numerator.  The calculus (derive,
 substitute_atoms, substitute_function, collect_ratfunc) runs on
 RatFuncs, and fn_ratfunc and pow_ratfunc build elementary functions and
-rational powers of them.  Outside this package, canonical_ratfunc runs
-only where text is parsed, and render_ratfunc only where a RatFunc is
-printed: str(RatFunc) is the text of its rendered tree.
+rational powers of them; there is no calculus on trees.  Outside this
+package, canonical_ratfunc runs only where text is parsed, and
+render_ratfunc only where a RatFunc is printed: str(RatFunc) is the
+text of its rendered tree.
 """
 
 from .calculus import (
     NonPolynomialError,
-    collect,
     collect_ratfunc,
     derive,
-    differentiate,
-    equals,
-    evaluate_rational,
-    is_zero,
     substitute_atoms,
     substitute_function,
 )
-from .canonical import canonical_ratfunc, fn_ratfunc, pow_ratfunc, render_ratfunc, to_canonical
+from .canonical import canonical_ratfunc, fn_ratfunc, pow_ratfunc, render_ratfunc
 from .nodes import Add, ELEMENTARY_FUNCTIONS, Expr, Fn, Mul, Num, Op, Pow, Sym
 from .parser import ExprSyntaxError, UnknownFunctionError, parse_expr
 from .printer import to_text
@@ -44,19 +40,13 @@ __all__ = [
     "Sym",
     "UnknownFunctionError",
     "canonical_ratfunc",
-    "collect",
     "collect_ratfunc",
     "derive",
-    "differentiate",
-    "equals",
-    "evaluate_rational",
     "fn_ratfunc",
-    "is_zero",
     "parse_expr",
     "pow_ratfunc",
     "render_ratfunc",
     "substitute_atoms",
     "substitute_function",
-    "to_canonical",
     "to_text",
 ]

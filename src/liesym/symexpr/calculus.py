@@ -1,34 +1,24 @@
-"""Differentiation, substitution, zero-testing, and monomial collection.
+"""Differentiation, substitution and monomial collection on RatFuncs.
 
 The calculus runs on canonical RatFuncs: `derive` applies a derivation
 sum_v c_v d/dv by the chain rule per kernel atom, `substitute_atoms`
 replaces symbol and opaque-function atoms, `substitute_function`
 instantiates an opaque function with all its derivatives, and
 `collect_ratfunc` splits a RatFunc over monomials in chosen symbols.
-The tree functions `differentiate`, `collect`, `is_zero`, `equals` and
-`evaluate_rational` are the kernel's tree API over them: each
-canonicalizes its input once and, where it returns an expression,
-renders its result.
+A zero test is `RatFunc.is_zero()`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .canonical import (
-    _cos_of,
-    _sin_of,
-    canonical_ratfunc,
-    fn_ratfunc,
-    pow_ratfunc,
-    render_ratfunc,
-)
-from .nodes import Add, Expr, Mul, Num, Sym
+from .canonical import _cos_of, _sin_of, fn_ratfunc, pow_ratfunc
+from .nodes import Sym
 from .poly import POLY_ONE, RAT_ONE, Poly, RatFunc, op_atom, rat_sum
 
 
 class NonPolynomialError(ValueError):
-    """Raised by collect when a variable occurs non-polynomially."""
+    """Raised by collect_ratfunc when a variable occurs non-polynomially."""
 
 
 def derive(rf: RatFunc, coefficients: dict, memo: dict | None = None) -> RatFunc:
@@ -144,12 +134,6 @@ def _outer_derivative(name: str, arg: RatFunc, atom) -> RatFunc:
     raise ValueError(f"no derivative rule for {name}")
 
 
-def differentiate(e: Expr, v) -> Expr:
-    """Exact partial derivative of e with respect to the symbol v."""
-    name = v.name if isinstance(v, Sym) else str(v)
-    return render_ratfunc(derive(canonical_ratfunc(e), {name: RAT_ONE}))
-
-
 def substitute_atoms(rf: RatFunc, image) -> RatFunc:
     """Replace symbol and opaque-function atoms of a canonical RatFunc.
 
@@ -227,44 +211,14 @@ def substitute_function(rf: RatFunc, replacements: dict) -> RatFunc:
     return substitute_atoms(rf, image)
 
 
-def is_zero(e: Expr) -> bool:
-    """Zero test on the canonical form: True iff the numerator of the
-    canonical RatFunc vanishes.
-
-    A canonical zero is a true zero, since every rewrite rule is an
-    identity.  The converse holds only for identities the rules capture:
-    `exp(x/2)^2 - exp(x)` and `2*sin(x/2)*cos(x/2) - sin(x)`, for
-    example, canonicalize to nonzero forms.
-    """
-    return canonical_ratfunc(e).num.is_zero()
-
-
-def _eval_poly(p: Poly, env: dict) -> Fraction:
-    total = Fraction(0)
-    for m, c in p.terms.items():
-        v = c
-        for a, e in m:
-            v *= env[a] ** e
-        total += v
-    return total / p.den
-
-
-def collect(e: Expr, variables) -> dict:
-    """Coefficients of e as a polynomial in the given symbols.
-
-    Returns {exponent tuple aligned with `variables`: coefficient Expr};
-    the zero expression collects to an empty map.  Raises
-    NonPolynomialError when a variable occurs in a denominator or inside
-    a function kernel.
-    """
-    return {
-        key: render_ratfunc(coeff)
-        for key, coeff in collect_ratfunc(canonical_ratfunc(e), variables).items()
-    }
-
-
 def collect_ratfunc(rf: RatFunc, variables) -> dict:
-    """collect on a canonical RatFunc, with RatFunc coefficients."""
+    """Coefficients of a canonical RatFunc as a polynomial in the given
+    symbols.
+
+    Returns {exponent tuple aligned with `variables`: coefficient
+    RatFunc}; zero collects to an empty map.  Raises NonPolynomialError
+    when a variable occurs in a denominator or inside a function kernel.
+    """
     var_names = [v.name if isinstance(v, Sym) else str(v) for v in variables]
     if isinstance(variables, (set, frozenset)):
         var_names.sort()
@@ -298,26 +252,3 @@ def collect_ratfunc(rf: RatFunc, variables) -> dict:
             continue
         out[key] = RatFunc(num, rf.den)
     return out
-
-
-def equals(e1: Expr, e2: Expr) -> bool:
-    """Canonical equality."""
-    return is_zero(Add.of(e1, Mul.of(Num(-1), e2)))
-
-
-def evaluate_rational(e: Expr, env: dict) -> Fraction:
-    """Evaluate at exact rational symbol values; opaque functions and
-    non-symbol kernels must have been substituted away."""
-    rf = canonical_ratfunc(e)
-    values = {}
-    for a in rf.atoms():
-        if a.kind == "sym":
-            if a.payload not in env:
-                raise KeyError(f"no value for symbol {a.payload}")
-            values[a] = Fraction(env[a.payload])
-        else:
-            raise ValueError(f"cannot evaluate non-symbol kernel {a!r} rationally")
-    den = _eval_poly(rf.den, values)
-    if den == 0:
-        raise ZeroDivisionError("denominator vanishes at the sample point")
-    return _eval_poly(rf.num, values) / den

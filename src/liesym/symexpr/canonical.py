@@ -12,6 +12,7 @@ canonical form of the argument.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .nodes import Add, Expr, Fn, Mul, Num, Op, Pow, Sym
@@ -32,11 +33,13 @@ from .poly import (
 # is checked before the work starts and raises ValueError, which the file
 # loaders and --bind report at the offending line.
 MAX_EXPANDED_POWER = 64  # integer part of |exponent| for a power that expands
+MAX_EXPANDED_TERMS = 5000  # terms a power of a sum may expand to
 MAX_TRIG_MULTIPLE = 100  # n in sin(n w), cos(n w) for a kernel monomial w
 MAX_TRIAL_DIVISOR = 10**6  # trial divisors for an integer under a fractional power
 # bits of the coefficients of a power, bounded from its base and exponent;
 # 14000 bits keep every numerator and denominator under 4300 digits, the
-# longest int Python converts to str by default
+# longest int Python converts to str by default; the file loaders and
+# --bind hold every canonical input to it as well
 MAX_POWER_COEFFICIENT_BITS = 14_000
 
 
@@ -189,10 +192,16 @@ def _coefficient_bits(p: Poly) -> int:
 
 def pow_ratfunc(base: RatFunc, q: Fraction) -> RatFunc:
     """The canonical RatFunc of base^q for a rational exponent q."""
-    if abs(q.numerator) // q.denominator > MAX_EXPANDED_POWER and (
-            _expands(base.num) or _expands(base.den)):
+    whole = abs(q.numerator) // q.denominator
+    if whole > MAX_EXPANDED_POWER and (_expands(base.num) or _expands(base.den)):
         raise ValueError(f"exponent {q} of an expression whose powers expand: its integer "
                          f"part is above {MAX_EXPANDED_POWER}")
+    # a power `whole` of t terms has at most C(whole + t - 1, whole) terms;
+    # with whole <= MAX_EXPANDED_POWER here, the bound costs O(1)
+    t = max(len(base.num.terms), len(base.den.terms))
+    if whole > 1 and t > 1 and math.comb(whole + t - 1, whole) > MAX_EXPANDED_TERMS:
+        raise ValueError(f"exponent {q} of an expression with {t} terms: its expansion "
+                         f"could have more than {MAX_EXPANDED_TERMS} terms")
     # no coefficient of base^q exceeds those of base^n for n = ceil(|q|)
     n = -(-abs(q.numerator) // q.denominator)
     if n > 1 and n * max(_coefficient_bits(base.num), _coefficient_bits(base.den)) > \
@@ -351,8 +360,3 @@ def _render_atom(a: Atom) -> Expr:
         return Fn(fname, render_ratfunc(arg))
     base, frac = a.payload
     return Pow(render_ratfunc(RatFunc.from_poly(base)), frac)
-
-
-def to_canonical(e: Expr) -> Expr:
-    """Canonical tree: unique for equal expressions over the kernel set."""
-    return render_ratfunc(canonical_ratfunc(e))

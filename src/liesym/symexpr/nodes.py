@@ -285,6 +285,3 @@ def as_expr(x) -> Expr:
         return Num(x)
     raise TypeError(f"cannot coerce {x!r} to Expr")
 
-
-ZERO = Num(0)
-ONE = Num(1)

@@ -119,15 +119,14 @@ class SymmetryReport:
 
 
 def verify_noether(field: BundleVectorField, metric,
-                   gauge: RatFunc | None = None,
-                   with_first_integral: bool = True) -> SymmetryReport:
+                   gauge: RatFunc | None = None) -> SymmetryReport:
     """Noether check of one field against a Metric or its geodesic
     Lagrangian (pass the Lagrangian to share it between fields)."""
     lagrangian = geodesic_lagrangian(metric) if isinstance(metric, Metric) else metric
     residual = noether_residual(field, lagrangian, gauge)
     passed = residual.is_zero()
     integral = None
-    if passed and with_first_integral:
+    if passed:
         integral = noether_first_integral(field, lagrangian, gauge, _verified=True)
     const_pass = not passed and _constant_functions_pass([residual])
     return SymmetryReport(field, "noether", (residual,), passed,

@@ -3,13 +3,18 @@
 Independent of `liesym.symexpr.calculus.derive`, which differentiates
 canonical RatFuncs atom by atom.  `diff` walks the expression tree, so
 tests can check the library's one derivative, and the prolongation
-built on it, against a second route.  Results are raw trees; compare
-them through `canonical_ratfunc` or `to_canonical`.
+built on it, against a second route.  `diff` returns raw trees; compare
+them through `canonical_ratfunc`.  `total_derivative`, `prolong` and
+`apply_prolonged` return canonical trees, `render_ratfunc` of the
+canonical form.
+
+`evaluate_rational` evaluates an expression at exact rational symbol
+values, from its canonical form.
 """
 
 from fractions import Fraction
 
-from liesym.symexpr import Add, Fn, Mul, Num, Op, Pow, Sym, to_canonical
+from liesym.symexpr import Add, Fn, Mul, Num, Op, Pow, Sym, canonical_ratfunc, render_ratfunc
 
 _ZERO = Num(0)
 _ONE = Num(1)
@@ -86,20 +91,20 @@ def total_derivative(e, chart):
     for c in chart.coords:
         terms.append(Mul.of(Sym(chart.jet1(c)), diff(e, c)))
         terms.append(Mul.of(Sym(chart.jet2(c)), diff(e, chart.jet1(c))))
-    return to_canonical(Add.of(*terms))
+    return render_ratfunc(canonical_ratfunc(Add.of(*terms)))
 
 
 def prolong(xi, eta, chart):
     """(eta_(1), eta_(2)) of the field xi d_s + eta^a d_a, canonical."""
     dxi = total_derivative(xi, chart)
     eta1 = tuple(
-        to_canonical(Add.of(total_derivative(comp, chart),
-                            Mul.of(Num(-1), Sym(chart.jet1(c)), dxi)))
+        render_ratfunc(canonical_ratfunc(Add.of(total_derivative(comp, chart),
+                                                Mul.of(Num(-1), Sym(chart.jet1(c)), dxi))))
         for c, comp in zip(chart.coords, eta)
     )
     eta2 = tuple(
-        to_canonical(Add.of(total_derivative(e1, chart),
-                            Mul.of(Num(-1), Sym(chart.jet2(c)), dxi)))
+        render_ratfunc(canonical_ratfunc(Add.of(total_derivative(e1, chart),
+                                                Mul.of(Num(-1), Sym(chart.jet2(c)), dxi))))
         for c, e1 in zip(chart.coords, eta1)
     )
     return eta1, eta2
@@ -112,4 +117,32 @@ def apply_prolonged(xi, eta, eta1, eta2, e, chart):
         terms.append(Mul.of(comp, diff(e, c)))
         terms.append(Mul.of(c1, diff(e, chart.jet1(c))))
         terms.append(Mul.of(c2, diff(e, chart.jet2(c))))
-    return to_canonical(Add.of(*terms))
+    return render_ratfunc(canonical_ratfunc(Add.of(*terms)))
+
+
+def _eval_poly(p, env: dict) -> Fraction:
+    total = Fraction(0)
+    for m, c in p.terms.items():
+        v = c
+        for a, e in m:
+            v *= env[a] ** e
+        total += v
+    return total / p.den
+
+
+def evaluate_rational(e, env: dict) -> Fraction:
+    """Evaluate at exact rational symbol values; opaque functions and
+    non-symbol kernels must have been substituted away."""
+    rf = canonical_ratfunc(e)
+    values = {}
+    for a in rf.atoms():
+        if a.kind == "sym":
+            if a.payload not in env:
+                raise KeyError(f"no value for symbol {a.payload}")
+            values[a] = Fraction(env[a.payload])
+        else:
+            raise ValueError(f"cannot evaluate non-symbol kernel {a!r} rationally")
+    den = _eval_poly(rf.den, values)
+    if den == 0:
+        raise ZeroDivisionError("denominator vanishes at the sample point")
+    return _eval_poly(rf.num, values) / den

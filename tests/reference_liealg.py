@@ -15,13 +15,21 @@ bracket or per unit vector, with its own derived-chain loop:
 `liesym.liealg` answers the same questions by rank comparisons, one
 shared derived chain and the Jacobi sum over i < j < k only;
 tests/test_liealg_reference.py checks that both agree.
+
+Two oracles check the closed-form adjoint maps of `liealg.adjoint_exp`:
+`adjoint_series_truncation` sums the alternating series term by term,
+and `orbit_invariants_check` substitutes each map into candidate
+invariants of the coefficients.
 """
 
 from fractions import Fraction
 
 from liesym.errors import NonClosureError
-from liesym.liealg import span_rref
+from liesym.jets import symbol
+from liesym.liealg import _identity, _mat_mul, ad_matrix, adjoint_exp, span_rref
 from liesym.linalg import express_in_basis
+from liesym.symexpr import substitute_atoms
+from liesym.symexpr.poly import RAT_ZERO, RatFunc, rat_sum, sym_atom
 
 
 def _unit(m, i):
@@ -117,3 +125,55 @@ def validate_structure(g):
                             total[target] = total.get(target, 0) + x * y
                 if any(total.values()):
                     raise NonClosureError("Jacobi identity violated")
+
+
+def adjoint_series_truncation(g, index: int, parameter: str, order: int):
+    """Partial sum of the alternating adjoint series as polynomial
+    matrices in the parameter: sum_{l<=order} (-q)^l ad^l / l!.
+
+    Returned with the same row-orientation as AdjointMap."""
+    m = g.dim
+    a = ad_matrix(g, _unit(m, index))
+    minus_q = -symbol(parameter)
+    out = [[RAT_ZERO] * m for _ in range(m)]
+    power = _identity(m)
+    fact = 1
+    for l in range(order + 1):
+        for i in range(m):
+            for j in range(m):
+                if power[i][j]:
+                    out[i][j] = out[i][j] + RatFunc.const(power[i][j] / fact) * minus_q ** l
+        power = _mat_mul(power, a)
+        fact *= l + 1
+    return tuple(tuple(out[i][j] for i in range(m)) for j in range(m))
+
+
+def orbit_invariants_check(g, candidates=None, parameter="q") -> dict:
+    """Canonical invariance of candidate functions of the coefficients
+    under every one-parameter adjoint map.
+
+    Default candidates: a1, a2, a3^2 + a4^2 + a5^2."""
+    m = g.dim
+    syms = [symbol(f"a{i + 1}") for i in range(m)]
+    if candidates is None:
+        candidates = {
+            "a1": syms[0],
+            "a2": syms[1],
+            "a3^2 + a4^2 + a5^2": rat_sum(syms[i] * syms[i] for i in (2, 3, 4)),
+        }
+    maps = [adjoint_exp(g, i, parameter) for i in range(m)]
+    report = {}
+    for label, expr in candidates.items():
+        invariant = True
+        failing = []
+        for i, amap in enumerate(maps):
+            transformed = {
+                sym_atom(f"a{k + 1}"): rat_sum(syms[j] * amap.matrix[j][k] for j in range(m))
+                for k in range(m)
+            }
+            image = substitute_atoms(expr, transformed.get)
+            if not (image - expr).is_zero():
+                invariant = False
+                failing.append(i + 1)
+        report[label] = {"invariant": invariant, "failing_generators": failing}
+    return report

@@ -25,9 +25,7 @@ from liesym.symexpr import (
     Sym,
     canonical_ratfunc,
     derive,
-    differentiate,
     render_ratfunc,
-    to_canonical,
     to_text,
 )
 from liesym.symexpr.poly import RAT_ONE
@@ -69,7 +67,7 @@ def canonical_trees(seed, count):
     while len(out) < count:
         raw = random_tree(rng, 2)
         try:
-            out.append((raw, to_canonical(raw)))
+            out.append((raw, render_ratfunc(canonical_ratfunc(raw))))
         except (ValueError, ZeroDivisionError):
             continue
     return out
@@ -97,7 +95,7 @@ def test_derive_matches_reference_on_300_canonical_trees():
         for v in SYMBOLS:
             expected = canonical_ratfunc(ref.diff(canon, v))
             assert derive(rf, {v: RAT_ONE}) == expected, (to_text(canon), v)
-            assert differentiate(canon, v) == render_ratfunc(expected)
+            assert render_ratfunc(derive(rf, {v: RAT_ONE})) == render_ratfunc(expected)
     assert seen >= set(FUNCTIONS) | {"fractional power"}
 
 

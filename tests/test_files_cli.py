@@ -199,7 +199,8 @@ def test_step_count_over_cap_exits_2(capsys, monkeypatch, step, span):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("expr", ["1/0", "ln(0)", "7^99999"])
+@pytest.mark.parametrize("expr", ["1/0", "ln(0)", "7^99999", "7^4000*7^4000",
+                                  "1/7^3000 + 1/11^3000"])
 def test_kernel_error_in_binding_exits_2(capsys, expr):
     code = main(["integrate", "vaidya_bonner.metric", "--bind", f"M={expr}",
                  "--bind", "Q=t", *INIT, "--step", "0.01", "--span", "1"])
@@ -368,7 +369,7 @@ TRANSLATIONS = "gen T_s = 1 | 0 | 0\ngen T_x = 0 | 1 | 0\n"
 @pytest.mark.parametrize("expr", [
     "1/0", "(-4)^(1/2)", "ln(0)",
     "(x+1)^99999999", "cos(x)^99999999", "sin(99999999*x)", "1000000016000000063^(1/2)",
-    "7^99999", "(2*x)^9999999",
+    "7^99999", "(2*x)^9999999", "7^4000*7^4000", "1/7^3000 + 1/11^3000",
 ])
 @pytest.mark.parametrize("where", ["metric", "generators"])
 def test_kernel_error_in_input_exits_2(tmp_path, expr, where):
@@ -376,8 +377,8 @@ def test_kernel_error_in_input_exits_2(tmp_path, expr, where):
     # logarithm of zero are rejected by the expression kernel, not by
     # the parser; so are a power that expands, a trig multiple and a
     # radicand past their caps, before any expansion or trial division
-    # could run for long, and a power whose coefficients would be too
-    # long to print
+    # could run for long, and a power, product or sum whose coefficients
+    # would be too long to print
     metric, gens = FLAT_PLANE, TRANSLATIONS
     if where == "metric":
         metric = metric.replace("g 0 0 = 1", f"g 0 0 = {expr}")

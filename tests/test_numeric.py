@@ -16,11 +16,12 @@ from liesym.numeric import (
     integrate_geodesic,
     step_count,
 )
-from liesym.symexpr import derive, evaluate_rational, render_ratfunc
+from liesym.symexpr import derive, render_ratfunc
 from liesym.symexpr.poly import RAT_ONE
 
 import reference_numeric as reference
 from conftest import rf
+from reference_calculus import evaluate_rational
 
 
 @pytest.fixture(scope="module")

@@ -18,21 +18,18 @@ from liesym.symexpr import (
     Op,
     Pow,
     Sym,
-    collect,
-    differentiate,
-    equals,
-    evaluate_rational,
-    is_zero,
+    collect_ratfunc,
+    derive,
     parse_expr,
+    render_ratfunc,
     substitute_atoms,
     substitute_function,
-    to_canonical,
-    to_text,
 )
 from liesym.symexpr.canonical import canonical_ratfunc
 from liesym.symexpr.poly import RAT_ONE, RAT_ZERO, op_atom, sym_atom
 
 from conftest import rf
+from reference_calculus import evaluate_rational
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -82,7 +79,7 @@ class TestParser:
 
     def test_rational_exponent_needs_parens(self):
         # x^2/3 is (x^2)/3 under the grammar
-        assert equals(parse_expr("x^2/3"), parse_expr("(x^2)/3"))
+        assert (rf("x^2/3") - rf("(x^2)/3")).is_zero()
         assert parse_expr("x^(1/2)") == Pow(Sym("x"), Fraction(1, 2))
         assert parse_expr("x^-2") == Pow(Sym("x"), Fraction(-2))
 
@@ -92,40 +89,37 @@ class TestParser:
 
 class TestCanonical:
     def test_pythagorean_identity(self):
-        assert is_zero(parse_expr("sin(theta)^2 + cos(theta)^2 - 1"))
+        assert rf("sin(theta)^2 + cos(theta)^2 - 1").is_zero()
 
     def test_cot_rewrites(self):
-        assert is_zero(parse_expr("cot(theta)*sin(theta) - cos(theta)"))
-        assert is_zero(parse_expr("csc(x)*sin(x) - 1"))
-        assert is_zero(parse_expr("tan(x) - sin(x)/cos(x)"))
-        assert is_zero(parse_expr("sec(x)*cos(x) - 1"))
+        assert rf("cot(theta)*sin(theta) - cos(theta)").is_zero()
+        assert rf("csc(x)*sin(x) - 1").is_zero()
+        assert rf("tan(x) - sin(x)/cos(x)").is_zero()
+        assert rf("sec(x)*cos(x) - 1").is_zero()
 
     def test_opaque_kernel_is_atomic(self):
-        c = to_canonical(parse_expr("D(M, t)/r"))
-        assert to_text(c) == "D(M, t)/r"
+        assert str(rf("D(M, t)/r")) == "D(M, t)/r"
 
     def test_idempotent(self):
-        e = parse_expr("(r - 2*t)/(2*r^3) + cot(theta)^2")
-        once = to_canonical(e)
-        assert to_canonical(once) == once
+        once = rf("(r - 2*t)/(2*r^3) + cot(theta)^2")
+        assert canonical_ratfunc(render_ratfunc(once)) == once
 
     def test_unique_for_equal_inputs(self):
-        a = to_canonical(parse_expr("(x + y)^2"))
-        b = to_canonical(parse_expr("x^2 + 2*x*y + y^2"))
+        a = render_ratfunc(rf("(x + y)^2"))
+        b = render_ratfunc(rf("x^2 + 2*x*y + y^2"))
         assert a == b
 
     def test_rational_normal_form(self):
-        assert is_zero(parse_expr("(x^2 - y^2)/(x + y) - x + y"))
+        assert rf("(x^2 - y^2)/(x + y) - x + y").is_zero()
 
     def test_fractional_powers_fold(self):
-        assert equals(parse_expr("sqrt(x)*sqrt(x)"), parse_expr("x"))
-        assert to_text(to_canonical(parse_expr("sqrt(8)"))) == "2*(2)^(1/2)"
+        assert (rf("sqrt(x)*sqrt(x)") - rf("x")).is_zero()
+        assert str(rf("sqrt(8)")) == "2*(2)^(1/2)"
 
     def test_fractional_powers_of_one_base_fold(self):
-        assert is_zero(parse_expr("r^(1/3)*r^(2/3) - r"))
-        assert is_zero(parse_expr("r^(1/2)*r^(1/3) - r^(5/6)"))
-        c = to_canonical(parse_expr("r^(2/3)*r^(1/3)*r^(1/3)"))
-        assert to_text(c) == "r*r^(1/3)"
+        assert rf("r^(1/3)*r^(2/3) - r").is_zero()
+        assert rf("r^(1/2)*r^(1/3) - r^(5/6)").is_zero()
+        assert str(rf("r^(2/3)*r^(1/3)*r^(1/3)")) == "r*r^(1/3)"
         # at most one power atom per base, with exponent 1
         for text in ("r^(2/3)*r^(1/3)*r^(1/3)", "(r^(1/3))^5*sqrt(r)*y", "r^(1/6)*r^(5/6)*r^(1/2)"):
             for mono in canonical_ratfunc(parse_expr(text)).num.terms:
@@ -134,16 +128,12 @@ class TestCanonical:
                 assert len({base for base, _ in powers}) == len(powers), text
 
     def test_angle_addition_support(self):
-        assert equals(
-            parse_expr("sin(a + b)"),
-            parse_expr("sin(a)*cos(b) + cos(a)*sin(b)"),
-        )
-        assert equals(parse_expr("exp(a + b)"), parse_expr("exp(a)*exp(b)"))
-        assert is_zero(parse_expr("cos(0) - 1"))
+        assert (rf("sin(a + b)") - rf("sin(a)*cos(b) + cos(a)*sin(b)")).is_zero()
+        assert (rf("exp(a + b)") - rf("exp(a)*exp(b)")).is_zero()
+        assert rf("cos(0) - 1").is_zero()
 
     def test_arctan_inert(self):
-        c = to_canonical(parse_expr("arctan(x/y)"))
-        assert to_text(c) == "arctan(x/y)"
+        assert str(rf("arctan(x/y)")) == "arctan(x/y)"
 
     def test_adversarial_trig_identities(self):
         zeros = [
@@ -160,19 +150,19 @@ class TestCanonical:
             "tan(u)*cot(u) - 1",
         ]
         for text in zeros:
-            assert is_zero(parse_expr(text)), text
+            assert rf(text).is_zero(), text
 
     @pytest.mark.parametrize("n", range(2, 31))
     def test_integer_multiple_addition_formula(self, n):
-        assert is_zero(parse_expr(
-            f"sin({n}*x) - (sin({n - 1}*x)*cos(x) + cos({n - 1}*x)*sin(x))"))
+        assert rf(
+            f"sin({n}*x) - (sin({n - 1}*x)*cos(x) + cos({n - 1}*x)*sin(x))").is_zero()
 
     def test_trig_of_large_integer_multiple_is_fast(self):
         # sin and cos of n*w are stepped once per unit of n; expanding
         # both from (n-1)*w at every step took time 2^n.
-        code = ("from liesym.symexpr import parse_expr, to_canonical, to_text\n"
+        code = ("from liesym.symexpr import canonical_ratfunc, parse_expr\n"
                 "for text in ('cot(27)', 'cot(27*x)'):\n"
-                "    print(len(to_text(to_canonical(parse_expr(text)))))\n")
+                "    print(len(str(canonical_ratfunc(parse_expr(text)))))\n")
         env = dict(os.environ, PYTHONPATH=str(SRC))
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, timeout=30)
@@ -187,6 +177,7 @@ class TestCanonical:
         ("(x^(1/2))^99999999", "x^49999999*x^(1/2)"),
         ("(x+1)^64", "65"),     # terms at the exponent cap
         ("sin(100*x)", "50"),   # terms at the multiple cap
+        ("(a+b+c+d+e+f+g+1)^7", "3432"),  # the power of 8 terms at the term cap
     ])
     def test_input_at_or_below_the_caps_canonicalizes_in_budget(self, text, expected):
         # a monomial power, an atom power, a power of a radical of a
@@ -212,6 +203,8 @@ class TestCanonical:
         ("sin(101*x)", "multiple is above 100"),
         ("cos(x + 101*y)", "multiple is above 100"),
         ("(1000003*1000033)^(1/3)", "no prime factor up to 1000000"),
+        ("(x+y+z+1)^64", "more than 5000 terms"),
+        ("((x+y+z+1)^60)^60", "more than 5000 terms"),
     ])
     def test_input_above_the_caps_is_rejected(self, text, message):
         with pytest.raises(ValueError, match=message):
@@ -225,37 +218,35 @@ class TestCanonical:
             "sqrt(x^2) - x",
         ]
         for text in nonzeros:
-            assert not is_zero(parse_expr(text)), text
+            assert not rf(text).is_zero(), text
 
 
 class TestDifferentiate:
     def test_cot_rule(self):
-        d = differentiate(parse_expr("cot(theta)"), "theta")
-        assert equals(d, parse_expr("-1/sin(theta)^2"))
+        d = derive(rf("cot(theta)"), {"theta": RAT_ONE})
+        assert (d - rf("-1/sin(theta)^2")).is_zero()
 
     def test_opaque_chain_rule(self):
-        d = differentiate(parse_expr("M(t)^2"), "t")
-        assert equals(d, parse_expr("2*M(t)*D(M, t)"))
+        d = derive(rf("M(t)^2"), {"t": RAT_ONE})
+        assert (d - rf("2*M(t)*D(M, t)")).is_zero()
 
     def test_power_rule(self):
-        d = differentiate(parse_expr("Q(t)/r^2"), "r")
-        assert equals(d, parse_expr("-2*Q(t)/r^3"))
+        d = derive(rf("Q(t)/r^2"), {"r": RAT_ONE})
+        assert (d - rf("-2*Q(t)/r^3")).is_zero()
 
     def test_opaque_independent_symbol(self):
-        assert is_zero(differentiate(parse_expr("M(t)"), "s"))
+        assert derive(rf("M(t)"), {"s": RAT_ONE}).is_zero()
 
     def test_second_order(self):
-        d2 = differentiate(differentiate(parse_expr("M(t)"), "t"), "t")
-        assert d2 == Op("M", ("t",), (2,))
+        d2 = derive(derive(rf("M(t)"), {"t": RAT_ONE}), {"t": RAT_ONE})
+        assert render_ratfunc(d2) == Op("M", ("t",), (2,))
 
     def test_elementary_rules(self):
-        assert equals(differentiate(parse_expr("exp(x^2)"), "x"),
-                      parse_expr("2*x*exp(x^2)"))
-        assert equals(differentiate(parse_expr("ln(x)"), "x"), parse_expr("1/x"))
-        assert equals(differentiate(parse_expr("arctan(x)"), "x"),
-                      parse_expr("1/(1 + x^2)"))
-        assert equals(differentiate(parse_expr("sqrt(x)"), "x"),
-                      parse_expr("1/(2*sqrt(x))"))
+        x = {"x": RAT_ONE}
+        assert (derive(rf("exp(x^2)"), x) - rf("2*x*exp(x^2)")).is_zero()
+        assert (derive(rf("ln(x)"), x) - rf("1/x")).is_zero()
+        assert (derive(rf("arctan(x)"), x) - rf("1/(1 + x^2)")).is_zero()
+        assert (derive(rf("sqrt(x)"), x) - rf("1/(2*sqrt(x))")).is_zero()
 
     @pytest.mark.parametrize("text, derivative", [
         ("x + y + tan(x)", "1 + 1/cos(x)^2"),
@@ -264,8 +255,8 @@ class TestDifferentiate:
     def test_tangent_over_cosine_terminates(self, text, derivative):
         # Reducing the derivative takes a gcd whose coefficients in sin(x)
         # carry cos(x); a pseudo-remainder in sin(x) then never ends.
-        d = differentiate(to_canonical(parse_expr(text, {"M": ("y",)})), "x")
-        assert equals(d, parse_expr(derivative))
+        d = derive(rf(text, {"M": ("y",)}), {"x": RAT_ONE})
+        assert (d - rf(derivative)).is_zero()
 
 
 class TestSubstitute:
@@ -289,13 +280,13 @@ class TestSubstitute:
 
 class TestIsZero:
     def test_nonzero_monomial(self):
-        assert not is_zero(parse_expr("D(M, t)*tdot^2/r"))
+        assert not rf("D(M, t)*tdot^2/r").is_zero()
 
     def test_rational_identity_sampled(self):
         # 1/(x-1) - 1/x - 1/(x^2 - x) == 0; double-checked by exact
         # rational evaluation at 8 sample points.
         e = parse_expr("1/(x - 1) - 1/x - 1/(x^2 - x)")
-        assert is_zero(e)
+        assert canonical_ratfunc(e).is_zero()
         import random
 
         rng = random.Random(11)
@@ -310,43 +301,43 @@ class TestIsZero:
             checked += 1
 
     def test_debug_sampler_agrees(self):
-        assert is_zero(parse_expr("(x + 1)^2 - x^2 - 2*x - 1"))
-        assert not is_zero(parse_expr("(x + 1)^2 - x^2"))
+        assert rf("(x + 1)^2 - x^2 - 2*x - 1").is_zero()
+        assert not rf("(x + 1)^2 - x^2").is_zero()
 
 
 class TestCollect:
     def test_simple(self):
-        got = collect(parse_expr("tdot^2 + 2*r*tdot*rdot"), ["tdot", "rdot"])
+        got = collect_ratfunc(rf("tdot^2 + 2*r*tdot*rdot"), ["tdot", "rdot"])
         assert set(got) == {(2, 0), (1, 1)}
-        assert equals(got[(2, 0)], Num(1))
-        assert equals(got[(1, 1)], parse_expr("2*r"))
+        assert (got[(2, 0)] - RAT_ONE).is_zero()
+        assert (got[(1, 1)] - rf("2*r")).is_zero()
 
     def test_zero_collects_empty(self):
-        assert collect(parse_expr("0"), ["tdot"]) == {}
+        assert collect_ratfunc(rf("0"), ["tdot"]) == {}
 
     def test_time_translation_residual_of_lagrangian(self):
         # The only surviving term of the gauge-free invariance residual
         # for the time translation is dL/dt; independent oracle is plain
         # differentiation of the quadratic-form Lagrangian.
-        lagrangian = parse_expr(
+        lagrangian = rf(
             "-(1 - M(t)/r + Q(t)/r^2)*tdot^2 - 2*tdot*rdot"
             " + r^2*(thetadot^2 + sin(theta)^2*phidot^2)"
         )
-        residual = differentiate(lagrangian, "t")
-        got = collect(residual, ["tdot", "rdot", "thetadot", "phidot"])
+        residual = derive(lagrangian, {"t": RAT_ONE})
+        got = collect_ratfunc(residual, ["tdot", "rdot", "thetadot", "phidot"])
         assert list(got) == [(2, 0, 0, 0)]
-        assert equals(got[(2, 0, 0, 0)], parse_expr("D(M, t)/r - D(Q, t)/r^2"))
+        assert (got[(2, 0, 0, 0)] - rf("D(M, t)/r - D(Q, t)/r^2")).is_zero()
 
     def test_non_polynomial_error(self):
         with pytest.raises(NonPolynomialError):
-            collect(parse_expr("1/tdot"), ["tdot"])
+            collect_ratfunc(rf("1/tdot"), ["tdot"])
         with pytest.raises(NonPolynomialError):
-            collect(parse_expr("sin(tdot)"), ["tdot"])
+            collect_ratfunc(rf("sin(tdot)"), ["tdot"])
 
     def test_reconstruction(self):
-        e = parse_expr("(3*tdot^2*r - rdot*tdot/2 + sin(theta)*rdot^3)/r")
-        got = collect(e, ["tdot", "rdot"])
-        total = Num(0)
+        e = rf("(3*tdot^2*r - rdot*tdot/2 + sin(theta)*rdot^3)/r")
+        got = collect_ratfunc(e, ["tdot", "rdot"])
+        total = RAT_ZERO
         for (i, j), coeff in got.items():
-            total = total + coeff * Pow(Sym("tdot"), i) * Pow(Sym("rdot"), j)
-        assert equals(total, e)
+            total = total + coeff * rf("tdot") ** i * rf("rdot") ** j
+        assert (total - e).is_zero()

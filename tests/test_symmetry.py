@@ -14,7 +14,6 @@ from liesym.linalg import express_in_basis, sparse_rref
 from liesym.symexpr import (
     collect_ratfunc,
     derive,
-    evaluate_rational,
     render_ratfunc,
     substitute_atoms,
 )
@@ -36,6 +35,7 @@ from liesym.liealg import field_bracket, _coordinates
 import liesym.symmetry
 import reference_solver
 from conftest import make_field, rf
+from reference_calculus import evaluate_rational
 from reference_linalg import rank as reference_rank
 
 
