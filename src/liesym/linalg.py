@@ -74,7 +74,13 @@ def sparse_rref(rows, ncols: int):
     whole elimination; the pivot of column c is the shortest row holding
     c, ties going to the lowest id.  An index from each column to the ids
     of rows that have held it makes a step touch only those rows; ids
-    whose row has since lost the column are skipped when it is read."""
+    whose row has since lost the column are skipped when it is read.
+
+    Back substitution clears each pivot column, from the last, out of
+    the earlier pivot rows that hold it, found by an index built once:
+    a pivot row holds no column left of its pivot, and no pivot column
+    right of it once those are cleared, so clearing c adds no pivot
+    column to any row and the index stays exact."""
     work = _int_rows(rows)  # id -> row, None once pivot or eliminated to zero
     holders = {}
     for rid, row in enumerate(work):
@@ -96,14 +102,16 @@ def sparse_rref(rows, ncols: int):
                     holders.setdefault(col, []).append(rid)
             work[rid] = combined or None
         pivot_rows[c] = piv
-    # back substitution: clear pivot columns from earlier pivot rows
     pivots = sorted(pivot_rows)
-    for i in range(len(pivots) - 1, -1, -1):
-        c = pivots[i]
+    above = {}  # pivot col -> earlier pivot cols whose rows hold it
+    for c2 in pivots:
+        for col in pivot_rows[c2]:
+            if col != c2 and col in pivot_rows:
+                above.setdefault(col, []).append(c2)
+    for c in reversed(pivots):
         piv = pivot_rows[c]
-        for c2 in pivots[:i]:
-            if c in pivot_rows[c2]:
-                pivot_rows[c2] = _eliminate(pivot_rows[c2], piv, c)
+        for c2 in above.get(c, ()):
+            pivot_rows[c2] = _eliminate(pivot_rows[c2], piv, c)
     return pivot_rows, pivots
 
 

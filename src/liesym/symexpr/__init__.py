@@ -6,18 +6,19 @@ products, rational powers, and elementary functions.
 canonical_ratfunc reduces a tree to a rational function (RatFunc) over
 kernel atoms, with cot/csc/tan/sec rewritten to sin/cos and cos^2
 eliminated; RatFunc.is_zero tests its numerator.  The calculus (derive,
-substitute_atoms, substitute_function, collect_ratfunc) runs on
-RatFuncs, and fn_ratfunc and pow_ratfunc build elementary functions and
-rational powers of them; there is no calculus on trees.  Outside this
-package, canonical_ratfunc runs only where text is parsed, and
-render_ratfunc only where a RatFunc is printed: str(RatFunc) is the
-text of its rendered tree.
+substitute_atoms, substitute_function, collect_ratfunc,
+split_monomials) runs on RatFuncs, and fn_ratfunc and pow_ratfunc build
+elementary functions and rational powers of them; there is no calculus
+on trees.  Outside this package, canonical_ratfunc runs only where text
+is parsed, and render_ratfunc only where a RatFunc is printed:
+str(RatFunc) is the text of its rendered tree.
 """
 
 from .calculus import (
     NonPolynomialError,
     collect_ratfunc,
     derive,
+    split_monomials,
     substitute_atoms,
     substitute_function,
 )
@@ -46,6 +47,7 @@ __all__ = [
     "parse_expr",
     "pow_ratfunc",
     "render_ratfunc",
+    "split_monomials",
     "substitute_atoms",
     "substitute_function",
     "to_text",

@@ -211,24 +211,18 @@ def substitute_function(rf: RatFunc, replacements: dict) -> RatFunc:
     return substitute_atoms(rf, image)
 
 
-def collect_ratfunc(rf: RatFunc, variables) -> dict:
-    """Coefficients of a canonical RatFunc as a polynomial in the given
-    symbols.
-
-    Returns {exponent tuple aligned with `variables`: coefficient
-    RatFunc}; zero collects to an empty map.  Raises NonPolynomialError
-    when a variable occurs in a denominator or inside a function kernel.
-    """
-    var_names = [v.name if isinstance(v, Sym) else str(v) for v in variables]
-    if isinstance(variables, (set, frozenset)):
-        var_names.sort()
+def split_monomials(rf: RatFunc, var_names) -> list:
+    """(exponent tuple aligned with the symbol names `var_names`, rest
+    of the monomial, integer coefficient) for each numerator term of a
+    canonical RatFunc.  Raises NonPolynomialError when a variable occurs
+    in a denominator or inside a function kernel."""
     var_set = set(var_names)
     for a in rf.den.atoms():
         if a.free_symbols() & var_set:
             raise NonPolynomialError(
                 f"variable occurs in a denominator: {sorted(a.free_symbols() & var_set)}"
             )
-    buckets = {}
+    out = []
     for mono, coeff in rf.num.terms.items():
         expvec = [0] * len(var_names)
         rest = []
@@ -241,10 +235,24 @@ def collect_ratfunc(rf: RatFunc, variables) -> dict:
                         f"variable occurs inside a kernel: {a!r}"
                     )
                 rest.append((a, k))
-        key = tuple(expvec)
-        bucket = buckets.setdefault(key, {})
-        rest = tuple(rest)
-        bucket[rest] = coeff
+        out.append((tuple(expvec), tuple(rest), coeff))
+    return out
+
+
+def collect_ratfunc(rf: RatFunc, variables) -> dict:
+    """Coefficients of a canonical RatFunc as a polynomial in the given
+    symbols.
+
+    Returns {exponent tuple aligned with `variables`: coefficient
+    RatFunc}; zero collects to an empty map.  Raises NonPolynomialError
+    when a variable occurs in a denominator or inside a function kernel.
+    """
+    var_names = [v.name if isinstance(v, Sym) else str(v) for v in variables]
+    if isinstance(variables, (set, frozenset)):
+        var_names.sort()
+    buckets = {}
+    for key, rest, coeff in split_monomials(rf, var_names):
+        buckets.setdefault(key, {})[rest] = coeff
     out = {}
     for key, terms in sorted(buckets.items()):
         num = Poly.normalized(terms, rf.num.den)

@@ -26,7 +26,12 @@ canonical:
   * whole parts of a power fold back into the base, e.g.
     (B^(1/2))^2 -> B and B^(1/3) * B^(2/3) -> B.
 
-Polynomial gcd is computed on the reduced monomials (primitive PRS).
+Atoms are interned by key, so equal atoms are one object: monomials
+compare and hash their atoms by identity, in C.  Polynomial gcd is
+computed on the reduced monomials (primitive PRS).  A single-term
+argument takes a path linear in the terms: the gcd is a merge of the
+sorted monomials, and exact division goes term by term.
+
 Every rule is an identity, so a canonical zero is a true zero.  The
 converse does not hold: identities outside the rules canonicalize to
 nonzero forms, among them exp(x/2)^2 - exp(x), half angles
@@ -42,6 +47,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
+# key -> the one Atom with that key (see Atom)
+_ATOMS = {}
+
 
 class Atom:
     """A kernel variable of the polynomial layer.
@@ -54,48 +62,51 @@ class Atom:
 
     `fold` marks the atoms a rewrite rule acts on: 1 for cos, 2 for
     fractional powers, 0 for the rest.
+
+    Atoms are interned by key: constructing an atom whose key exists
+    returns the one instance already made, so equal atoms are identical
+    and equality and hashing are by identity.  The table lives as long
+    as the process; it holds each distinct atom once.
     """
 
-    __slots__ = ("kind", "payload", "fold", "_key", "_hash")
+    __slots__ = ("kind", "payload", "fold", "_key")
 
-    def __init__(self, kind, payload):
-        self.kind = kind
-        self.payload = payload
-        self._hash = None
+    def __new__(cls, kind, payload):
         # Kind ranks keep the rewrite rules monotone under the monomial
         # order: cos must rank above sin (cos^2 -> 1 - sin^2 decreases),
         # and fractional-power atoms above everything (folding decreases).
         # The key is built here because every monomial product compares it.
-        self.fold = 0
+        fold = 0
         if kind == "sym":
-            self._key = (0, "sym", payload)
+            key = (0, "sym", payload)
         elif kind == "op":
             name, args, orders = payload
-            self._key = (1, "op", name, args, orders)
+            key = (1, "op", name, args, orders)
         elif kind == "fn":
             fname, arg = payload
             if fname == "cos":
-                self.fold = 1
+                fold = 1
                 fname = "~cos"
-            self._key = (2, fname, arg.key())
+            key = (2, fname, arg.key())
         else:
             base, frac = payload
-            self.fold = 2
-            self._key = (3, base.key(), (frac.numerator, frac.denominator))
+            fold = 2
+            key = (3, base.key(), (frac.numerator, frac.denominator))
+        atom = _ATOMS.get(key)
+        if atom is None:
+            atom = object.__new__(cls)
+            atom.kind = kind
+            atom.payload = payload
+            atom.fold = fold
+            atom._key = key
+            _ATOMS[key] = atom
+        return atom
 
     def key(self):
         return self._key
 
-    def __eq__(self, other):
-        return isinstance(other, Atom) and self._key == other._key
-
     def __lt__(self, other):
         return self._key < other._key
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(self._key)
-        return self._hash
 
     def __repr__(self):
         return f"Atom({self.kind}, {self.payload!r})"
@@ -153,15 +164,15 @@ def _mono_mul(m1, m2):
         t2 = m2[j]
         a1 = t1[0]
         a2 = t2[0]
-        k1 = a1._key
-        k2 = a2._key
-        if a1 is a2 or k1 == k2:
+        if a1 is a2:
             out.append((a1, t1[1] + t2[1]))
             if a1.fold:
                 fold = True
             i += 1
             j += 1
         else:
+            k1 = a1._key
+            k2 = a2._key
             if a1.fold == 2 and a2.fold == 2 and k1[1] == k2[1]:
                 fold = True
             if k1 < k2:
@@ -182,7 +193,7 @@ def _mono_div(m, d):
     out = []
     j, nd = 0, len(d)
     for a, e in m:
-        if j < nd and d[j][0]._key == a._key:
+        if j < nd and d[j][0] is a:
             r = e - d[j][1]
             if r < 0:
                 return None
@@ -205,9 +216,8 @@ def monomial_gt(m1, m2) -> bool:
     while i >= 0 and j >= 0:
         a1, e1 = m1[i]
         a2, e2 = m2[j]
-        k1, k2 = a1._key, a2._key
-        if k1 != k2:
-            return k1 > k2
+        if a1 is not a2:
+            return a1._key > a2._key
         if e1 != e2:
             return e1 > e2
         i -= 1
@@ -428,23 +438,21 @@ class Poly:
         return self.content(), self.primitive_part()
 
     def degree_in(self, atom: Atom) -> int:
-        k = atom._key
         d = 0
         for m in self.terms:
             for a, e in m:
-                if e > d and a._key == k:
+                if e > d and a is atom:
                     d = e
         return d
 
     def coeffs_in(self, atom: Atom):
         """Split as a univariate polynomial in `atom`: degree -> Poly."""
-        k = atom._key
         out = {}
         for m, c in self.terms.items():
             deg = 0
             rest = m
             for i, (a, e) in enumerate(m):
-                if a._key == k:
+                if a is atom:
                     deg = e
                     rest = m[:i] + m[i + 1:]
                     break
@@ -498,14 +506,26 @@ POLY_ONE = Poly.const(1)
 def poly_divexact(p: Poly, d: Poly) -> Poly:
     """Exact division p / d on the reduced monomials; raises if not exact.
 
-    Fraction-free long division on the integer numerators: each step
-    scales the remainder by lc(d) / gcd(lc(d), lc(rem)) so that its
-    leading term cancels, and the quotient is divided by the product of
-    those scales at the end."""
+    A single-term divisor dc*dm divides term by term: for a reduced
+    monomial m that dm divides atom by atom, (m / dm) * dm is m again
+    with no rewrite, so each term of p gives one term of the quotient.
+    Otherwise fraction-free long division on the integer numerators:
+    each step scales the remainder by lc(d) / gcd(lc(d), lc(rem)) so
+    that its leading term cancels, and the quotient is divided by the
+    product of those scales at the end."""
     if not d.terms:
         raise ZeroDivisionError("polynomial division by zero")
-    if d.is_const():
-        return _scaled(p, d.den, d.terms[MONOMIAL_ONE])
+    if len(d.terms) == 1:
+        (dm, dc), = d.terms.items()
+        if not dm:
+            return _scaled(p, d.den, dc)
+        quot = {}
+        for m, c in p.terms.items():
+            qm = _mono_div(m, dm)
+            if qm is None:
+                raise ValueError("inexact polynomial division")
+            quot[qm] = c
+        return _scaled(Poly(quot), d.den, dc * p.den)
     dm, dc = d.leading()
     divisor = Poly(d.terms)
     quot = {}
@@ -597,21 +617,34 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
     return (cont_gcd * g).primitive_part()
 
 
+def _mono_gcd(m1, m2):
+    """The largest monomial dividing both sorted monomials, by a merge."""
+    out = []
+    i = j = 0
+    n1, n2 = len(m1), len(m2)
+    while i < n1 and j < n2:
+        a1, e1 = m1[i]
+        a2, e2 = m2[j]
+        if a1 is a2:
+            out.append((a1, e1 if e1 < e2 else e2))
+            i += 1
+            j += 1
+        elif a1._key < a2._key:
+            i += 1
+        else:
+            j += 1
+    return tuple(out)
+
+
 def _monomial_gcd(p: Poly, q: Poly) -> Poly:
-    def common_part(poly):
-        it = iter(poly.terms)
-        first = dict(next(it))
-        for m in it:
-            d = dict(m)
-            first = {a: min(e, d[a]) for a, e in first.items() if a in d}
-            if not first:
-                break
-        return first
-    cp = common_part(p)
-    cq = common_part(q)
-    shared = {a: min(e, cq[a]) for a, e in cp.items() if a in cq}
-    mono = tuple(sorted(shared.items(), key=lambda t: t[0]._key))
-    return Poly({mono: 1})
+    """The monomial gcd of all terms of p and q."""
+    common = None
+    for terms in (p.terms, q.terms):
+        for m in terms:
+            common = m if common is None else _mono_gcd(common, m)
+            if not common:
+                return POLY_ONE
+    return Poly({common: 1})
 
 
 def _univ_content(p: Poly, atom: Atom):
@@ -718,7 +751,11 @@ class RatFunc:
             return RatFunc.const(1)
         if n < 0:
             return self.inverse() ** (-n)
-        return RatFunc(self.num ** n, self.den ** n)
+        # With no cos or fractional-power atom no rewrite acts, so the
+        # powers of the coprime num and den stay coprime, and den ** n
+        # stays primitive with a positive lead.
+        reduced = not any(a.fold for a in self.atoms())
+        return RatFunc(self.num ** n, self.den ** n, reduced=reduced)
 
     def atoms(self):
         return self.num.atoms() | self.den.atoms()

@@ -190,3 +190,48 @@ def test_zero_pins_keep_the_rref(seed):
     kept = system[:len(system) - len(pins.pinned)]
     assert system[len(kept):] == [{c: 1} for c in sorted(pins.pinned)]
     assert all(len(r) > 1 and not r.keys() & pins.pinned for r in kept)
+
+
+UNIT_SEEDS = range(40)
+
+
+def unit_heavy_system(seed):
+    """(integer dict rows, ncols) shaped like `ZeroPins.system()`: a few
+    dense rows, some of them sums of others, then unit rows {c: 1} for
+    most columns.  Dense rows reach into unit-row columns in half the
+    seeds, so back substitution clears pivots out of earlier rows."""
+    rng = random.Random(seed)
+    ncols = rng.randint(8, 30)
+    units = sorted(rng.sample(range(ncols), rng.randint(ncols // 2, ncols - 2)))
+    cols = range(ncols) if seed % 2 else [c for c in range(ncols) if c not in units]
+    dense = []
+    for _ in range(rng.randint(1, 5)):
+        dense.append({c: rng.choice((-4, -2, -1, 1, 3, 5))
+                      for c in rng.sample(cols, rng.randint(2, min(6, len(cols))))})
+    for _ in range(rng.randint(0, 2)):
+        a, b = rng.choice(dense), rng.choice(dense)
+        dense.append({c: a.get(c, 0) + b.get(c, 0) for c in a.keys() | b.keys()})
+    return dense + [{c: 1} for c in units], ncols
+
+
+def test_unit_heavy_rref_rank_and_coordinates_match_reference():
+    reaching = 0
+    for seed in UNIT_SEEDS:
+        rows, ncols = unit_heavy_system(seed)
+        dense = [[Fraction(r.get(c, 0)) for c in range(ncols)] for r in rows]
+        pivot_rows, pivots = sparse_rref(rows, ncols)
+        red, ref_pivots = ref.rref(dense)
+        assert pivots == ref_pivots
+        for p, expected in zip(pivots, red):
+            row = pivot_rows[p]
+            assert [Fraction(row.get(j, 0), row[p]) for j in range(ncols)] == expected
+        assert rank(rows, ncols) == ref.rank(dense)
+        units = {c for r in rows if len(r) == 1 for c in r}
+        reaching += any(len(r) > 1 and r.keys() & units for r in rows)
+        rng = random.Random(seed)
+        coeffs = [rng.randint(-3, 3) for _ in dense]
+        inside = [sum(c * v[i] for c, v in zip(coeffs, dense)) for i in range(ncols)]
+        for target in (inside, [Fraction(rng.randint(-3, 3)) for _ in range(ncols)]):
+            assert express_in_basis(dense, target) == ref.express_in_basis(dense, target)
+        assert express_in_basis(dense, inside) is not None
+    assert reaching >= 15

@@ -22,7 +22,16 @@ from liesym.symexpr import (
     to_text,
 )
 from liesym.symexpr.canonical import canonical_ratfunc
-from liesym.symexpr.poly import RAT_ONE, Poly, RatFunc, _reduce_fraction, poly_divexact, poly_gcd
+from liesym.symexpr.poly import (
+    RAT_ONE,
+    Atom,
+    Poly,
+    RatFunc,
+    _reduce_fraction,
+    poly_divexact,
+    poly_gcd,
+    sym_atom,
+)
 
 SYMBOLS = ["x", "y", "r", "t"]
 ANGLES = ["theta", "phi"]
@@ -304,3 +313,65 @@ def test_poly_division_gcd_and_fractions_match_fraction_reference():
             _assert_same(got[0], want[0])
             _assert_same(got[1], want[1])
     assert exact >= 100 and gcds >= 100
+
+
+def test_single_term_division_gcd_and_fractions_match_fraction_reference():
+    """The term-wise paths: a single-term divisor or gcd argument, cos
+    and power atoms included, against the long division and the gcd of
+    the reference; an inexact division raises as the reference does."""
+    rng = random.Random(1010)
+    exact = inexact = 0
+    for _ in range(300):
+        m, rm = _random_pair(rng, 1, 1)
+        a, ra = _random_pair(rng, 1, 4)
+        p, rp = (a * m, ra * rm) if rng.random() < 0.6 else (a, ra)
+        quot, rquot = _outcome(poly_divexact, p, m), _outcome(ref.divexact, rp, rm)
+        if isinstance(quot, str):
+            assert quot == rquot == "inexact polynomial division"
+            inexact += 1
+        else:
+            _assert_same(quot, rquot)
+            exact += 1
+        pairs = [(p, m, rp, rm)] + ([(m, p, rm, rp)] if p.terms else [])
+        for x, y, rx, ry in pairs:
+            _assert_same(poly_gcd(x, y), ref.gcd(rx, ry))
+            got, want = _reduce_fraction(x, y), ref.reduce_fraction(rx, ry)
+            _assert_same(got[0], want[0])
+            _assert_same(got[1], want[1])
+    assert exact >= 100 and inexact >= 50
+
+
+def test_atoms_are_interned_and_compare_by_identity():
+    assert sym_atom("x") is sym_atom("x")
+    assert sym_atom("x") is not sym_atom("y")
+    arg1 = canonical_ratfunc(parse_expr("x + 1"))
+    arg2 = canonical_ratfunc(parse_expr("(2*x + 2)/2"))
+    assert arg1 is not arg2 and arg1 == arg2
+    assert Atom("fn", ("sin", arg1)) is Atom("fn", ("sin", arg2))
+    assert _atom_of("sin(x*y)") is _atom_of("sin(y*x)")
+    assert _atom_of("r^(1/2)") is _atom_of("(r^(1/4))^2")
+    assert Atom("fn", ("sin", arg1)) is not Atom("fn", ("cos", arg1))
+    assert type(sym_atom("x")).__hash__ is object.__hash__
+    assert "__eq__" not in vars(Atom) and "__hash__" not in vars(Atom)
+
+
+def test_power_of_reduced_fraction_matches_reducing_construction():
+    """A power skips the gcd only when no cos or fractional-power atom
+    occurs; with one, the power must still be reduced."""
+    rng = random.Random(1111)
+
+    def poly(plain):
+        terms = _random_terms(rng, rng.randint(1, 2))
+        if plain:
+            terms = {tuple((a, e) for a, e in m if not a.fold): c for m, c in terms.items()}
+        return _from_rationals(terms)
+
+    folds = 0
+    for i in range(300):
+        f = RatFunc(poly(i % 2), poly(i % 2))
+        n = rng.randint(1, 3)
+        assert f ** n == RatFunc(f.num ** n, f.den ** n)
+        folds += any(a.fold for a in f.atoms())
+    assert 100 <= folds <= 150
+    f = canonical_ratfunc(parse_expr("cos(x)/(1 - sin(x))"))
+    assert f ** 2 == canonical_ratfunc(parse_expr("(1 + sin(x))/(1 - sin(x))"))

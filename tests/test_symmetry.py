@@ -12,6 +12,7 @@ from liesym.files import load_metric
 from liesym.jets import total
 from liesym.linalg import express_in_basis, sparse_rref
 from liesym.symexpr import (
+    NonPolynomialError,
     collect_ratfunc,
     derive,
     render_ratfunc,
@@ -20,6 +21,7 @@ from liesym.symexpr import (
 from liesym.symexpr.poly import RAT_ONE, RAT_ZERO
 from liesym.symmetry import (
     Ansatz,
+    _assert_velocity_degree,
     DeterminingSystem,
     default_ansatz,
     determining_system,
@@ -155,6 +157,45 @@ class TestLiepointResiduals:
             for res in liepoint_residuals(X, vb_system):
                 monos = collect_ratfunc(res, chart.jets1)
                 assert all(sum(k) <= 3 for k in monos)
+
+
+class TestVelocityDegreeCheck:
+    """The residual check reads the degree from the numerator's
+    monomials and keeps every error of the collection it replaced."""
+
+    def test_degree_matches_collection(self, chart, vb_system):
+        rng = random.Random(33)
+        from test_jets import random_polynomial_field
+
+        degrees = []
+        for _ in range(3):
+            X = random_polynomial_field(chart, rng)
+            for res in liepoint_residuals(X, vb_system):
+                monos = collect_ratfunc(res, chart.jets1)
+                degree = max((sum(k) for k in monos), default=0)
+                _assert_velocity_degree(res, chart, degree, "residual")
+                if degree:
+                    with pytest.raises(VerificationError, match="exceeds velocity degree"):
+                        _assert_velocity_degree(res, chart, degree - 1, "residual")
+                degrees.append(degree)
+        assert degrees and all(d == 3 for d in degrees)
+
+    def test_acceleration_symbols_raise(self, chart):
+        with pytest.raises(VerificationError, match="acceleration symbols"):
+            _assert_velocity_degree(rf("tdot + r*rddot"), chart, 3, "residual")
+
+    def test_degree_above_bound_raises(self, chart):
+        _assert_velocity_degree(rf("tdot^2*rdot/r + M(t)", {"M": ("t",)}), chart, 3, "residual")
+        with pytest.raises(VerificationError, match="exceeds velocity degree 3"):
+            _assert_velocity_degree(rf("tdot^2*rdot^2/r + 1"), chart, 3, "residual")
+
+    def test_velocity_in_denominator_raises(self, chart):
+        with pytest.raises(NonPolynomialError, match="denominator"):
+            _assert_velocity_degree(rf("r/(1 + tdot)"), chart, 3, "residual")
+
+    def test_velocity_inside_kernel_raises(self, chart):
+        with pytest.raises(NonPolynomialError, match="inside a kernel"):
+            _assert_velocity_degree(rf("r*sin(phidot) + tdot"), chart, 3, "residual")
 
 
 class TestDeterminingSystem:
