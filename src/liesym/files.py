@@ -32,7 +32,7 @@ from pathlib import Path
 
 from .charts import CoordChart
 from .errors import ChartError, FormatError, SingularMetricError
-from .geometry import Metric, determinant
+from .geometry import Metric
 from .jets import BundleVectorField
 from .symexpr import ExprSyntaxError, canonical_ratfunc, parse_expr
 from .symexpr.canonical import MAX_POWER_COEFFICIENT_BITS
@@ -143,7 +143,7 @@ def load_metric(path) -> Metric:
         metric = Metric(chart, comps, functions, name=Path(path).stem)
     except ChartError as exc:
         raise FormatError(path, 0, str(exc))
-    if determinant(metric).is_zero():
+    if metric.det.is_zero():
         raise SingularMetricError(f"{path}: metric determinant is canonically zero")
     return metric
 

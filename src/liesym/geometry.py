@@ -46,6 +46,12 @@ class Metric:
         i, j = ij
         return self.components[i][j]
 
+    @cached_property
+    def det(self) -> RatFunc:
+        """det g as a canonical RatFunc, computed once: the loader's
+        singular check and the inverse metric both read it."""
+        return _det(self.components)
+
 
 class GeodesicSystem:
     """Equations in solved form xddot^i - G^i(s, x, xdot) = 0 with
@@ -86,18 +92,13 @@ def _det(a):
     return out
 
 
-def determinant(metric: Metric):
-    """det g as a canonical RatFunc."""
-    return _det(metric.components)
-
-
 def inverse_metric(metric: Metric):
     """Exact inverse adj(g)/det(g) as a matrix of canonical RatFuncs;
     its product with g canonicalizes to the identity.  Raises
     SingularMetricError when the determinant vanishes."""
     n = metric.chart.dim
     a = [list(row) for row in metric.components]
-    det = _det(a)
+    det = metric.det
     if det.is_zero():
         raise SingularMetricError("metric determinant is canonically zero")
     inv = [[None] * n for _ in range(n)]

@@ -23,7 +23,11 @@ same chain that gives the derived series, ends at zero.
 Adjoint convention: Ad(exp(q X_i)) X_j expands with the alternating
 series X_j - q [X_i, X_j] + (q^2/2) [X_i, [X_i, X_j]] - ..., and the
 AdjointMap matrix stores images by rows, so coefficient vectors
-transform as row vectors: a' = a . M.
+transform as row vectors: a' = a . M.  The closed form of that series
+is p(ad X_i) for the polynomial p that interpolates exp(-q x), with
+its derivatives, on the spectrum of ad X_i (Higham, Functions of
+Matrices, 2008, Def. 1.4): its coefficients solve one rational linear
+system, again through linalg.sparse_rref.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from .errors import (
 from .jets import BundleVectorField, symbol
 from .linalg import express_in_basis, rank, sparse_nullspace, sparse_rref
 from .symexpr import fn_ratfunc, pow_ratfunc, substitute_atoms
-from .symexpr.poly import RAT_ONE, RAT_ZERO, RatFunc, poly_divexact, poly_lcm, sym_atom
+from .symexpr.poly import RAT_ONE, RAT_ZERO, RatFunc, poly_divexact, poly_lcm, rat_sum, sym_atom
 
 
 def field_bracket(x: BundleVectorField, y: BundleVectorField) -> BundleVectorField:
@@ -370,21 +374,14 @@ def _mat_mul(a, b):
     ]
 
 
-def _mat_scale(a, c):
-    return [[c * x for x in row] for row in a]
-
-
-def _mat_add(a, b):
-    return [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(a, b)]
-
-
 def _identity(n):
     return [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
 
 
 def _minimal_polynomial(a):
     """Monic minimal polynomial of a rational matrix, low-degree first
-    coefficient list [c0, c1, ..., 1]."""
+    coefficient list [c0, c1, ..., 1], and the powers a^0, ..., a^d of
+    the matrix up to its degree d."""
     n = len(a)
     powers = [_identity(n)]
     while True:
@@ -396,67 +393,19 @@ def _minimal_polynomial(a):
         for v in ns:
             if v[d]:
                 coeffs = [x / v[d] for x in v]
-                return coeffs
+                return coeffs, powers
         if d > n:
             raise UnsupportedAdjointError("minimal polynomial search failed")
 
 
-def _poly_divmod(num, den):
-    num = list(num)
-    out = [Fraction(0)] * max(1, len(num) - len(den) + 1)
-    while len(num) >= len(den) and any(num):
-        if num[-1] == 0:
-            num.pop()
-            continue
-        shift = len(num) - len(den)
-        factor = num[-1] / den[-1]
-        out[shift] = factor
-        for i, c in enumerate(den):
-            num[shift + i] -= factor * c
-        num.pop()
-    while num and num[-1] == 0:
-        num.pop()
-    return out, num
-
-
-def _poly_eval_matrix(coeffs, a):
-    n = len(a)
-    out = [[Fraction(0)] * n for _ in range(n)]
-    power = _identity(n)
-    for c in coeffs:
-        if c:
-            out = _mat_add(out, _mat_scale(power, c))
-        power = _mat_mul(power, a)
+def _deflate(coeffs, root):
+    """coeffs / (x - root) for a root of coeffs, by synthetic division."""
+    out = [Fraction(0)] * (len(coeffs) - 1)
+    carry = Fraction(0)
+    for i in range(len(coeffs) - 1, 0, -1):
+        carry = carry * root + coeffs[i]
+        out[i - 1] = carry
     return out
-
-
-def _poly_gcd_ext(p, q):
-    """Extended Euclid over Q[x]: returns (g, u, v) with u p + v q = g."""
-    r0, r1 = list(p), list(q)
-    s0, s1 = [Fraction(1)], [Fraction(0)]
-    t0, t1 = [Fraction(0)], [Fraction(1)]
-
-    def sub_scaled(a, b, quot):
-        out = list(a)
-        for i, qc in enumerate(quot):
-            if qc == 0:
-                continue
-            for j, bc in enumerate(b):
-                idx = i + j
-                while len(out) <= idx:
-                    out.append(Fraction(0))
-                out[idx] -= qc * bc
-        while out and out[-1] == 0:
-            out.pop()
-        return out
-
-    while r1:
-        quot, rem = _poly_divmod(r0, r1)
-        r0, r1 = r1, rem
-        s0, s1 = s1, sub_scaled(s0, s1, quot)
-        t0, t1 = t1, sub_scaled(t0, t1, quot)
-    lead = r0[-1]
-    return [c / lead for c in r0], [c / lead for c in s0], [c / lead for c in t0]
 
 
 def _rational_roots(coeffs):
@@ -467,34 +416,25 @@ def _rational_roots(coeffs):
     roots = {}
     cur = list(coeffs)
     while len(cur) > 1:
-        if cur[0] == 0:
-            root = Fraction(0)
-        else:
-            den_lcm = 1
-            for c in cur:
-                den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-            ints = [c * den_lcm for c in cur]
-            root = None
-            found = False
-            for p in _divisors(ints[0].numerator):
-                for q in _divisors(ints[-1].numerator):
-                    for cand in (Fraction(p, q), Fraction(-p, q)):
-                        if _poly_value(cur, cand) == 0:
-                            root = cand
-                            found = True
-                            break
-                    if found:
-                        break
-                if found:
-                    break
-            if root is None:
-                break
-        quot, rem = _poly_divmod(cur, [-root, Fraction(1)])
-        if rem:
+        root = _rational_root(cur)
+        if root is None:
             break
         roots[root] = roots.get(root, 0) + 1
-        cur = quot
+        cur = _deflate(cur, root)
     return roots, cur
+
+
+def _rational_root(coeffs):
+    """One rational root of coeffs, or None."""
+    if coeffs[0] == 0:
+        return Fraction(0)
+    den_lcm = math.lcm(*(c.denominator for c in coeffs))
+    for p in _divisors(coeffs[0] * den_lcm):
+        for q in _divisors(coeffs[-1] * den_lcm):
+            for cand in (Fraction(p, q), Fraction(-p, q)):
+                if _poly_value(coeffs, cand) == 0:
+                    return cand
+    return None
 
 
 def _poly_value(coeffs, x):
@@ -538,120 +478,71 @@ class AdjointMap:
         return [[substitute_atoms(x, image) for x in row] for row in self.matrix]
 
 
+def _imaginary_pairs(residual):
+    """The c > 0 of the factors x^2 + c of the minimal polynomial's part
+    without rational roots; each must be simple."""
+    if len(residual) == 1:
+        return []
+    if len(residual) % 2 == 0:
+        raise UnsupportedAdjointError("minimal polynomial has an unsupported odd factor")
+    if any(c != 0 for c in residual[1::2]):
+        raise UnsupportedAdjointError("minimal polynomial factor is not even in the parameter")
+    yroots, yres = _rational_roots(residual[0::2])
+    if len(yres) > 1 or any(mult != 1 for mult in yroots.values()):
+        raise UnsupportedAdjointError("irrational or repeated imaginary spectrum is unsupported")
+    if any(y >= 0 for y in yroots):
+        raise UnsupportedAdjointError("real irrational eigenvalues are unsupported")
+    return sorted(-y for y in yroots)
+
+
 def adjoint_exp(g: LieAlgebra, index: int, parameter: str = "q") -> AdjointMap:
-    """Closed-form exp(-q ad X_i) assembled from the minimal-polynomial
-    factorization; supported spectra: 0 (any multiplicity), rational
-    eigenvalues, simple purely imaginary pairs x^2 + c with c > 0."""
+    """Closed-form exp(-q ad X_i) as p(ad X_i), where p is the Hermite
+    interpolant of exp(-q x) on the spectrum of ad X_i: the polynomial
+    of degree below that of the minimal polynomial mu that agrees with
+    exp(-q x) and its derivatives up to each root's multiplicity.
+
+    Supported spectra: rational eigenvalues of any multiplicity (0
+    included) and simple imaginary pairs, the factors x^2 + c of mu
+    with rational c > 0.  A root lam of multiplicity k gives the k
+    conditions p^(j)(lam) = (-q)^j exp(-lam q); a pair gives the two
+    coefficients of p mod (x^2 + c) = cos(w q) - sin(w q)/w x with
+    w = sqrt(c).  The conditions are rational in the coefficients of p,
+    so one sparse_rref of [V | I] inverts them."""
     m = g.dim
-    a = ad_matrix(g, _unit(m, index))
-    mu = _minimal_polynomial(a)
-    # factor mu = x^k * prod (x - lambda)^mult * prod (x^2 + c)
-    k = 0
-    cur = list(mu)
-    while len(cur) > 1 and cur[0] == 0:
-        cur = cur[1:]
-        k += 1
-    roots, residual = _rational_roots(cur)
-    quads = []
-    if len(residual) > 1:
-        if len(residual) % 2 == 0:
-            raise UnsupportedAdjointError(
-                "minimal polynomial has an unsupported odd factor")
-        even = residual[0::2]
-        if any(c != 0 for c in residual[1::2]):
-            raise UnsupportedAdjointError(
-                "minimal polynomial factor is not even in the parameter")
-        yroots, yres = _rational_roots(even)
-        if len(yres) > 1 or any(mult != 1 for mult in yroots.values()):
-            raise UnsupportedAdjointError(
-                "irrational or repeated imaginary spectrum is unsupported")
-        for y, mult in yroots.items():
-            cval = -y
-            if cval <= 0:
-                raise UnsupportedAdjointError(
-                    "real irrational eigenvalues are unsupported")
-            quads.append(cval)
-    if 0 in roots:
-        # a rational root 0 would have been absorbed into x^k
-        raise UnsupportedAdjointError("inconsistent minimal polynomial factorization")
-
-    factors = []  # (coeff list of factor, kind, data)
-    if k:
-        factors.append(([Fraction(0)] * k + [Fraction(1)], "nilpotent", k))
-    for lam, mult in sorted(roots.items()):
-        f = [Fraction(1)]
-        for _ in range(mult):
-            f, _rem = _poly_mul_linear(f, lam)
-        factors.append((f, "exponential", (lam, mult)))
-    for cval in sorted(quads):
-        factors.append(([cval, Fraction(0), Fraction(1)], "rotation", cval))
-
+    mu, powers = _minimal_polynomial(ad_matrix(g, _unit(m, index)))
+    roots, residual = _rational_roots(mu)
+    pairs = _imaginary_pairs(residual)
+    d = len(mu) - 1
     q = symbol(parameter)
-    total = [[RAT_ZERO] * m for _ in range(m)]
-    for f, kind, data in factors:
-        rest, remcheck = _poly_divmod(mu, f)
-        if remcheck:
-            raise UnsupportedAdjointError("minimal polynomial factorization failed")
-        gpoly, u, v = _poly_gcd_ext(f, rest)
-        if len(gpoly) != 1:
-            raise UnsupportedAdjointError("minimal polynomial factors are not coprime")
-        # projector P = v(a) rest(a) and exp(-qa) restricted to im P
-        proj = _mat_mul(_poly_eval_matrix(v, a), _poly_eval_matrix(rest, a))
-        block = _exp_block(a, proj, kind, data, q)
-        total = [[total[i][j] + block[i][j] for j in range(m)] for i in range(m)]
-    # rows = images: transpose the column-action matrix
-    rows = tuple(tuple(total[i][j] for i in range(m)) for j in range(m))
-    amap = AdjointMap(index, parameter, rows)
+    rows, values = [], []
+    for lam, mult in sorted(roots.items()):
+        scalar = fn_ratfunc("exp", RatFunc.const(-lam) * q)
+        for j in range(mult):
+            # d^j/dx^j of sum_l c_l x^l at lam
+            rows.append([math.perm(l, j) * lam ** (l - j) if l >= j else 0 for l in range(d)])
+            values.append((-q) ** j * scalar)
+    for c in pairs:
+        w_q = pow_ratfunc(RatFunc.const(c), Fraction(1, 2)) * q
+        sin_part = -pow_ratfunc(RatFunc.const(c), Fraction(-1, 2)) * fn_ratfunc("sin", w_q)
+        # x^l = (-c)^(l // 2) x^(l % 2) modulo x^2 + c
+        for parity, value in ((0, fn_ratfunc("cos", w_q)), (1, sin_part)):
+            rows.append([(-c) ** (l // 2) if l % 2 == parity else 0 for l in range(d)])
+            values.append(value)
+    pivot_rows, _ = sparse_rref([row + _unit(d, r) for r, row in enumerate(rows)], 2 * d)
+    coeffs = []
+    for l in range(d):
+        inv_row = pivot_rows[l]
+        coeffs.append(rat_sum(RatFunc.const(Fraction(inv_row[d + r], inv_row[l])) * values[r]
+                              for r in range(d) if d + r in inv_row))
+    # rows = images: entry (j, i) of the column-action matrix p(a)
+    matrix = tuple(
+        tuple(rat_sum(coeffs[l] * RatFunc.const(powers[l][i][j])
+                      for l in range(d) if powers[l][i][j]) for i in range(m))
+        for j in range(m)
+    )
+    amap = AdjointMap(index, parameter, matrix)
     _check_identity_at_zero(amap)
     return amap
-
-
-def _poly_mul_linear(f, lam):
-    """f(x) * (x - lam)"""
-    out = [Fraction(0)] * (len(f) + 1)
-    for i, c in enumerate(f):
-        out[i + 1] += c
-        out[i] -= lam * c
-    return out, None
-
-
-def _exp_block(a, proj, kind, data, q: RatFunc):
-    """exp(-q a) restricted to a spectral block, as a RatFunc matrix."""
-    m = len(a)
-    out = [[RAT_ZERO] * m for _ in range(m)]
-    if kind == "rotation":
-        # a^2 = -c on im(P); exp(-q a) = cos(w q) - sin(w q)/w a
-        cval = RatFunc.const(data)
-        w_q = pow_ratfunc(cval, Fraction(1, 2)) * q
-        cos_part = fn_ratfunc("cos", w_q)
-        sin_part = -pow_ratfunc(cval, Fraction(-1, 2)) * fn_ratfunc("sin", w_q)
-        ap = _mat_mul(a, proj)
-        for i in range(m):
-            for j in range(m):
-                if proj[i][j]:
-                    out[i][j] = out[i][j] + RatFunc.const(proj[i][j]) * cos_part
-                if ap[i][j]:
-                    out[i][j] = out[i][j] + RatFunc.const(ap[i][j]) * sin_part
-        return out
-    # nilpotent: sum_l (-q)^l a^l / l! on im(P); exponential: the same
-    # series in (a - lam) times exp(-lam q)
-    if kind == "nilpotent":
-        terms, scalar, step = data, RAT_ONE, a
-    else:
-        lam, terms = data
-        scalar = fn_ratfunc("exp", RatFunc.const(-lam) * q)
-        step = _mat_add(a, _mat_scale(_identity(m), -lam))
-    power = proj
-    fact = 1
-    for l in range(terms):
-        factor = scalar * (-q) ** l
-        for i in range(m):
-            for j in range(m):
-                if power[i][j]:
-                    out[i][j] = out[i][j] + RatFunc.const(Fraction(power[i][j], fact)) * factor
-        power = _mat_mul(power, step)
-        fact *= l + 1
-    return out
 
 
 def _check_identity_at_zero(amap: AdjointMap):

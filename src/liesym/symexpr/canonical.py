@@ -61,7 +61,12 @@ def canonical_ratfunc(e: Expr, _memo=None) -> RatFunc:
     elif isinstance(e, Mul):
         out = RAT_ONE
         for f in e.factors:
-            out = out * canonical_ratfunc(f, _memo)
+            rf = canonical_ratfunc(f, _memo)
+            for a, b in ((out.num, rf.num), (out.den, rf.den)):
+                if _expansion_terms([(a, 1), (b, 1)]) > MAX_EXPANDED_TERMS:
+                    raise ValueError(f"a product whose expansion could have more than "
+                                     f"{MAX_EXPANDED_TERMS} terms")
+            out = out * rf
     elif isinstance(e, Pow):
         out = pow_ratfunc(canonical_ratfunc(e.base, _memo), e.exponent)
     elif isinstance(e, Fn):
@@ -182,6 +187,31 @@ def _expands(p: Poly) -> bool:
         a.fold == 1 or (a.fold == 2 and _expands(a.payload[0])) for a in p.atoms())
 
 
+def _expansion_terms(factors) -> int:
+    """An upper bound on the terms of the product of p^n over the (p, n)
+    in factors, once the rewrite rules have acted: the C(n + t - 1, n)
+    products of n of p's t terms, times what the cos and fractional-power
+    atoms multiply out to at their highest exponents (cos^k has
+    k // 2 + 1 terms, and B^f to the exponent k those of B^floor(k f))."""
+    bound = 1
+    exponents = {}  # cos or fractional-power atom -> its highest exponent
+    for p, n in factors:
+        bound *= math.comb(n + len(p.terms) - 1, n)
+        # a stored monomial holds each such atom to the first power
+        for a in {a for mono in p.terms for a, _ in mono if a.fold}:
+            exponents[a] = exponents.get(a, 0) + n
+    powers = {}  # base key -> (base, highest exponent of the base)
+    for a, k in exponents.items():
+        if a.fold == 1:
+            bound *= k // 2 + 1
+        else:
+            base, frac = a.payload
+            powers[base.key()] = base, powers.get(base.key(), (base, 0))[1] + k * frac
+    for base, x in powers.values():
+        bound *= _expansion_terms([(base, math.floor(x))])
+    return bound
+
+
 def _coefficient_bits(p: Poly) -> int:
     """k with 2^k at least p's denominator and the sum of its |integer
     coefficients|: the numerators and denominators of p^n then have at
@@ -196,12 +226,12 @@ def pow_ratfunc(base: RatFunc, q: Fraction) -> RatFunc:
     if whole > MAX_EXPANDED_POWER and (_expands(base.num) or _expands(base.den)):
         raise ValueError(f"exponent {q} of an expression whose powers expand: its integer "
                          f"part is above {MAX_EXPANDED_POWER}")
-    # a power `whole` of t terms has at most C(whole + t - 1, whole) terms;
-    # with whole <= MAX_EXPANDED_POWER here, the bound costs O(1)
-    t = max(len(base.num.terms), len(base.den.terms))
-    if whole > 1 and t > 1 and math.comb(whole + t - 1, whole) > MAX_EXPANDED_TERMS:
-        raise ValueError(f"exponent {q} of an expression with {t} terms: its expansion "
-                         f"could have more than {MAX_EXPANDED_TERMS} terms")
+    # above MAX_EXPANDED_POWER only powers that multiply nothing out are
+    # left, and their bound is 1
+    if whole > 1 and max(_expansion_terms([(base.num, whole)]),
+                         _expansion_terms([(base.den, whole)])) > MAX_EXPANDED_TERMS:
+        raise ValueError(f"exponent {q}: its expansion could have more than "
+                         f"{MAX_EXPANDED_TERMS} terms")
     # no coefficient of base^q exceeds those of base^n for n = ceil(|q|)
     n = -(-abs(q.numerator) // q.denominator)
     if n > 1 and n * max(_coefficient_bits(base.num), _coefficient_bits(base.den)) > \

@@ -394,6 +394,16 @@ def test_kernel_error_in_input_exits_2(tmp_path, expr, where):
     assert "Traceback" not in out.stderr
 
 
+def test_expansion_past_the_term_cap_in_analyze_exits_2(tmp_path):
+    # each cos^64 has 33 terms, so the power of the product has 33^3
+    (tmp_path / "in.metric").write_text(
+        "param s\ncoords x y z\ng 0 0 = (cos(x)*cos(y)*cos(z))^64\ng 1 1 = 1\ng 2 2 = 1\n")
+    out = _run_cli("analyze", "in.metric", "--noether", cwd=tmp_path, timeout=10)
+    assert out.returncode == 2
+    assert "in.metric:3" in out.stderr and "more than 5000 terms" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
 @pytest.mark.parametrize("where", ["metric", "generators"])
 def test_cancelling_undeclared_symbol_exits_2(tmp_path, where):
     # w - w canonicalizes to 0; the symbol check runs on the parse tree

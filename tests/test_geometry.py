@@ -2,8 +2,10 @@
 
 import pytest
 
+from liesym import geometry
 from liesym.charts import CoordChart
 from liesym.errors import ChartError, SingularMetricError
+from liesym.files import load_metric
 from liesym.geometry import (
     Metric,
     christoffel,
@@ -71,6 +73,20 @@ class TestInverseMetric:
         g = Metric(chart2, ((rf("1"), rf("1")), (rf("1"), rf("1"))))
         with pytest.raises(SingularMetricError):
             inverse_metric(g)
+
+    def test_determinant_is_expanded_once(self, monkeypatch):
+        # the loader's singular check and the inverse share one det g
+        full = []
+        original = geometry._det
+
+        def counting(a):
+            if len(a) == 4:
+                full.append(a)
+            return original(a)
+
+        monkeypatch.setattr(geometry, "_det", counting)
+        inverse_metric(load_metric("vaidya_bonner.metric"))
+        assert len(full) == 1
 
     def test_full_metric_inverse(self, vb_general):
         inv = inverse_metric(vb_general)

@@ -167,6 +167,38 @@ def _algebra_of(chart, c):
 
 SO3 = {(0, 1): {2: 1}, (1, 2): {0: 1}, (2, 0): {1: 1}}
 
+# Semidirect sums R e0 + V with V abelian: [e0, v] = M v is a Lie
+# algebra for any matrix M, and ad e0 has minimal polynomial
+# lcm(x, minpoly(M)).  One table per spectrum that the adjoint maps
+# interpolate on.
+SPECTRA = {
+    # e1 -> e2 -> e3 -> 0: minimal polynomial x^3
+    "nilpotent_order_3": (4, {(0, 1): {2: 1}, (0, 2): {3: 1}}),
+    # e1 -> e1 + e2, e2 -> e2: x (x - 1)^2
+    "jordan_block": (3, {(0, 1): {1: 1, 2: 1}, (0, 2): {2: 1}}),
+    # (ad e0)^2 = -2 on span(e1, e2): x (x^2 + 2)
+    "rotation_sqrt2": (3, {(0, 1): {2: 1}, (0, 2): {1: -2}}),
+    # x (x^2 + 2) (x^2 + 9)
+    "two_imaginary_pairs": (5, {(0, 1): {2: 1}, (0, 2): {1: -2},
+                                (0, 3): {4: 1}, (0, 4): {3: -9}}),
+    # x (x - 2) (x - 1/2) (x + 1)
+    "mixed_rational_roots": (4, {(0, 1): {1: 2}, (0, 2): {2: Fraction(1, 2)},
+                                 (0, 3): {3: -1}}),
+    # x^2 (x - 1)^2 (x^2 + 2): every kind of factor at once
+    "mixed_spectrum": (7, {(0, 1): {1: 1, 2: 1}, (0, 2): {2: 1},
+                           (0, 3): {4: 1}, (0, 4): {3: -2}, (0, 5): {6: 1}}),
+}
+
+
+@pytest.fixture(scope="module")
+def spectrum_algebras(chart):
+    out = []
+    for name in sorted(SPECTRA):
+        m, brackets = SPECTRA[name]
+        out.append(_algebra_of(chart, _table(m, brackets)))
+        _validate_structure(out[-1])
+    return out
+
 
 class TestStructureChecks:
     """_validate_structure rejects tables that are not Lie algebras."""
@@ -486,8 +518,8 @@ class TestAdjointExp:
         with pytest.raises(UnsupportedAdjointError):
             adjoint_exp(g, 0, "q")
 
-    def test_identity_at_zero(self, general_algebra, scaling_algebra):
-        for g in (general_algebra, scaling_algebra):
+    def test_identity_at_zero(self, general_algebra, scaling_algebra, spectrum_algebras):
+        for g in (general_algebra, scaling_algebra, *spectrum_algebras):
             for idx in range(g.dim):
                 amap = adjoint_exp(g, idx, "q")
                 for i in range(g.dim):
@@ -566,9 +598,9 @@ class TestAdjointProperties:
                         assert (acc - RatFunc.const(K[i, j])).is_zero()
 
     def test_series_truncation_matches_taylor_expansion(self, general_algebra,
-                                                        scaling_algebra):
+                                                        scaling_algebra, spectrum_algebras):
         order = 6
-        for g in (general_algebra, scaling_algebra):
+        for g in (general_algebra, scaling_algebra, *spectrum_algebras):
             m = g.dim
             for idx in range(m):
                 closed = adjoint_exp(g, idx, "q").matrix

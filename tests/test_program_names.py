@@ -17,8 +17,9 @@ ALLOWED = {
     "adjoint_exp": "closed-form adjoint maps; acceptance criterion 5 checks "
                    "the paper's adjoint matrices from it",
     "adjoint_orbit_reduce": "reduces one vector with a replayable trace, "
-                            "through the cover's own routine; BENCHMARK.json "
-                            "counts its calls",
+                            "through the cover's own routine; only tests call "
+                            "it, since verify_optimal_cover reduces through "
+                            "_reduce",
     "generators_to_text": "the writer of the generator-file format",
 }
 

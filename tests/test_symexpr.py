@@ -205,6 +205,12 @@ class TestCanonical:
         ("(1000003*1000033)^(1/3)", "no prime factor up to 1000000"),
         ("(x+y+z+1)^64", "more than 5000 terms"),
         ("((x+y+z+1)^60)^60", "more than 5000 terms"),
+        # one term whose cos factors expand through cos^2 = 1 - sin^2
+        ("(cos(x)*cos(y)*cos(z))^64", "more than 5000 terms"),
+        # a power of a radical of a sum folds into a power of the sum
+        ("((a+b+c+d+e+1)^(1/2))^64", "more than 5000 terms"),
+        # a product of powers that are each under the cap
+        ("(x+y+z+1)^20*(a+b+c+1)^20", "more than 5000 terms"),
     ])
     def test_input_above_the_caps_is_rejected(self, text, message):
         with pytest.raises(ValueError, match=message):
