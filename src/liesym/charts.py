@@ -53,6 +53,3 @@ class CoordChart:
     @property
     def jets2(self) -> tuple:
         return tuple(self.jet2(c) for c in self.coords)
-
-    def index(self, name: str) -> int:
-        return self.coords.index(name)

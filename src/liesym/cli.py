@@ -24,7 +24,7 @@ from .errors import (
 )
 from .files import canonical_input, load_generators, load_metric
 from .geometry import geodesic_lagrangian, geodesic_system
-from .liealg import radical, levi_check, structure_constants
+from .liealg import levi_split, structure_constants
 from .numeric import drift_along_trace, integrate_geodesic, step_count
 from .optimal import (
     OptimalSystemError,
@@ -167,27 +167,12 @@ def cmd_verify(args) -> int:
     return EXIT_OK if payload["all_pass"] else EXIT_VERIFICATION
 
 
-def _heuristic_levi_split(g, rad_vectors):
-    """Complement guess: the coordinate block outside the radical span
-    (the block carrying the nondegenerate part of the Killing form for
-    every bundled algebra).  The radical is a canonical RREF with
-    leading 1s, so a unit vector lies in its span exactly when it is one
-    of its rows.  levi_check verifies the guess."""
-    units = [tuple(int(i == j) for j in range(g.dim)) for i in range(g.dim)]
-    return [e for e in units if e not in rad_vectors]
-
-
 def cmd_algebra(args) -> int:
     metric = load_metric(args.metric)
     fields = load_generators(args.generators, metric.chart, metric.functions)
     g = structure_constants(fields)
-    rad = radical(g)
-    h_guess = _heuristic_levi_split(g, rad)
-    levi_ok = False
-    if len(rad) + len(h_guess) == g.dim:
-        levi_ok = levi_check(g, rad, h_guess)
     view = {"text": algebra_text, "json": dumps_json, "latex": algebra_latex}[args.format]
-    sys.stdout.write(view(algebra_payload(g, rad, h_guess, levi_ok)))
+    sys.stdout.write(view(algebra_payload(g, *levi_split(g))))
     return EXIT_OK
 
 

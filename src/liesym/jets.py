@@ -13,8 +13,6 @@ components, their arguments and their results are canonical RatFuncs.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .charts import CoordChart
 from .errors import ChartError, JetOrderError
 from .symexpr import derive
@@ -55,16 +53,6 @@ class BundleVectorField:
 
     def is_zero_field(self) -> bool:
         return all(rf.is_zero() for rf in self.components)
-
-    def scale(self, c) -> "BundleVectorField":
-        c = RatFunc.const(Fraction(c))
-        return BundleVectorField(self.chart, [c * rf for rf in self.components], self.name)
-
-    def add(self, other: "BundleVectorField") -> "BundleVectorField":
-        if other.chart != self.chart:
-            raise ChartError("cannot add fields on different charts")
-        return BundleVectorField(
-            self.chart, [a + b for a, b in zip(self.components, other.components)])
 
     def coefficients(self) -> dict:
         """The field as a derivation: symbol name -> RatFunc coefficient."""

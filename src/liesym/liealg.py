@@ -2,8 +2,8 @@
 
 Brackets of vector fields, structure constants, derived series and
 solvability, Killing form and semisimplicity, radical via the Cartan
-orthogonality criterion, Levi split verification, adjoint matrices and
-closed-form adjoint exponentials.
+orthogonality criterion, a Levi factor and the verification of the
+split, adjoint matrices and closed-form adjoint exponentials.
 
 Structure-constant tables are sparse (sl(4) has 114 nonzero constants
 out of 15^3), so the algebra keeps, next to the dense table c, the list
@@ -362,6 +362,73 @@ def levi_check(g: LieAlgebra, r_vectors, h_vectors) -> bool:
     return rank(Kh, len(h_vectors)) == len(h_vectors)
 
 
+def _reduce(w, rows):
+    """w minus its part in the span of RREF rows with leading 1s; the
+    result is 0 at their pivots."""
+    for row in rows:
+        f = w[next(i for i, x in enumerate(row) if x)]
+        if f:
+            w = [a - f * b for a, b in zip(w, row)]
+    return w
+
+
+def _levi_factor(g: LieAlgebra, rad):
+    """RREF rows of a Levi factor: a subalgebra complementary to the
+    radical r (de Graaf, Lie Algebras: Theory and Algorithms, 2000, 4.13).
+
+    The unit vectors x_i off the pivots of r satisfy [x_i, x_j] =
+    sum_k c_ij^k x_k mod r.  Along the derived series r = r_0 > r_1 >
+    ... > 0 of r, each an ideal of g, step t solves for y_i in r_t with
+    [x_i, y_j] - [x_j, y_i] - sum_k c_ij^k y_k = -R_ij mod r_(t+1), for
+    R_ij = [x_i, x_j] - sum_k c_ij^k x_k in r_t, and moves each x_i to
+    x_i + y_i, after which every R_ij lies in r_(t+1); Whitehead's second
+    lemma makes each system solvable.  A Levi factor that centralizes r
+    is unique, and the result is then the last derived term g^(oo)."""
+    m = g.dim
+    pivots = {next(i for i, x in enumerate(v) if x) for v in rad}
+    off = [i for i in range(m) if i not in pivots]
+    xs = [_unit(m, i) for i in off]
+    pairs = [(i, j) for i in range(len(xs)) for j in range(i + 1, len(xs))]
+    # each x_k stays the unit vector at off[k] modulo r
+    c = {(i, j): [_reduce(g.bracket_coeffs(xs[i], xs[j]), rad)[l] for l in off]
+         for i, j in pairs}
+    chain = _derived_chain(g, rad) if rad else []
+    for r_t, r_next in zip(chain, chain[1:]):
+        columns = []  # the image of y_k = b, for each k and b in r_t
+        for k in range(len(xs)):
+            for b in r_t:
+                col = []
+                for i, j in pairs:
+                    v = [-c[i, j][k] * x for x in b]
+                    if k in (i, j):
+                        sign, other = (1, xs[i]) if k == j else (-1, xs[j])
+                        v = [a + sign * w for a, w in zip(v, g.bracket_coeffs(other, b))]
+                    col += _reduce(v, r_next)
+                columns.append(col)
+        target = []
+        for i, j in pairs:
+            w = g.bracket_coeffs(xs[i], xs[j])
+            for ck, x in zip(c[i, j], xs):
+                w = [a - ck * b for a, b in zip(w, x)]
+            target += [-a for a in _reduce(w, r_next)]
+        ys = express_in_basis(columns, target)
+        if ys is None:
+            raise NonClosureError("no Levi factor complements the radical (structure bug)")
+        d = len(r_t)
+        for k in range(len(xs)):
+            for a, b in enumerate(r_t):
+                xs[k] = [x + ys[k * d + a] * y for x, y in zip(xs[k], b)]
+    return span_rref(xs)
+
+
+def levi_split(g: LieAlgebra):
+    """(radical, complement, verified): the radical, a Levi factor as
+    its complement, and levi_check's verdict on the pair."""
+    rad = radical(g)
+    complement = _levi_factor(g, rad)
+    return rad, complement, levi_check(g, rad, complement)
+
+
 # ---------------------------------------------------------------------------
 # Closed-form adjoint exponentials.
 
@@ -467,10 +534,6 @@ class AdjointMap:
         self.generator_index = generator_index
         self.parameter = parameter
         self.matrix = matrix  # rows of canonical RatFuncs
-
-    @property
-    def dim(self):
-        return len(self.matrix)
 
     def at(self, q_value: RatFunc):
         """The matrix with the parameter replaced by q_value."""

@@ -56,8 +56,8 @@ def analyze_payload(mode, metric, reports, system, nullspace_dim, ansatz) -> dic
 
 
 def algebra_payload(g, rad, complement, levi_ok) -> dict:
-    """The `algebra` report of g with radical rows `rad` and the
-    guessed Levi complement `complement`."""
+    """The `algebra` report of g with radical rows `rad`, Levi
+    complement rows `complement` and the split's verdict `levi_ok`."""
     m = g.dim
     K, semisimple = g.killing
     chain, solvable = g.derived

@@ -13,7 +13,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .canonical import _cos_of, _sin_of, fn_ratfunc, pow_ratfunc
-from .nodes import Sym
 from .poly import POLY_ONE, RAT_ONE, Poly, RatFunc, op_atom, rat_sum
 
 
@@ -239,17 +238,14 @@ def split_monomials(rf: RatFunc, var_names) -> list:
     return out
 
 
-def collect_ratfunc(rf: RatFunc, variables) -> dict:
-    """Coefficients of a canonical RatFunc as a polynomial in the given
-    symbols.
+def collect_ratfunc(rf: RatFunc, var_names) -> dict:
+    """Coefficients of a canonical RatFunc as a polynomial in the
+    symbols named by the sequence `var_names`.
 
-    Returns {exponent tuple aligned with `variables`: coefficient
+    Returns {exponent tuple aligned with `var_names`: coefficient
     RatFunc}; zero collects to an empty map.  Raises NonPolynomialError
     when a variable occurs in a denominator or inside a function kernel.
     """
-    var_names = [v.name if isinstance(v, Sym) else str(v) for v in variables]
-    if isinstance(variables, (set, frozenset)):
-        var_names.sort()
     buckets = {}
     for key, rest, coeff in split_monomials(rf, var_names):
         buckets.setdefault(key, {})[rest] = coeff

@@ -33,7 +33,7 @@ from .poly import (
 # is checked before the work starts and raises ValueError, which the file
 # loaders and --bind report at the offending line.
 MAX_EXPANDED_POWER = 64  # integer part of |exponent| for a power that expands
-MAX_EXPANDED_TERMS = 5000  # terms a power of a sum may expand to
+MAX_EXPANDED_TERMS = 5000  # terms a power, a product or sin/cos of a sum may expand to
 MAX_TRIG_MULTIPLE = 100  # n in sin(n w), cos(n w) for a kernel monomial w
 MAX_TRIAL_DIVISOR = 10**6  # trial divisors for an integer under a fractional power
 # bits of the coefficients of a power, bounded from its base and exponent;
@@ -136,6 +136,9 @@ def _sin_cos(arg: RatFunc):
         return -s, c
     num = arg.num
     if arg.den.is_const() and len(num.terms) > 1:
+        if _trig_sum_terms(num) > MAX_EXPANDED_TERMS:
+            raise ValueError(f"sin/cos of a sum of {len(num.terms)} terms: its expansion "
+                             f"could have more than {MAX_EXPANDED_TERMS} terms")
         a, b = _split_poly_arg(arg)
         sa, ca = _sin_cos(a)
         sb, cb = _sin_cos(b)
@@ -153,6 +156,19 @@ def _sin_cos(arg: RatFunc):
                 s, c = s * c1 + c * s1, c * c1 - s * s1
             return s, c
     return RatFunc.atom(Atom("fn", ("sin", arg))), RatFunc.atom(Atom("fn", ("cos", arg)))
+
+
+def _trig_sum_terms(num: Poly) -> int:
+    """An upper bound on the terms of sin or cos of the sum num of t
+    terms: the addition formulas give 2^(t-1) products of one sin or cos
+    per term, and sin(n w), cos(n w) of an integer multiple of a kernel
+    monomial have at most n // 2 + 1 terms in sin(w), cos(w)."""
+    bound = 2 ** (len(num.terms) - 1)
+    for c in num.terms.values():
+        n, rem = divmod(abs(c), num.den)
+        if not rem:
+            bound *= n // 2 + 1
+    return bound
 
 
 def _exp_of(arg: RatFunc) -> RatFunc:

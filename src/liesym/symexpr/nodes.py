@@ -3,8 +3,8 @@
 Node kinds: rational constants, named symbols, opaque function
 applications (with a partial-derivative multi-order), n-ary sums and
 products, rational powers, and elementary function applications.
-All nodes are frozen; arithmetic dunders build new trees without
-simplifying anything.
+All nodes are frozen and simplify nothing; trees are built through the
+node constructors and `Add.of` / `Mul.of`.
 """
 
 from __future__ import annotations
@@ -14,43 +14,11 @@ from fractions import Fraction
 
 ELEMENTARY_FUNCTIONS = ("sin", "cos", "tan", "cot", "csc", "sec", "exp", "ln", "arctan")
 
-Rat = int | Fraction
-
 
 class Expr:
     """Base class for all expression tree nodes."""
 
     __slots__ = ()
-
-    def __add__(self, other):
-        return Add.of(self, as_expr(other))
-
-    def __radd__(self, other):
-        return Add.of(as_expr(other), self)
-
-    def __sub__(self, other):
-        return Add.of(self, Mul.of(Num(-1), as_expr(other)))
-
-    def __rsub__(self, other):
-        return Add.of(as_expr(other), Mul.of(Num(-1), self))
-
-    def __mul__(self, other):
-        return Mul.of(self, as_expr(other))
-
-    def __rmul__(self, other):
-        return Mul.of(as_expr(other), self)
-
-    def __truediv__(self, other):
-        return Mul.of(self, Pow(as_expr(other), Fraction(-1)))
-
-    def __rtruediv__(self, other):
-        return Mul.of(as_expr(other), Pow(self, Fraction(-1)))
-
-    def __pow__(self, exponent):
-        return Pow(self, Fraction(exponent))
-
-    def __neg__(self):
-        return Mul.of(Num(-1), self)
 
     def __str__(self):
         from .printer import to_text
@@ -69,7 +37,7 @@ class Num(Expr):
 
     __slots__ = ("value",)
 
-    def __init__(self, value: Rat):
+    def __init__(self, value: int | Fraction):
         object.__setattr__(self, "value", Fraction(value))
 
     def __setattr__(self, *a):
@@ -120,7 +88,6 @@ class Add(Expr):
     def of(*terms) -> Expr:
         flat = []
         for t in terms:
-            t = as_expr(t)
             if isinstance(t, Add):
                 flat.extend(t.terms)
             else:
@@ -159,7 +126,6 @@ class Mul(Expr):
     def of(*factors) -> Expr:
         flat = []
         for f in factors:
-            f = as_expr(f)
             if isinstance(f, Mul):
                 flat.extend(f.factors)
             else:
@@ -189,8 +155,8 @@ class Pow(Expr):
 
     __slots__ = ("base", "exponent")
 
-    def __init__(self, base: Expr, exponent: Rat):
-        object.__setattr__(self, "base", as_expr(base))
+    def __init__(self, base: Expr, exponent: int | Fraction):
+        object.__setattr__(self, "base", base)
         object.__setattr__(self, "exponent", Fraction(exponent))
 
     def __setattr__(self, *a):
@@ -222,7 +188,7 @@ class Fn(Expr):
         if name not in ELEMENTARY_FUNCTIONS:
             raise ValueError(f"not an elementary function: {name}")
         object.__setattr__(self, "name", name)
-        object.__setattr__(self, "arg", as_expr(arg))
+        object.__setattr__(self, "arg", arg)
 
     def __setattr__(self, *a):
         raise AttributeError("Expr nodes are immutable")
@@ -276,12 +242,4 @@ class Op(Expr):
 
     def free_symbols(self):
         return frozenset(self.args)
-
-
-def as_expr(x) -> Expr:
-    if isinstance(x, Expr):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return Num(x)
-    raise TypeError(f"cannot coerce {x!r} to Expr")
 

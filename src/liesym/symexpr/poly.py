@@ -350,10 +350,6 @@ class Poly:
     def __neg__(self):
         return Poly({m: -c for m, c in self.terms.items()}, self.den)
 
-    def scale(self, c) -> "Poly":
-        """The product with a rational c."""
-        return _scaled(self, c.numerator, c.denominator)
-
     def __mul__(self, other):
         out = {}
         get = out.get

@@ -2,13 +2,13 @@
 
 Residual conventions:
 
-  * Noether: X^[1] L + (D_s xi) L - D_s A, with D_s = d_s + xdot d_x;
-    a field is a Noether point symmetry iff the residual vanishes.
+  * Noether: X^[1] L + (D_s xi) L, with D_s = d_s + xdot d_x; a
+    field is a Noether point symmetry iff the residual vanishes.
   * Lie point: X^[2] E_i restricted to the solution manifold by
     substituting the solved-form accelerations; all residuals vanish
     iff the field generates a point symmetry.
 
-Lagrangians, gauges, residuals, first integrals, determining equations
+Lagrangians, residuals, first integrals, determining equations
 and ansatz functions are canonical RatFuncs; the unknown coefficient
 functions xi, eta^a are opaque-function atoms.  Determining equations
 are the coefficients of the residuals over velocity monomials.  Each is
@@ -29,7 +29,7 @@ import math
 
 from .charts import CoordChart
 from .errors import AnsatzError, VerificationError
-from .geometry import GeodesicSystem, Metric, geodesic_lagrangian, geodesic_system
+from .geometry import GeodesicSystem, Metric, geodesic_lagrangian
 from .jets import BundleVectorField, prolong, symbol, total_coefficients
 from .linalg import ZeroPins, sparse_nullspace
 from .symexpr import collect_ratfunc, derive, fn_ratfunc, split_monomials, substitute_atoms
@@ -64,14 +64,11 @@ def _assert_velocity_degree(rf, chart: CoordChart, bound: int, what: str):
         raise VerificationError(f"{what} exceeds velocity degree {bound}")
 
 
-def noether_residual(field: BundleVectorField, lagrangian: RatFunc,
-                     gauge: RatFunc | None = None) -> RatFunc:
-    """X^[1] L + (D_s xi) L - D_s A."""
+def noether_residual(field: BundleVectorField, lagrangian: RatFunc) -> RatFunc:
+    """X^[1] L + (D_s xi) L."""
     chart = field.chart
-    truncated = total_coefficients(chart, 1)
-    out = prolong(field, 1).act(lagrangian) + derive(field.xi, truncated) * lagrangian
-    if gauge is not None:
-        out = out - derive(gauge, truncated)
+    out = (prolong(field, 1).act(lagrangian)
+           + derive(field.xi, total_coefficients(chart, 1)) * lagrangian)
     _assert_velocity_degree(out, chart, 3, "invariance residual")
     return out
 
@@ -120,28 +117,20 @@ class SymmetryReport:
         return out
 
 
-def verify_noether(field: BundleVectorField, metric,
-                   gauge: RatFunc | None = None) -> SymmetryReport:
-    """Noether check of one field against a Metric or its geodesic
-    Lagrangian (pass the Lagrangian to share it between fields)."""
-    lagrangian = geodesic_lagrangian(metric) if isinstance(metric, Metric) else metric
-    residual = noether_residual(field, lagrangian, gauge)
+def verify_noether(field: BundleVectorField, lagrangian: RatFunc) -> SymmetryReport:
+    """Noether check of one field against a geodesic Lagrangian, with
+    its first integral when it passes."""
+    residual = noether_residual(field, lagrangian)
     passed = residual.is_zero()
-    integral = None
-    if passed:
-        integral = noether_first_integral(field, lagrangian, gauge, _verified=True)
+    integral = noether_first_integral(field, lagrangian) if passed else None
     const_pass = not passed and _constant_functions_pass([residual])
     return SymmetryReport(field, "noether", (residual,), passed,
                           first_integral=integral,
                           constant_functions_pass=const_pass)
 
 
-def verify_liepoint(field: BundleVectorField, metric_or_system) -> SymmetryReport:
-    system = (
-        metric_or_system
-        if isinstance(metric_or_system, GeodesicSystem)
-        else geodesic_system(metric_or_system)
-    )
+def verify_liepoint(field: BundleVectorField, system: GeodesicSystem) -> SymmetryReport:
+    """Lie point check of one field against a geodesic system."""
     residuals = liepoint_residuals(field, system)
     passed = all(r.is_zero() for r in residuals)
     const_pass = not passed and _constant_functions_pass(residuals)
@@ -149,20 +138,16 @@ def verify_liepoint(field: BundleVectorField, metric_or_system) -> SymmetryRepor
                           constant_functions_pass=const_pass)
 
 
-def noether_first_integral(field: BundleVectorField, lagrangian: RatFunc,
-                           gauge: RatFunc | None = None, _verified: bool = False) -> RatFunc:
-    """I = A - xi L - (eta^a - xi xdot^a) dL/dxdot^a.
+def noether_first_integral(field: BundleVectorField, lagrangian: RatFunc) -> RatFunc:
+    """I = -xi L - (eta^a - xi xdot^a) dL/dxdot^a for a field that
+    passed verify_noether; it is conserved only for such a field.
 
     The sign convention makes the d_s-translation integral equal to the
     Lagrangian itself for quadratic geodesic Lagrangians.
     """
-    if not _verified and not noether_residual(field, lagrangian, gauge).is_zero():
-        raise VerificationError("first integral requested for a non-symmetry")
     chart = field.chart
     xi = field.xi
     terms = [-(xi * lagrangian)]
-    if gauge is not None:
-        terms.append(gauge)
     for c, comp in zip(chart.coords, field.eta):
         p = derive(lagrangian, {chart.jet1(c): RAT_ONE})
         terms.append(-((comp - xi * symbol(chart.jet1(c))) * p))
@@ -192,18 +177,15 @@ class DeterminingSystem:
         return len(self.equations)
 
 
-def determining_system(target, mode: str) -> DeterminingSystem:
-    """Collect determining equations for a metric's Lagrangian (noether)
-    or geodesic system (liepoint) with symbolic xi, eta unknowns."""
+def determining_system(target: Metric | GeodesicSystem, mode: str) -> DeterminingSystem:
+    """Collect determining equations, with symbolic xi, eta unknowns,
+    for a Metric's geodesic Lagrangian (noether) or for a geodesic
+    system (liepoint)."""
     if mode == "noether":
-        chart = target.chart
         lagrangian = geodesic_lagrangian(target)
-    elif mode == "liepoint":
-        if isinstance(target, Metric):
-            target = geodesic_system(target)
-        chart = target.chart
-    else:
+    elif mode != "liepoint":
         raise ValueError("mode must be 'noether' or 'liepoint'")
+    chart = target.chart
     names = _unknown_names(chart)
     clash = set(names) & ({chart.param} | set(chart.coords))
     if clash:

@@ -112,6 +112,24 @@ def rotation_fields(chart):
 
 
 @pytest.fixture(scope="session")
+def similitude_fields():
+    """Rotations about shifted centres, translations and the dilation of
+    flat 3-space: so(3) acts on the radical spanned by the translations
+    and the dilation, whose derived series has length 3, so no Levi
+    factor is a coordinate block or the last derived term."""
+    chart = CoordChart("s", ("x", "y", "z"))
+    return [
+        make_field(chart, "R1", "0", ["0", "-z", "y"]),
+        make_field(chart, "T1", "0", ["1", "0", "0"]),
+        make_field(chart, "R2", "0", ["z + 1", "0", "-x"]),
+        make_field(chart, "T2", "0", ["1", "1", "0"]),
+        make_field(chart, "R3", "0", ["-y", "x + 2", "0"]),
+        make_field(chart, "T3", "0", ["0", "0", "1"]),
+        make_field(chart, "D", "0", ["x", "y", "z"]),
+    ]
+
+
+@pytest.fixture(scope="session")
 def vb_lagrangian(vb_general):
     return geodesic_lagrangian(vb_general)
 

@@ -7,8 +7,6 @@ bracket or per unit vector, with its own derived-chain loop:
   given vectors with `express_in_basis`;
 - `derived_series` and `is_solvable_subspace` each iterate the span of
   pairwise brackets `[v_a, v_b]`, a < b;
-- `levi_complement` keeps the unit vectors that `express_in_basis`
-  cannot write in the radical's rows;
 - `validate_structure` checks antisymmetry entry by entry and sums the
   Jacobi identity over all m^3 ordered triples (i, j, k).
 
@@ -93,14 +91,6 @@ def is_solvable_subspace(g, vectors) -> bool:
             return False
         current = nxt
     return True
-
-
-def levi_complement(g, rad_vectors):
-    """Unit vectors outside the span of the radical's rows."""
-    m = g.dim
-    rad = [list(v) for v in rad_vectors]
-    return [_unit(m, i) for i in range(m)
-            if not rad or express_in_basis(rad, _unit(m, i)) is None]
 
 
 def validate_structure(g):

@@ -87,10 +87,11 @@ def test_criterion_1_general_metric_verification(vb_general, general_fields):
     started = time.monotonic()
     four = [general_fields[0], general_fields[2], general_fields[3],
             general_fields[4]]
+    lagrangian, system = geodesic_lagrangian(vb_general), geodesic_system(vb_general)
     ok = True
     for X in four:
-        noe = verify_noether(X, vb_general)
-        lie = verify_liepoint(X, vb_general)
+        noe = verify_noether(X, lagrangian)
+        lie = verify_liepoint(X, system)
         ok = ok and noe.passed and lie.passed
     elapsed = time.monotonic() - started
     ok = ok and elapsed < 30.0
@@ -100,12 +101,13 @@ def test_criterion_1_general_metric_verification(vb_general, general_fields):
 
 def test_criterion_2_erratum_detection(vb_general, vb_m1_qt, chart):
     time_translation = make_field(chart, "X2", "0", ["1", "0", "0", "0"])
-    res = noether_residual(time_translation, geodesic_lagrangian(vb_general))
+    lagrangian = geodesic_lagrangian(vb_general)
+    res = noether_residual(time_translation, lagrangian)
     expected = rf("(D(M, t)/r - D(Q, t)/r^2)*tdot^2")
     general_ok = (res - expected).is_zero()
-    rep = verify_noether(time_translation, vb_general)
+    rep = verify_noether(time_translation, lagrangian)
     flagged = (not rep.passed) and rep.constant_functions_pass and bool(rep.notes)
-    inst = verify_noether(time_translation, vb_m1_qt)
+    inst = verify_noether(time_translation, geodesic_lagrangian(vb_m1_qt))
     inst_ok = (not inst.passed) and (
         inst.residuals[0] - rf("-tdot^2/r^2")).is_zero()
     ok = general_ok and flagged and inst_ok
@@ -146,10 +148,11 @@ def test_criterion_3_first_instance_reproduction(vb_m1_qt, rotation_fields,
 
     affine = make_field(chart, "S", "s", ["0", "0", "0", "0"])
     affine_point = verify_liepoint(affine, geodesics).passed
-    affine_noether = verify_noether(affine, vb_m1_qt)
+    lagrangian = geodesic_lagrangian(vb_m1_qt)
+    affine_noether = verify_noether(affine, lagrangian)
     affine_ok = (
         affine_point and not affine_noether.passed
-        and (affine_noether.residuals[0] + geodesic_lagrangian(vb_m1_qt)).is_zero()
+        and (affine_noether.residuals[0] + lagrangian).is_zero()
     )
     point_dim_ok = len(solved) == 5
     point_span_ok = all(span_equal(solved, list(rotation_fields) + [affine]))
@@ -210,10 +213,10 @@ def test_criterion_4_second_instance_reproduction(vb_mt_qt2, scaling_fields,
     point_span_ok = all(span_equal(solved, list(scaling_fields) + [affine]))
 
     noether_scaling = make_field(chart, "N", "2*s", ["t", "r", "0", "0"])
-    noether_scaling_ok = verify_noether(noether_scaling, vb_mt_qt2).passed
-    golden_scaling = verify_noether(scaling_fields[0], vb_mt_qt2)
-    golden_residual_ok = (
-        golden_scaling.residuals[0] - geodesic_lagrangian(vb_mt_qt2)).is_zero()
+    lagrangian = geodesic_lagrangian(vb_mt_qt2)
+    noether_scaling_ok = verify_noether(noether_scaling, lagrangian).passed
+    golden_scaling = verify_noether(scaling_fields[0], lagrangian)
+    golden_residual_ok = (golden_scaling.residuals[0] - lagrangian).is_zero()
     noether_dim_ok = len(mtqt2_noether_solve) == 5
     *vecs, tvec = _coordinates([*mtqt2_noether_solve, noether_scaling])[2]
     noether_contains = (
@@ -437,12 +440,12 @@ def test_criterion_9_free_particle_sanity():
     flat1 = Metric(chart1, ((rf("1"),),))
     oracle1 = brute_force_nullity(flat1, 2)
     sols1 = solve_determining(
-        determining_system(flat1, "liepoint"), default_ansatz(chart1, 2))
+        determining_system(geodesic_system(flat1), "liepoint"), default_ansatz(chart1, 2))
     chart2 = CoordChart("s", ("x", "y"))
     flat2 = Metric(chart2, ((rf("1"), rf("0")), (rf("0"), rf("1"))))
     oracle2 = brute_force_nullity(flat2, 2)
     sols2 = solve_determining(
-        determining_system(flat2, "liepoint"), default_ansatz(chart2, 2))
+        determining_system(geodesic_system(flat2), "liepoint"), default_ansatz(chart2, 2))
     ok = oracle1 == 8 and len(sols1) == 8 and oracle2 == 15 and len(sols2) == 15
     assert verdict(
         9, ok,

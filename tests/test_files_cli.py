@@ -12,7 +12,7 @@ import pytest
 import liesym
 from liesym.cli import main
 from liesym.errors import FormatError
-from liesym.files import load_generators, load_metric, generators_to_text
+from liesym.files import generators_to_text, load_generators, load_metric, resolve_input_path
 
 
 class TestMetricFiles:
@@ -256,13 +256,29 @@ class TestCliReports:
 
     def test_algebra_scaling_instance_levi_verified(self, capsys):
         # the scaling generator has nonzero Killing diagonal yet sits in
-        # the radical; the complement guess must still verify
+        # the radical; the Levi factor must still verify
         main(["algebra", "vb_Mt_Qt2.gens", "--metric",
               "vaidya_bonner_Mt_Qt2.metric", "--format", "json"])
         payload = json.loads(capsys.readouterr().out)
         assert payload["levi_split"]["verified"] is True
         assert payload["levi_split"]["complement_indices"] == [3, 4, 5]
         assert payload["derived_series_dims"] == [5, 4, 3, 3]
+
+    def test_algebra_levi_split_verified_on_a_changed_basis(self, tmp_path, capsys):
+        # X1 = d_s + d_t and X3 = d_s + d_phi: the complement [g, g] is
+        # no coordinate block, yet it is the Levi factor so(3)
+        text = (resolve_input_path("vb_general.gens").read_text()
+                .replace("gen X1 = 1 | 0 | 0 | 0 | 0", "gen X1 = 1 | 1 | 0 | 0 | 0")
+                .replace("gen X3 = 0 | 0 | 0 | 0 | 1", "gen X3 = 1 | 0 | 0 | 0 | 1"))
+        gens = tmp_path / "changed.gens"
+        gens.write_text(text)
+        code = main(["algebra", str(gens), "--metric", "vaidya_bonner.metric"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "derived series dims: [5, 3, 3]" in out
+        assert "levi split verified: True" in out
+        # the optimal system still reads its triple from slots 3..5
+        assert main(["optimal", str(gens), "--metric", "vaidya_bonner.metric"]) == 3
 
     def test_algebra_latex_table(self, capsys):
         main(["algebra", "vb_M1_Qt.gens", "--metric", "vaidya_bonner_M1_Qt.metric",
@@ -398,6 +414,16 @@ def test_expansion_past_the_term_cap_in_analyze_exits_2(tmp_path):
     # each cos^64 has 33 terms, so the power of the product has 33^3
     (tmp_path / "in.metric").write_text(
         "param s\ncoords x y z\ng 0 0 = (cos(x)*cos(y)*cos(z))^64\ng 1 1 = 1\ng 2 2 = 1\n")
+    out = _run_cli("analyze", "in.metric", "--noether", cwd=tmp_path, timeout=10)
+    assert out.returncode == 2
+    assert "in.metric:3" in out.stderr and "more than 5000 terms" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
+def test_sin_of_a_long_sum_in_analyze_exits_2(tmp_path):
+    # the addition formulas would give sin of 20 terms 2^19 terms
+    arg = " + ".join(f"x^{k}" for k in range(1, 21))
+    (tmp_path / "in.metric").write_text(FLAT_PLANE.replace("g 0 0 = 1", f"g 0 0 = 2 + sin({arg})"))
     out = _run_cli("analyze", "in.metric", "--noether", cwd=tmp_path, timeout=10)
     assert out.returncode == 2
     assert "in.metric:3" in out.stderr and "more than 5000 terms" in out.stderr

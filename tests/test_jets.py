@@ -8,7 +8,7 @@ import pytest
 from liesym.charts import CoordChart
 from liesym.errors import ChartError, JetOrderError
 from liesym.jets import BundleVectorField, prolong, symbol, total
-from liesym.symexpr import Mul, Num, Sym, canonical_ratfunc, collect_ratfunc, derive
+from liesym.symexpr import Add, Mul, Num, Sym, canonical_ratfunc, collect_ratfunc, derive
 from liesym.symexpr.poly import RAT_ONE, RatFunc
 
 from conftest import make_field, rf
@@ -105,10 +105,7 @@ def random_polynomial_field(chart, rng):
             for _ in range(rng.randint(1, 2)):
                 factors.append(Sym(rng.choice(vars_)))
             terms.append(Mul.of(*factors))
-        total = terms[0]
-        for t in terms[1:]:
-            total = total + t
-        return canonical_ratfunc(total)
+        return canonical_ratfunc(Add.of(*terms))
 
     return BundleVectorField(chart, [poly() for _ in range(chart.dim + 1)])
 
@@ -153,11 +150,12 @@ class TestRecursionConsistency:
             Y = random_polynomial_field(chart, rng)
             a = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
             b = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-            combo = X.scale(a).add(Y.scale(b))
+            ra, rb = RatFunc.const(a), RatFunc.const(b)
+            combo = BundleVectorField(
+                chart, [ra * x + rb * y for x, y in zip(X.components, Y.components)])
             pc = prolong(combo, 2)
             px = prolong(X, 2)
             py = prolong(Y, 2)
             for i in range(chart.dim):
-                ra, rb = RatFunc.const(a), RatFunc.const(b)
                 assert (pc.first[i] - (ra * px.first[i] + rb * py.first[i])).is_zero()
                 assert (pc.second[i] - (ra * px.second[i] + rb * py.second[i])).is_zero()

@@ -22,14 +22,16 @@ from liesym.liealg import (
     field_bracket,
     killing_form,
     levi_check,
+    levi_split,
     radical,
+    span_rref,
     structure_constants,
 )
 from liesym.symexpr import derive, substitute_atoms
 from liesym.symexpr.poly import RAT_ONE, RAT_ZERO, RatFunc, rat_sum, sym_atom
 
 from conftest import make_field, rf
-from reference_liealg import adjoint_series_truncation
+from reference_liealg import adjoint_series_truncation, is_subalgebra
 
 
 def at(e, name, value):
@@ -388,6 +390,25 @@ class TestRadicalAndLevi:
         r = [unit(5, 2), unit(5, 3), unit(5, 4)]
         h = [unit(5, 0), unit(5, 1)]
         assert not levi_check(general_algebra, r, h)
+
+    def test_levi_split_of_the_bundled_bases(self, general_algebra, scaling_algebra):
+        for g in (general_algebra, scaling_algebra):
+            rad, complement, verified = levi_split(g)
+            assert rad == [tuple(unit(5, 0)), tuple(unit(5, 1))]
+            assert complement == [unit(5, 2), unit(5, 3), unit(5, 4)]
+            assert verified
+
+    def test_levi_factor_acting_on_the_radical(self, similitude_fields):
+        g = structure_constants(similitude_fields)
+        rad, complement, verified = levi_split(g)
+        assert verified
+        assert len(rad) == 4 and len(complement) == 3
+        # g^(oo) holds the translations too, so it is no complement
+        chain, _ = g.derived
+        assert chain.dims == (7, 6, 6)
+        # rotations about one centre: a subalgebra, off the radical
+        assert is_subalgebra(g, complement)
+        assert len(span_rref(list(rad) + complement)) == 7
 
     def test_dimension_mismatch(self, general_algebra):
         with pytest.raises(ValueError):

@@ -1,16 +1,18 @@
-"""The rank-based subspace routines of `liesym.liealg` and the complement
-guess of `algebra` against the per-bracket reference in
+"""The rank-based subspace routines and the Levi split of
+`liesym.liealg` against the per-bracket reference in
 tests/reference_liealg.py.
 
 Subspaces are drawn, seeded, from unit-vector subsets, small rational
 combinations, and the subalgebras and ideals those generate, in sl(4),
 `vb_general` and the scaling algebra.  Basis changes are seeded
 unimodular integer matrices (GL(m, Z)) applied to the structure
-constants of `vb_general` and sl(4); on them the complement guess must
-pick the same unit vectors as the reference, and the basis invariants
-(derived-series dims, radical dimension, semisimplicity, solvability)
-must not move.  The Levi verdict itself is basis-dependent and is not
-asserted.  The same basis changes, with and without one antisymmetric
+constants of `vb_general` and sl(4); on each of them `levi_split` must
+verify, its complement must be the reference's last derived term
+g^(oo), and the basis invariants (derived-series dims, radical
+dimension, semisimplicity, solvability) must not move.  On 20 basis
+changes of the similitude algebra of flat 3-space, where so(3) acts on
+the radical, `levi_split` must still find a verified Levi factor.  The
+same basis changes, with and without one antisymmetric
 perturbation of a structure constant, check that the Jacobi sum over
 increasing triples gives the verdict of the sum over all ordered ones.
 """
@@ -22,7 +24,6 @@ from pathlib import Path
 import pytest
 
 import reference_liealg as ref
-from liesym.cli import _heuristic_levi_split
 from liesym.errors import NonClosureError
 from liesym.files import load_generators, load_metric
 from liesym.liealg import (
@@ -33,6 +34,7 @@ from liesym.liealg import (
     _is_subalgebra,
     _validate_structure,
     derived_series,
+    levi_split,
     radical,
     span_rref,
     structure_constants,
@@ -48,11 +50,12 @@ def _structure(gens, metric):
 
 
 @pytest.fixture(scope="module")
-def algebras(scaling_fields):
+def algebras(scaling_fields, similitude_fields):
     return {
         "sl4": _structure(str(DATA / "sl4.gens"), str(DATA / "flat_plane.metric")),
         "vb_general": _structure("vb_general.gens", "vaidya_bonner.metric"),
         "scaling": structure_constants(scaling_fields),
+        "similitude": structure_constants(similitude_fields),
     }
 
 
@@ -172,11 +175,26 @@ def test_basis_changes_keep_invariants_and_complement(algebras, name):
     rng = random.Random(20211 + len(name))
     for _ in range(20):
         g = _changed_basis(g0, *_unimodular(g0.dim, rng))
-        rad = radical(g)
+        rad, complement, verified = levi_split(g)
         assert _invariants(g, rad) == expected
-        h = _heuristic_levi_split(g, rad)
-        assert [list(e) for e in h] == ref.levi_complement(g, rad)
+        assert verified
+        assert [list(v) for v in complement] == ref.derived_series(g)[1][-1]
         assert ref.is_ideal(g, rad) and ref.is_solvable_subspace(g, rad)
+        assert ref.is_subalgebra(g, complement)
+
+
+def test_levi_factor_acting_on_the_radical_verifies_on_changed_bases(algebras):
+    # so(3) acts on the radical, so the Levi factor is neither g^(oo)
+    # nor unique; each one found must still split g
+    g0 = algebras["similitude"]
+    rng = random.Random(20212)
+    for _ in range(20):
+        g = _changed_basis(g0, *_unimodular(g0.dim, rng))
+        rad, complement, verified = levi_split(g)
+        assert verified and len(rad) == 4 and len(complement) == 3
+        assert ref.is_ideal(g, rad) and ref.is_solvable_subspace(g, rad)
+        assert ref.is_subalgebra(g, complement)
+        assert len(span_rref(list(rad) + complement)) == g.dim
 
 
 def _verdict(validate, g):

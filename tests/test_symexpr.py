@@ -178,6 +178,8 @@ class TestCanonical:
         ("(x+1)^64", "65"),     # terms at the exponent cap
         ("sin(100*x)", "50"),   # terms at the multiple cap
         ("(a+b+c+d+e+f+g+1)^7", "3432"),  # the power of 8 terms at the term cap
+        # sin of 13 terms: 2^12 products, under the term cap
+        ("sin(" + "+".join(f"v{i}" for i in range(13)) + ")", "4096"),
     ])
     def test_input_at_or_below_the_caps_canonicalizes_in_budget(self, text, expected):
         # a monomial power, an atom power, a power of a radical of a
@@ -211,6 +213,8 @@ class TestCanonical:
         ("((a+b+c+d+e+1)^(1/2))^64", "more than 5000 terms"),
         # a product of powers that are each under the cap
         ("(x+y+z+1)^20*(a+b+c+1)^20", "more than 5000 terms"),
+        # the addition formulas would give sin of 20 terms 2^19 terms
+        ("sin(" + "+".join(f"v{i}" for i in range(20)) + ")", "more than 5000 terms"),
     ])
     def test_input_above_the_caps_is_rejected(self, text, message):
         with pytest.raises(ValueError, match=message):

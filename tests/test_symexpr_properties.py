@@ -71,7 +71,7 @@ def test_differentiate_is_linear():
         a = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
         b = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
         v = {rng.choice(SYMBOLS + ANGLES): RAT_ONE}
-        lhs = derive(canonical_ratfunc(Num(a) * e1 + Num(b) * e2), v)
+        lhs = derive(canonical_ratfunc(Add.of(Mul.of(Num(a), e1), Mul.of(Num(b), e2))), v)
         rhs = (RatFunc.const(a) * derive(canonical_ratfunc(e1), v)
                + RatFunc.const(b) * derive(canonical_ratfunc(e2), v))
         assert (lhs - rhs).is_zero()
@@ -277,7 +277,7 @@ def test_poly_ring_operations_match_fraction_reference():
         _assert_same(p - p, rp - rp)
         _assert_same(p * q, rp * rq)
         _assert_same(p ** n, rp ** n)
-        _assert_same(p.scale(c), rp.scale(c))
+        _assert_same(p * Poly.const(c), rp.scale(c))
         assert p.content() == rp.content()
         cont, prim = p.primitive()
         rcont, rprim = rp.primitive()

@@ -68,42 +68,34 @@ class TestNoetherResidual:
 
 
 class TestVerifyNoether:
-    def test_general_passing_fields(self, vb_general, general_fields):
+    def test_general_passing_fields(self, vb_lagrangian, general_fields):
         passing = [general_fields[0], general_fields[2], general_fields[3],
                    general_fields[4]]
         for X in passing:
-            rep = verify_noether(X, vb_general)
+            rep = verify_noether(X, vb_lagrangian)
             assert rep.passed, X.name
 
-    def test_time_translation_fails_generally(self, vb_general, general_fields):
-        rep = verify_noether(general_fields[1], vb_general)
+    def test_time_translation_fails_generally(self, vb_lagrangian, general_fields):
+        rep = verify_noether(general_fields[1], vb_lagrangian)
         assert not rep.passed
         assert rep.constant_functions_pass
         assert rep.notes
 
     def test_time_translation_fails_on_growing_charge(self, chart, vb_m1_qt):
         X = make_field(chart, "X", "0", ["1", "0", "0", "0"])
-        rep = verify_noether(X, vb_m1_qt)
+        rep = verify_noether(X, geodesic_lagrangian(vb_m1_qt))
         assert not rep.passed
         assert (rep.residuals[0] - rf("-tdot^2/r^2")).is_zero()
 
-    def test_zero_field_passes(self, chart, vb_general):
+    def test_zero_field_passes(self, chart, vb_lagrangian):
         X = make_field(chart, "Z", "0", ["0", "0", "0", "0"])
-        assert verify_noether(X, vb_general).passed
+        assert verify_noether(X, vb_lagrangian).passed
 
-    def test_gauge_shift_invariance(self, chart, vb_general, general_fields):
-        # adding a gauge function with vanishing total derivative (a
-        # constant) never flips the verdict
-        for X in general_fields[:3]:
-            with_gauge = verify_noether(X, vb_general, gauge=rf("7"))
-            without = verify_noether(X, vb_general)
-            assert with_gauge.passed == without.passed
-
-    def test_csc_variant_fails(self, chart, vb_general):
+    def test_csc_variant_fails(self, chart, vb_lagrangian, vb_system):
         X = make_field(chart, "X", "0",
                        ["0", "0", "sin(phi)", "cos(phi)/sin(theta)"])
-        assert not verify_noether(X, vb_general).passed
-        assert not verify_liepoint(X, vb_general).passed
+        assert not verify_noether(X, vb_lagrangian).passed
+        assert not verify_liepoint(X, vb_system).passed
 
 
 class TestFirstIntegrals:
@@ -129,10 +121,11 @@ class TestFirstIntegrals:
         d = substitute_atoms(total(integral, chart), vb_system.on_shell.get)
         assert d.is_zero()
 
-    def test_non_symmetry_rejected(self, chart, vb_lagrangian):
+    def test_failing_field_has_no_first_integral(self, chart, vb_lagrangian):
         X = make_field(chart, "X", "0", ["1", "0", "0", "0"])
-        with pytest.raises(VerificationError):
-            noether_first_integral(X, vb_lagrangian)
+        rep = verify_noether(X, vb_lagrangian)
+        assert not rep.passed
+        assert rep.first_integral is None
 
 
 class TestLiepointResiduals:
@@ -146,7 +139,7 @@ class TestLiepointResiduals:
 
     def test_scaling_field_on_homothetic_instance(self, chart, vb_mt_qt2):
         X = make_field(chart, "X", "s", ["t", "r", "0", "0"])
-        assert verify_liepoint(X, vb_mt_qt2).passed
+        assert verify_liepoint(X, geodesic_system(vb_mt_qt2)).passed
 
     def test_degree_bound_after_restriction(self, chart, vb_system):
         rng = random.Random(32)
@@ -202,7 +195,7 @@ class TestDeterminingSystem:
     def test_free_particle_classical_set(self):
         chart = CoordChart("s", ("x",))
         flat = Metric(chart, ((rf("1"),),))
-        ds = determining_system(flat, "liepoint")
+        ds = determining_system(geodesic_system(flat), "liepoint")
         assert len(ds.equations) == 4
         assert ds.mode == "liepoint"
 
@@ -244,7 +237,7 @@ def brute_force_nullity(metric, degree, rows_per_equation=8):
     of rows sampled at random rational points, bypassing the symbolic
     monomial-collection path entirely."""
     chart = metric.chart
-    ds = determining_system(metric, "liepoint")
+    ds = determining_system(geodesic_system(metric), "liepoint")
     ansatz = default_ansatz(chart, degree)
     nb = len(ansatz.basis)
     unknowns = list(ds.unknowns)
@@ -299,7 +292,7 @@ class TestFreeParticleSolver:
         flat = Metric(chart, ((rf("1"),),))
         oracle = brute_force_nullity(flat, 2)
         assert oracle == 8
-        ds = determining_system(flat, "liepoint")
+        ds = determining_system(geodesic_system(flat), "liepoint")
         sols = solve_determining(ds, default_ansatz(chart, 2))
         assert len(sols) == oracle
 
@@ -308,7 +301,7 @@ class TestFreeParticleSolver:
         flat = Metric(chart, ((rf("1"), rf("0")), (rf("0"), rf("1"))))
         oracle = brute_force_nullity(flat, 2)
         assert oracle == 15
-        ds = determining_system(flat, "liepoint")
+        ds = determining_system(geodesic_system(flat), "liepoint")
         sols = solve_determining(ds, default_ansatz(chart, 2))
         assert len(sols) == oracle
 
@@ -355,7 +348,8 @@ class TestPinnedAssembly:
     @pytest.mark.parametrize("name, mode, dim", PINNING_CASES)
     def test_matches_unpruned_assembly(self, monkeypatch, name, mode, dim):
         metric = _pinning_metric(name)
-        system = determining_system(metric, mode)
+        target = metric if mode == "noether" else geodesic_system(metric)
+        system = determining_system(target, mode)
         ansatz = default_ansatz(metric.chart, 2)
         handed = []
         nullspace = liesym.symmetry.sparse_nullspace
@@ -390,8 +384,9 @@ class TestSolverOnConcreteMetrics:
             assert express_in_basis(golden, v) is not None
 
     def test_solver_soundness(self, vb_m1_qt, m1qt_noether_solve):
+        lagrangian = geodesic_lagrangian(vb_m1_qt)
         for f in m1qt_noether_solve:
-            assert verify_noether(f, vb_m1_qt).passed
+            assert verify_noether(f, lagrangian).passed
 
     def test_solver_closure_under_bracket(self, vb_m1_qt, m1qt_noether_solve):
         fields = list(m1qt_noether_solve)
@@ -406,7 +401,7 @@ class TestSolverOnConcreteMetrics:
     def test_liepoint_solve_contains_affine_reparametrizations(self, vb_m1_qt):
         # the point-symmetry span always carries d_s and s d_s on top of
         # the invariant-action fields
-        ds = determining_system(vb_m1_qt, "liepoint")
+        ds = determining_system(geodesic_system(vb_m1_qt), "liepoint")
         sols = solve_determining(ds, default_ansatz(vb_m1_qt.chart, 2))
         assert len(sols) == 5
         chart = vb_m1_qt.chart
@@ -441,11 +436,12 @@ class TestDifferentChart:
             chart, ((rf("1"), rf("0")), (rf("0"), rf("sin(theta)^2"))),
             name="sphere",
         )
-        ds = determining_system(sphere, "liepoint")
+        system = geodesic_system(sphere)
+        ds = determining_system(system, "liepoint")
         sols = solve_determining(ds, default_ansatz(chart, 2))
         assert len(sols) == 5
         for f in sols:
-            assert verify_liepoint(f, sphere).passed
+            assert verify_liepoint(f, system).passed
         from liesym.liealg import killing_form, structure_constants
 
         rotations = [f for f in sols if f.xi.is_zero()]
@@ -456,16 +452,17 @@ class TestDifferentChart:
 
 
 class TestGeneralityMonotonicity:
-    def test_general_solutions_pass_on_instances(self, chart, vb_general,
+    def test_general_solutions_pass_on_instances(self, chart, vb_lagrangian,
                                                  vb_m1_qt, vb_mt_qt2,
                                                  general_fields):
         passing = [f for f in general_fields
-                   if verify_noether(f, vb_general).passed]
+                   if verify_noether(f, vb_lagrangian).passed]
         assert len(passing) == 4
         for inst in (vb_m1_qt, vb_mt_qt2):
+            lagrangian, system = geodesic_lagrangian(inst), geodesic_system(inst)
             for f in passing:
-                assert verify_noether(f, inst).passed, f.name
-                assert verify_liepoint(f, inst).passed, f.name
+                assert verify_noether(f, lagrangian).passed, f.name
+                assert verify_liepoint(f, system).passed, f.name
 
 
 class TestAnsatz:
