@@ -27,6 +27,7 @@ from .geometry import geodesic_lagrangian, geodesic_system
 from .liealg import levi_split, structure_constants
 from .numeric import drift_along_trace, integrate_geodesic, step_count
 from .optimal import (
+    MAX_SAMPLES,
     OptimalSystemError,
     default_representatives,
     verify_optimal_cover,
@@ -107,7 +108,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("optimal", help="one-dimensional optimal-system coverage")
     p.add_argument("generators")
     p.add_argument("--metric", required=True)
-    p.add_argument("--samples", type=_checked(int, lambda v: v >= 1, "an integer >= 1"),
+    p.add_argument("--samples", type=_checked(int, lambda v: 1 <= v <= MAX_SAMPLES,
+                                              f"an integer from 1 to {MAX_SAMPLES}"),
                    default=1000)
     p.add_argument("--seed", type=int, default=42)
 

@@ -3,15 +3,17 @@
 One code generator serves every numeric entry point.  It renders a
 system of canonical RatFuncs as straight-line Python statements, one
 component after another, each as: its denominator `_d`, the guard
-|_d| < 1e-12, then its numerator divided by `_d` (a constant denominator
-has neither).  Numerators and denominators are rendered as their
-expression trees with no rewriting or reassociation (`x ** (2/1)` stays
-a pow), so a value is the same float however the code around it is laid
-out.  A Pow or Fn subtree that occurs more than once in one evaluation
-is computed once: its first occurrence binds it, `(_tK := ...)`, and
-later ones read `_tK`.  The memo is keyed on the tree node, and a
-denominator is rendered before its numerator, the order in which they
-run, so every binding precedes its uses.
+`-1e-12 < _d < 1e-12` (|_d| < 1e-12 for every float, NaN included,
+with both bounds constants of the code), then its numerator divided by
+`_d` (a constant denominator has neither).  Numerators and denominators
+are rendered as their expression trees with no rewriting or
+reassociation (`x ** (2/1)` stays a pow), so a value is the same float
+however the code around it is laid out.  A Pow or Fn subtree that
+occurs more than once in one evaluation is computed once: its first
+occurrence binds it, `(_tK := ...)`, and later ones read `_tK`.  The
+memo is keyed on the tree node, and a denominator is rendered before
+its numerator, the order in which they run, so every binding precedes
+its uses.
 
 `compile_numeric` wraps one such body into a function of positional
 floats that returns every component.  `integrate_geodesic` is classical
@@ -20,8 +22,10 @@ keeps drift measurements deterministic.  It generates one function per
 system that runs the whole loop on scalar locals, with the body inlined
 once per stage, and appends every sample (s, x, xdot) to one flat
 array('d'); `GeodesicTrace.samples` is a read-only view over it.
-`drift_along_trace` evaluates every watched function in one compiled
-call per sample, reading the flat array directly.
+`drift_along_trace` evaluates the watched functions at the first sample
+with `compile_numeric`, then generates one loop from the same body that
+runs over every later sample of the flat array and keeps each running
+maximum deviation in a local.
 """
 
 from __future__ import annotations
@@ -52,8 +56,7 @@ _MATH = {
     "arctan": math.atan,
 }
 _SCOPE = {f"_{name}": fn for name, fn in _MATH.items()}
-_SCOPE.update(IntegrationError=IntegrationError, _SINGULAR=_SINGULAR,
-              _isfinite=math.isfinite)
+_SCOPE.update(IntegrationError=IntegrationError, _isfinite=math.isfinite)
 
 
 def _trees(rfs) -> list:
@@ -135,7 +138,7 @@ def _emit(trees, args: dict, outputs, indent: str) -> list:
             continue
         lines += [
             f"_d = {_py_src(den, args, counts, bound)}",
-            "if abs(_d) < _SINGULAR:",
+            f"if {-_SINGULAR!r} < _d < {_SINGULAR!r}:",
             "    raise IntegrationError('denominator within 1e-12 of zero')",
             f"{out} = {_py_src(num, args, counts, bound)} / _d",
         ]
@@ -241,7 +244,8 @@ def _rk4_loop(trees, names, n: int):
     `names` are the parameter, coordinate and velocity symbols.  Each
     stage evaluates the accelerations inline; the arithmetic is that of
     xi + half * d and xi + sixth * (d1 + 2 * d2 + 2 * d3 + d4) per
-    component, as a list-based RK4 writes it."""
+    component, as a list-based RK4 writes it, with the factor 2 written
+    2.0: the same product, without converting an int on every step."""
     pad = " " * 12
 
     def local(prefix):
@@ -258,7 +262,7 @@ def _rk4_loop(trees, names, n: int):
         return [f"{pad}{d} = {b} + {coef} * {m}" for d, b, m in zip(dst, base, slope)]
 
     def combine(dst, k1, k2, k3, k4):
-        return [f"{pad}{d} = {d} + sixth * ({p} + 2 * {q} + 2 * {r} + {t})"
+        return [f"{pad}{d} = {d} + sixth * ({p} + 2.0 * {q} + 2.0 * {r} + {t})"
                 for d, p, q, r, t in zip(dst, k1, k2, k3, k4)]
 
     state = [*x, *v]
@@ -310,16 +314,34 @@ def integrate_geodesic(system: GeodesicSystem, function_bindings: dict,
     return GeodesicTrace(step=h, dim=n, flat=flat)
 
 
+def _drift_loop(trees, names):
+    """f(flat, f0...): max |component k - f0[k]| over every sample of a
+    flat trace after its first; `if e > w: w = e` is max(w, e), NaN
+    included."""
+    args = {name: f"_x{i}" for i, name in enumerate(names)}
+    k = range(len(trees))
+    pad = " " * 12
+    body = [
+        *(f"        _w{i} = 0.0" for i in k),
+        f"        _rows = zip(*[iter(flat)] * {len(names)})",
+        "        next(_rows)",
+        f"        for {''.join(x + ', ' for x in args.values())}in _rows:",
+        *_emit(trees, args, [f"_c{i}" for i in k], pad),
+        *(line for i in k for line in (f"{pad}_e = abs(_c{i} - _f{i})",
+                                       f"{pad}if _e > _w{i}:",
+                                       f"{pad}    _w{i} = _e")),
+        *([] if trees else [f"{pad}pass"]),
+        f"        return [{', '.join(f'_w{i}' for i in k)}]",
+    ]
+    return _define("_drift", ["flat", *(f"_f{i}" for i in k)], body)
+
+
 def drift_along_trace(rfs, trace: GeodesicTrace, chart,
                       function_bindings: dict | None = None) -> list:
     """Max absolute deviation of each rf(s, x, xdot) in `rfs` from its
-    initial value, all evaluated by one compiled call per sample."""
+    value at the first sample: that value by `compile_numeric`, every
+    later sample in one compiled loop over the flat trace."""
     names = _state_names(chart)
-    f = compile_numeric([_bound(rf, function_bindings) for rf in rfs], names)
-    rows = zip(*[iter(trace.flat)] * len(names))
-    first = f(*next(rows))
-    worst = [0.0] * len(rfs)
-    for row in rows:
-        vals = f(*row)
-        worst = [max(w, abs(val - f0)) for w, val, f0 in zip(worst, vals, first)]
-    return worst
+    rfs = [_bound(rf, function_bindings) for rf in rfs]
+    first = compile_numeric(rfs, names)(*trace.flat[:len(names)])
+    return _drift_loop(_trees(rfs), names)(trace.flat, *first)

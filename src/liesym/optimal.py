@@ -8,22 +8,38 @@ follow atan2 semantics; when the rotation hypotenuse is rational the
 move is performed exactly, otherwise in floating point against a 1e-9
 match tolerance.
 
+Every value is read as an entry (value, float, (numerator,
+denominator)), so the exact tests run on integers: a pattern's fixed
+slots match on pairs, and x = a/b, y = c/d have a rational hypotenuse
+exactly when (ad)^2 + (cb)^2 is a perfect square r^2, the hypotenuse
+then being r/(bd).  From the first irrational rotation on, the
+reduction works on a plain list of floats.  `_reduce` records each move
+as a tuple (generator, parameter, exact (cos, sin) or None), and
+`_replay` re-applies such tuples.
+
 `verify_optimal_cover` runs the structure gate (`_check_structure`)
-once per cover, before drawing any sample, and matches every sample
-against representative patterns prepared once, with their float values;
-`adjoint_orbit_reduce` gates each call and shares the reduction routine.
+once per cover, before drawing any sample, prepares the representative
+patterns once, and draws every value from one table of the entries of
+p/q, -9 <= p <= 9, 1 <= q <= 4, built per call: drawing converts no
+value and builds no Fraction.  The drift and replay checks of a float
+reduction read its lists directly; the few exact ones replay through
+the `ReductionTrace` that `adjoint_orbit_reduce` also returns.
+`adjoint_orbit_reduce` gates each call and shares `_reduce`.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from fractions import Fraction
+from math import atan2, cos, hypot, isqrt, sin
 
 from .errors import LieSymError
 from .liealg import LieAlgebra
 
 MATCH_TOL = 1e-9
+# --samples above this is rejected before any sample is drawn: a sample
+# takes about 20 us, so the cap bounds a cover at about 20 s.
+MAX_SAMPLES = 10**6
 
 
 class OptimalSystemError(LieSymError):
@@ -124,31 +140,6 @@ ROTATION_SLOTS = {2: (3, 4), 3: (2, 4), 4: (2, 3)}
 ROTATION_ORIENT = {2: 1, 3: -1, 4: 1}
 
 
-def _is_square(f: Fraction):
-    num = f.numerator
-    den = f.denominator
-    rn = math.isqrt(num)
-    rd = math.isqrt(den)
-    if rn * rn == num and rd * rd == den:
-        return Fraction(rn, rd)
-    return None
-
-
-def _apply_rotation(vec, generator, cos_v, sin_v):
-    """Row action of Ad(exp(q X_generator)) given cos q and sin q."""
-    i, j = ROTATION_SLOTS[generator]
-    s_eff = sin_v * ROTATION_ORIENT[generator]
-    out = list(vec)
-    out[i] = vec[i] * cos_v + vec[j] * s_eff
-    out[j] = -vec[i] * s_eff + vec[j] * cos_v
-    return out
-
-
-def _exact(p: Fraction):
-    """p, as an int when it is one: Fraction == int is the cheaper test."""
-    return p.numerator if p.denominator == 1 else p
-
-
 def _float(v) -> float:
     """float(v) for an int, Fraction or float.  A rational converts by
     integer true division, the rounding Fraction.__float__ uses, without
@@ -156,27 +147,53 @@ def _float(v) -> float:
     return v if type(v) is float else v.numerator / v.denominator
 
 
+def _entry(v: Fraction) -> tuple:
+    """v as the reduction reads it: (v, float(v), (numerator, denominator))."""
+    n, d = v.numerator, v.denominator
+    return v, n / d, (n, d)
+
+
+def _value_table() -> list:
+    """Every value a cover sample draws, as `_entry` values: row p + 9,
+    column q - 1 holds p/q, for -9 <= p <= 9 and 1 <= q <= 4."""
+    return [[_entry(Fraction(p, q)) for q in range(1, 5)] for p in range(-9, 10)]
+
+
 def _patterns(reps) -> list:
-    """Each representative as (case, fixed slots, free slots); a fixed
-    slot is (index, exact value, float value), a free one (index, name)."""
-    return [
-        (rep.case_id,
-         tuple((i, _exact(p), float(p)) for i, p in enumerate(rep.pattern)
-               if not isinstance(p, str)),
-         tuple((i, p) for i, p in enumerate(rep.pattern) if isinstance(p, str)))
-        for rep in reps
-    ]
+    """Each representative as (case, fixed pairs, fixed floats, free
+    slots): a fixed slot is (index, (numerator, denominator)) and
+    (index, float value), a free one (index, name)."""
+    out = []
+    for rep in reps:
+        fixed = [(i, p) for i, p in enumerate(rep.pattern) if not isinstance(p, str)]
+        out.append((rep.case_id,
+                    tuple((i, (p.numerator, p.denominator)) for i, p in fixed),
+                    tuple((i, float(p)) for i, p in fixed),
+                    tuple((i, p) for i, p in enumerate(rep.pattern) if isinstance(p, str))))
+    return out
 
 
-def _match_pattern(vec, pattern, exact: bool):
-    """The free-slot parameters when vec matches the pattern, else None."""
-    _, fixed, free = pattern
-    if exact:
-        if any(vec[i] != p for i, p, _ in fixed):
-            return None
-    elif any(abs(vec[i] - fp) > MATCH_TOL for i, _, fp in fixed):
-        return None
-    return {name: vec[i] for i, name in free}
+def _match_exact(pairs, patterns):
+    """The first pattern whose fixed slots equal `pairs`, else None."""
+    for pattern in patterns:
+        for i, p in pattern[1]:
+            if pairs[i] != p:
+                break
+        else:
+            return pattern
+    return None
+
+
+def _match_float(vec, patterns):
+    """The first pattern whose fixed slots lie within MATCH_TOL of the
+    floats `vec`, else None."""
+    for pattern in patterns:
+        for i, fp in pattern[2]:
+            if abs(vec[i] - fp) > MATCH_TOL:
+                break
+        else:
+            return pattern
+    return None
 
 
 def adjoint_orbit_reduce(coeffs, g: LieAlgebra, reps=None) -> ReductionTrace:
@@ -191,94 +208,119 @@ def adjoint_orbit_reduce(coeffs, g: LieAlgebra, reps=None) -> ReductionTrace:
     if not any(vec):
         raise OptimalSystemError("zero vector does not span a subalgebra")
     _check_structure(g)
-    return _reduce(vec, _patterns(reps))
+    entries = [_entry(v) for v in vec]
+    return _trace(entries, _reduce(entries, _patterns(reps)))
 
 
-def _reduce(vec, patterns) -> ReductionTrace:
-    """adjoint_orbit_reduce on a nonzero Fraction vector of an algebra
-    that passed _check_structure, against _patterns(reps)."""
+def _trace(vec, reduction) -> ReductionTrace:
+    """The ReductionTrace of `reduction = _reduce(vec, patterns)`."""
+    pattern, exact, moves, scale, out = reduction
+    if pattern is None:
+        case, params = None, {}
+    else:
+        case, params = pattern[0], {name: out[i] for i, name in pattern[3]}
+    return ReductionTrace(tuple(e[0] for e in vec), [Move(*mv) for mv in moves], scale,
+                          tuple(out), case, params, exact)
+
+
+def _reduce(vec, patterns) -> tuple:
+    """Reduce a nonzero list of `_entry` values, of an algebra that passed
+    _check_structure, against _patterns(reps).
+
+    Returns (pattern, exact, moves, scale, output): the matched pattern
+    or None; whether the reduction stayed exact; the moves as tuples
+    (generator, parameter, exact (cos, sin) or None); the scale and the
+    output, Fractions when exact, floats otherwise."""
     # already a representative: identity trace
-    for pattern in patterns:
-        params = _match_pattern(vec, pattern, exact=True)
-        if params is not None:
-            return ReductionTrace(tuple(vec), [], Fraction(1), tuple(vec),
-                                  pattern[0], params, exact=True)
+    pattern = _match_exact([e[2] for e in vec], patterns)
+    if pattern is not None:
+        return pattern, True, [], Fraction(1), [e[0] for e in vec]
     exact = True
     work = list(vec)
     moves = []
-
-    def rotation_move(gen_index):
-        nonlocal exact, work
-        zero_slot, keep_slot = ROTATION_SLOTS[gen_index]
-        orient = ROTATION_ORIENT[gen_index]
-        x = work[zero_slot]
-        y = work[keep_slot]
-        if x == 0:
-            return
-        # choose cos = y/h and effective sine -x/h so the zeroed slot
-        # vanishes and the kept slot becomes the positive hypotenuse
-        root = _is_square(x * x + y * y) if exact else None
-        if root is not None:
-            cos_v = Fraction(y, root)
-            sin_v = Fraction(-x, root) * orient
-            param = math.atan2(_float(sin_v), _float(cos_v))
-            moves.append(Move(gen_index, param, (cos_v, sin_v)))
-        else:
-            fx, fy = _float(x), _float(y)
-            h = math.hypot(fx, fy)
-            cos_v = fy / h
-            sin_v = -fx / h * orient
-            param = math.atan2(sin_v, cos_v)
-            moves.append(Move(gen_index, param, None))
-            exact = False
-            work = [_float(v) for v in work]
-        work = _apply_rotation(work, gen_index, cos_v, sin_v)
-
     # clear the fourth slot into the fifth, then the third into the
-    # fifth; exact moves keep every entry a Fraction
-    rotation_move(2)
-    rotation_move(3)
-
-    def nonzero(v):
-        return v != 0 if exact else abs(v) > MATCH_TOL
-
+    # fifth; the zeroed slot vanishes and the kept slot becomes the
+    # positive hypotenuse h, with cos = y/h and effective sine -x/h
+    for gen in (2, 3):
+        i, j = ROTATION_SLOTS[gen]
+        orient = ROTATION_ORIENT[gen]
+        if exact:
+            (a, b), (c, d) = work[i][2], work[j][2]
+            if not a:
+                continue
+            # x = a/b and y = c/d: x^2 + y^2 = s/(bd)^2 is a rational
+            # square exactly when s is a square r^2, and then h = r/(bd)
+            s = (a * d) ** 2 + (c * b) ** 2
+            r = isqrt(s)
+            if r * r == s:
+                cos_v = Fraction(c * b, r)
+                sin_v = Fraction(-a * d * orient, r)
+                moves.append((gen, atan2(_float(sin_v), _float(cos_v)), (cos_v, sin_v)))
+                work[i] = _entry(Fraction(0))
+                work[j] = _entry(Fraction(r, b * d))
+                continue
+            exact = False
+            work = [e[1] for e in work]
+        elif work[i] == 0:
+            continue
+        x, y = work[i], work[j]
+        h = hypot(x, y)
+        cos_v = y / h
+        sin_v = -x / h * orient
+        moves.append((gen, atan2(sin_v, cos_v), None))
+        s_eff = sin_v * orient
+        work[i] = x * cos_v + y * s_eff
+        work[j] = -x * s_eff + y * cos_v
     # after both rotations the third and fourth slots are clear, so the
     # scaling target is the first central slot, else the second, else
     # the surviving rotation norm
-    if nonzero(work[0]):
+    if exact:
+        work = [e[0] for e in work]
+    tol = 0 if exact else MATCH_TOL
+    if abs(work[0]) > tol:
         lead = 0
-    elif nonzero(work[1]):
+    elif abs(work[1]) > tol:
         lead = 1
-    elif nonzero(work[4]):
+    elif abs(work[4]) > tol:
         lead = 4
     else:
         raise OptimalSystemError("reduction produced the zero vector")
-    lead_val = work[lead]
-    scale = (Fraction(1) / lead_val) if exact else (1.0 / lead_val)
-    work = [v * scale for v in work]
-    matched = None
-    params = {}
-    for pattern in patterns:
-        got = _match_pattern(work, pattern, exact=exact)
-        if got is not None:
-            matched = pattern[0]
-            params = got
-            break
-    return ReductionTrace(tuple(vec), moves, scale, tuple(work), matched, params, exact)
+    scale = Fraction(1) / work[lead] if exact else 1.0 / work[lead]
+    out = [v * scale for v in work]
+    if exact:
+        pattern = _match_exact([(v.numerator, v.denominator) for v in out], patterns)
+    else:
+        pattern = _match_float(out, patterns)
+    return pattern, exact, moves, scale, out
+
+
+def _replay(vec, moves, scale, exact: bool) -> list:
+    """`replay` of a trace's parts: `vec` is the input, as Fractions when
+    exact and as floats otherwise, and each move a tuple (generator,
+    parameter, exact (cos, sin) or None)."""
+    work = list(vec)
+    for gen, param, cos_sin in moves:
+        if cos_sin is not None and exact:
+            cos_v, sin_v = cos_sin
+        else:
+            cos_v, sin_v = cos(param), sin(param)
+            if exact:
+                work = [_float(v) for v in work]
+        # the row action of Ad(exp(param X_gen))
+        i, j = ROTATION_SLOTS[gen]
+        s_eff = sin_v * ROTATION_ORIENT[gen]
+        x, y = work[i], work[j]
+        work[i] = x * cos_v + y * s_eff
+        work[j] = -x * s_eff + y * cos_v
+    return [v * scale for v in work]
 
 
 def replay(trace: ReductionTrace):
     """Re-apply the recorded moves and scaling to the recorded input."""
     exact = trace.exact
     work = [Fraction(v) for v in trace.input] if exact else [_float(v) for v in trace.input]
-    for mv in trace.moves:
-        if mv.exact_cos_sin is not None and exact:
-            cos_v, sin_v = mv.exact_cos_sin
-        else:
-            cos_v, sin_v = math.cos(mv.parameter), math.sin(mv.parameter)
-            work = [_float(v) for v in work]
-        work = _apply_rotation(work, mv.generator, cos_v, sin_v)
-    return [v * trace.scale for v in work]
+    moves = [(mv.generator, mv.parameter, mv.exact_cos_sin) for mv in trace.moves]
+    return _replay(work, moves, trace.scale, exact)
 
 
 def _invariant_signature(rep: OptimalRep):
@@ -320,30 +362,39 @@ def verify_optimal_cover(g: LieAlgebra, reps=None, samples: int = 1000,
         reps = default_representatives()
     _check_structure(g)
     patterns = _patterns(reps)
-    # every value a sample can draw, made once
-    values = {(p, q): Fraction(p, q) for p in range(-9, 10) for q in range(1, 5)}
-    rng = random.Random(seed)
+    rows = _value_table()
+    # choice(rows) then choice(row) consume the stream as randint(-9, 9)
+    # then randint(1, 4) do: each is one _randbelow call
+    choice = random.Random(seed).choice
+    slots = range(g.dim)
     matched = {}
     unmatched = []
     rejected = 0
     drift_max = 0.0
     replay_max = 0.0
     for _ in range(samples):
-        vec = [values[rng.randint(-9, 9), rng.randint(1, 4)] for _ in range(g.dim)]
-        if not any(vec):
+        vec = [choice(choice(rows)) for _ in slots]
+        a_in = [e[1] for e in vec]
+        if not any(a_in):
             rejected += 1
             continue
-        trace = _reduce(vec, patterns)
-        if trace.matched_case is None:
-            unmatched.append([str(v) for v in vec])
+        reduction = _reduce(vec, patterns)
+        pattern, exact, moves, scale, out = reduction
+        if pattern is None:
+            unmatched.append([str(e[0]) for e in vec])
             continue
-        matched[trace.matched_case] = matched.get(trace.matched_case, 0) + 1
-        drift_max = max(drift_max, _invariant_drift(trace))
-        replayed = replay(trace)
-        replay_max = max(
-            replay_max,
-            max(abs(_float(a) - _float(b)) for a, b in zip(replayed, trace.output)),
-        )
+        case = pattern[0]
+        matched[case] = matched.get(case, 0) + 1
+        if exact:
+            # a few in a hundred: replayed on Fractions from the trace that
+            # adjoint_orbit_reduce returns, then compared as floats
+            replayed = [_float(v) for v in replay(_trace(vec, reduction))]
+            out = [_float(v) for v in out]
+            scale = _float(scale)
+        else:
+            replayed = _replay(a_in, moves, scale, False)
+        drift_max = max(drift_max, _invariant_drift(a_in, out, scale))
+        replay_max = max(replay_max, max([abs(a - b) for a, b in zip(replayed, out)]))
     return {
         "samples": samples,
         "seed": seed,
@@ -358,15 +409,13 @@ def verify_optimal_cover(g: LieAlgebra, reps=None, samples: int = 1000,
     }
 
 
-def _invariant_drift(trace: ReductionTrace) -> float:
-    """Scale-adjusted drift of (a1, a2, rotation norm) along a trace."""
-    a_in = [_float(v) for v in trace.input]
-    a_out = [_float(v) for v in trace.output]
-    scale = _float(trace.scale)
-    drift = max(
-        abs(a_out[0] - a_in[0] * scale),
-        abs(a_out[1] - a_in[1] * scale),
-    )
-    n_in = sum(v * v for v in a_in[2:5])
-    n_out = sum(v * v for v in a_out[2:5])
+def _invariant_drift(a_in, a_out, scale: float) -> float:
+    """Scale-adjusted drift of (a1, a2, rotation norm) from the floats
+    of a reduction's input to those of its output."""
+    a1, a2, a3, a4, a5 = a_in
+    b1, b2, b3, b4, b5 = a_out
+    drift = max(abs(b1 - a1 * scale), abs(b2 - a2 * scale))
+    # sum() as written: from 3.12 it adds floats with compensation
+    n_in = sum((a3 * a3, a4 * a4, a5 * a5))
+    n_out = sum((b3 * b3, b4 * b4, b5 * b5))
     return max(drift, abs(n_out - n_in * scale * scale))

@@ -171,9 +171,10 @@ OPTIMAL = ("optimal", "vb_general.gens", "--metric", "vaidya_bonner.metric")
     ((*INTEGRATE, "--step", "0.01", "--span", "-1"), "--span"),
     ((*OPTIMAL, "--samples", "-5"), "--samples"),
     ((*OPTIMAL, "--samples", "0"), "--samples"),
+    ((*OPTIMAL, "--samples", "1000001"), "--samples"),
     (("analyze", "vaidya_bonner_M1_Qt.metric", "--ansatz-degree", "-1"), "--ansatz-degree"),
 ], ids=["step-0", "step-nan", "step-negative", "span-inf", "span-negative",
-        "samples-negative", "samples-0", "ansatz-degree-negative"])
+        "samples-negative", "samples-0", "samples-over-cap", "ansatz-degree-negative"])
 def test_out_of_range_numeric_argument_exits_2(capsys, argv, option):
     with pytest.raises(SystemExit) as stop:
         main(list(argv))

@@ -33,6 +33,8 @@ for byte:
 - `vb_general.optimal.json`: `optimal` on `vb_general.gens` with 1000
   samples and seed 7.  It guards the sample draws, the reduction moves,
   replay and the invariant drift.
+- `vb_general.optimal_5000.json`: the same with 5000 samples and seed
+  253381, the size of the benchmark's `optimal` command.
 
 Every multi-format report is a view of one payload: formatting
 `json.loads` of a `--format json` report gives the `--format text` and
@@ -163,9 +165,19 @@ def test_integrate_off_equator_matches_golden(capsys):
     assert capsys.readouterr().out.encode() == expected
 
 
+def _optimal_vb_general(samples, seed):
+    """Exit code of `optimal` on vb_general.gens with vaidya_bonner.metric."""
+    return main(["optimal", "vb_general.gens", "--metric", "vaidya_bonner.metric",
+                 "--samples", samples, "--seed", seed])
+
+
 def test_optimal_matches_golden(capsys):
-    code = main(["optimal", "vb_general.gens", "--metric", "vaidya_bonner.metric",
-                 "--samples", "1000", "--seed", "7"])
-    assert code == 0
+    assert _optimal_vb_general("1000", "7") == 0
     expected = (GOLDEN / "vb_general.optimal.json").read_bytes()
+    assert capsys.readouterr().out.encode() == expected
+
+
+def test_optimal_at_benchmark_size_matches_golden(capsys):
+    assert _optimal_vb_general("5000", "253381") == 0
+    expected = (GOLDEN / "vb_general.optimal_5000.json").read_bytes()
     assert capsys.readouterr().out.encode() == expected

@@ -88,13 +88,15 @@ class TestSharedSubtrees:
     """Repeated Pow and Fn subtrees are computed once per evaluation;
     every value and every error must match the unshared reference."""
 
-    POINTS = [1.5, 0.5, 1.0, 0.0, -0.5, 1e-13, 1e200]
+    POINTS = [1.5, 0.5, 1.0, 0.0, -0.5, 1e-13, 1e200,
+              float("nan"), float("inf"), -float("inf")]
 
     def _agree(self, comps, names, points):
         f = compile_numeric(comps, names)
         g = reference.compile_numeric(comps, names)
         for values in points:
-            assert _outcome(f, *values) == _outcome(g, *values)
+            # repr tells every float apart, and a NaN equal to a NaN
+            assert repr(_outcome(f, *values)) == repr(_outcome(g, *values))
 
     def test_first_use_in_a_later_denominator(self):
         # ln(x) first occurs in the denominator of the second component

@@ -1,6 +1,7 @@
 """Adjoint-orbit reduction, invariants, and coverage verification."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from liesym.liealg import structure_constants
 from liesym.optimal import (
     OptimalSystemError,
+    _value_table,
     adjoint_orbit_reduce,
     replay,
     separation_failures,
@@ -15,6 +17,7 @@ from liesym.optimal import (
     verify_optimal_cover,
 )
 
+import reference_optimal as reference
 from reference_liealg import orbit_invariants_check
 
 
@@ -140,3 +143,53 @@ class TestCoverage:
         r1 = verify_optimal_cover(algebra, samples=100, seed=11)
         r2 = verify_optimal_cover(algebra, samples=100, seed=11)
         assert r1 == r2
+
+
+def _without_case_1():
+    return [r for r in default_representatives() if r.case_id != 1]
+
+
+class TestReference:
+    """The cover and the reduction give what the Fraction-per-sample
+    reference gives, float for float."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_cover_report_matches_reference(self, algebra, seed):
+        assert (verify_optimal_cover(algebra, samples=5000, seed=seed)
+                == reference.verify_optimal_cover(algebra, samples=5000, seed=seed))
+
+    def test_unmatched_samples_match_reference(self, algebra):
+        report = verify_optimal_cover(algebra, _without_case_1(), samples=2000, seed=3)
+        assert len(report["unmatched"]) > 1000
+        assert report == reference.verify_optimal_cover(algebra, _without_case_1(),
+                                                        samples=2000, seed=3)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 42, 253381])
+    def test_table_draws_follow_randint(self, seed):
+        # choice of a row, then of an entry, takes one _randbelow call
+        # each, as randint(-9, 9) and randint(1, 4) do
+        rows = _value_table()
+        choice = random.Random(seed).choice
+        assert [choice(choice(rows))[0] for _ in range(2000)] == reference.draws(seed, 2000)
+
+    @pytest.mark.parametrize("vec", [
+        [1, 2, 3, 4, 0],                      # both hypotenuses rational
+        [Fraction(1, 2), 1, Fraction(3, 4), 1, 0],
+        [0, 3, 0, 4, 3],                      # one rational move, time-leading
+        [1, 2, 3, 0, 4],                      # fourth slot zero, rational second move
+        [1, 0, 1, 3, 4],                      # rational first move, irrational second
+        [5, -3, 2, 7, 1],                     # irrational first move
+        [-2, 1, 0, 0, 0],                     # scaling only, negative lead
+        [1, 3, 0, 0, 2],                      # already a representative
+        [0, 0, 1, 1, 1],                      # rotation norm leads
+        [0, 0, 0, 0, 7],
+    ])
+    @pytest.mark.parametrize("drop_case_1", [False, True])
+    def test_trace_and_replay_match_reference(self, algebra, vec, drop_case_1):
+        reps = _without_case_1() if drop_case_1 else default_representatives()
+        got = adjoint_orbit_reduce(vec, algebra, reps)
+        want = reference.reduce([Fraction(v) for v in vec], reference._patterns(reps))
+        assert [vars(mv) for mv in got.moves] == [vars(mv) for mv in want.moves]
+        assert {k: v for k, v in vars(got).items() if k != "moves"} == \
+            {k: v for k, v in vars(want).items() if k != "moves"}
+        assert replay(got) == reference.replay(want)
