@@ -22,7 +22,7 @@ from .errors import (
     SingularMetricError,
     VerificationError,
 )
-from .files import canonical_input, load_generators, load_metric
+from .files import load_generators, load_metric
 from .geometry import geodesic_lagrangian, geodesic_system
 from .liealg import levi_split, structure_constants
 from .numeric import drift_along_trace, integrate_geodesic, step_count
@@ -213,18 +213,15 @@ def cmd_integrate(args) -> int:
         try:
             # No declared functions: an opaque call or D(...) marker is
             # rejected here, as a binding must be numeric.
-            tree = parse_expr(expr_text, {})
-        except ExprSyntaxError as exc:
+            value, symbols = parse_expr(expr_text, {})
+        except (ZeroDivisionError, ValueError) as exc:
             raise FormatError("<bind>", 0, str(exc))
         fargs = metric.functions[name]
-        stray = sorted(tree.free_symbols() - set(fargs))
+        stray = sorted(symbols - set(fargs))
         if stray:
             raise FormatError("<bind>", 0, f"symbols {stray} are not arguments of "
                               f"{name}({', '.join(fargs)})")
-        try:
-            bindings[name] = canonical_input(tree)
-        except (ZeroDivisionError, ValueError) as exc:
-            raise FormatError("<bind>", 0, str(exc))
+        bindings[name] = value
     missing = set(metric.functions) - set(bindings)
     if missing:
         raise FormatError("<bind>", 0, f"unbound functions: {sorted(missing)}")

@@ -16,14 +16,16 @@ packaged data directory when no such file exists on disk.  A metric
 whose determinant is canonically zero is rejected when it loads
 (SingularMetricError).  Every symbol in a component must be a
 coordinate or a declared function argument, and in a generator also
-the parameter; the check runs on the parse tree, before
-canonicalization could cancel a stray symbol (w - w), and the error
-names the file and line.
+the parameter; the check runs on the symbol names the parser read,
+which canonicalization cannot cancel (w - w), and the error names the
+file and line.
 
-Loading is the parse boundary: each expression is parsed and
-canonicalized once, by canonical_input, which `--bind` shares, and
-metrics and fields hold canonical RatFuncs.  generators_to_text renders
-them back.
+Loading is the parse boundary: each expression is parsed once, by
+parse_expr, which `--bind` shares, straight into its canonical RatFunc,
+and metrics and fields hold canonical RatFuncs.  A line is checked in
+the order: syntax, then what the kernel cannot represent, then
+undeclared symbols; a generator line parses all its expressions
+before its symbols are checked.  generators_to_text prints them back.
 """
 
 from __future__ import annotations
@@ -34,31 +36,14 @@ from .charts import CoordChart
 from .errors import ChartError, FormatError, SingularMetricError
 from .geometry import Metric
 from .jets import BundleVectorField
-from .symexpr import ExprSyntaxError, canonical_ratfunc, parse_expr
-from .symexpr.canonical import MAX_POWER_COEFFICIENT_BITS
-from .symexpr.poly import RAT_ZERO, RatFunc
+from .symexpr import ExprSyntaxError, parse_expr
+from .symexpr.poly import RAT_ZERO
 
 # What the expression kernel raises for input it cannot represent:
 # ZeroDivisionError for a zero denominator (1/0), ValueError for an even
 # root of a negative rational ((-4)^(1/2)), for ln(0) and for input past
 # a size cap.
 _KERNEL_ERRORS = (ZeroDivisionError, ValueError)
-
-
-def canonical_input(tree) -> RatFunc:
-    """The canonical RatFunc of one parsed input expression.
-
-    Raises ValueError when a numerator or denominator coefficient has
-    more than MAX_POWER_COEFFICIENT_BITS bits, too long to print: a
-    product or sum of powers each below the kernel's cap can build one
-    (7^4000*7^4000)."""
-    rf = canonical_ratfunc(tree)
-    for p in (rf.num, rf.den):
-        bits = max([p.den, *map(abs, p.terms.values())]).bit_length()
-        if bits > MAX_POWER_COEFFICIENT_BITS:
-            raise ValueError(f"a coefficient of the canonical form has {bits} bits, "
-                             f"above {MAX_POWER_COEFFICIENT_BITS}")
-    return rf
 
 
 def resolve_input_path(path) -> Path:
@@ -132,11 +117,10 @@ def load_metric(path) -> Metric:
         if i > j:
             raise FormatError(path, lineno, "specify the upper triangle only (i <= j)")
         try:
-            tree = parse_expr(expr_text, functions)
-            _check_symbols(path, lineno, [tree], allowed)
-            e = canonical_input(tree)
+            e, symbols = parse_expr(expr_text, functions)
         except (ExprSyntaxError, *_KERNEL_ERRORS) as exc:
             raise FormatError(path, lineno, str(exc))
+        _check_symbols(path, lineno, [symbols], allowed)
         comps[i][j] = e
         comps[j][i] = e
     try:
@@ -156,12 +140,12 @@ def _allowed_symbols(names, functions) -> set:
     return allowed
 
 
-def _check_symbols(path, lineno, trees, allowed):
-    """Reject a symbol outside `allowed` in any parse tree, before
-    canonicalization can cancel it (w - w)."""
+def _check_symbols(path, lineno, symbol_sets, allowed):
+    """Reject a symbol outside `allowed` in any of the sets of names the
+    parser read."""
     stray = set()
-    for e in trees:
-        stray |= e.free_symbols() - allowed
+    for symbols in symbol_sets:
+        stray |= symbols - allowed
     if stray:
         raise FormatError(path, lineno, f"undeclared symbols: {sorted(stray)}")
 
@@ -213,13 +197,13 @@ def load_generators(path, chart: CoordChart, functions=None) -> list:
                 f"expected {chart.dim + 1} pipe-separated expressions, found {len(pieces)}",
             )
         try:
-            exprs = [parse_expr(p, functions) for p in pieces]
-        except ExprSyntaxError as exc:
+            parsed = [parse_expr(p, functions) for p in pieces]
+        except (ExprSyntaxError, *_KERNEL_ERRORS) as exc:
             raise FormatError(path, lineno, str(exc))
-        _check_symbols(path, lineno, exprs, allowed)
+        _check_symbols(path, lineno, [symbols for _, symbols in parsed], allowed)
         try:
-            f = BundleVectorField(chart, [canonical_input(e) for e in exprs], name=name)
-        except (ChartError, *_KERNEL_ERRORS) as exc:
+            f = BundleVectorField(chart, [e for e, _ in parsed], name=name)
+        except ChartError as exc:
             raise FormatError(path, lineno, str(exc))
         fields.append(f)
     if not fields:

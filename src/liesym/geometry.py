@@ -17,7 +17,8 @@ from .charts import CoordChart
 from .errors import ChartError, SingularMetricError
 from .jets import symbol
 from .symexpr import derive
-from .symexpr.poly import RAT_ONE, RAT_ZERO, RatFunc, rat_sum, sym_atom
+from .symexpr.nodes import sym_atom
+from .symexpr.poly import RAT_ONE, RAT_ZERO, RatFunc, rat_sum
 
 
 class Metric:

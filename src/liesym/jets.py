@@ -16,7 +16,8 @@ from __future__ import annotations
 from .charts import CoordChart
 from .errors import ChartError, JetOrderError
 from .symexpr import derive
-from .symexpr.poly import RAT_ONE, RatFunc, sym_atom
+from .symexpr.nodes import sym_atom
+from .symexpr.poly import RAT_ONE, RatFunc
 
 
 def symbol(name: str) -> RatFunc:

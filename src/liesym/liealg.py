@@ -45,7 +45,8 @@ from .errors import (
 from .jets import BundleVectorField, symbol
 from .linalg import express_in_basis, rank, sparse_nullspace, sparse_rref
 from .symexpr import fn_ratfunc, pow_ratfunc, substitute_atoms
-from .symexpr.poly import RAT_ONE, RAT_ZERO, RatFunc, poly_divexact, poly_lcm, rat_sum, sym_atom
+from .symexpr.nodes import sym_atom
+from .symexpr.poly import RAT_ONE, RAT_ZERO, RatFunc, poly_divexact, poly_lcm, rat_sum
 
 
 def field_bracket(x: BundleVectorField, y: BundleVectorField) -> BundleVectorField:

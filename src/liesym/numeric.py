@@ -1,19 +1,21 @@
 """Double-precision evaluation and the RK4 geodesic integrator.
 
-One code generator serves every numeric entry point.  It renders a
+One code generator serves every numeric entry point.  It writes a
 system of canonical RatFuncs as straight-line Python statements, one
 component after another, each as: its denominator `_d`, the guard
 `-1e-12 < _d < 1e-12` (|_d| < 1e-12 for every float, NaN included,
 with both bounds constants of the code), then its numerator divided by
-`_d` (a constant denominator has neither).  Numerators and denominators
-are rendered as their expression trees with no rewriting or
-reassociation (`x ** (2/1)` stays a pow), so a value is the same float
-however the code around it is laid out.  A Pow or Fn subtree that
-occurs more than once in one evaluation is computed once: its first
+`_d` (a constant denominator has neither).  Numerator and denominator
+are written term by term as their printed text reads, with no
+rewriting or reassociation (`x ** (2/1)` stays a pow), so a value is
+the same float however the code around it is laid out.  A power of an
+atom, a fractional-power atom or a function application that occurs
+more than once in one evaluation is computed once: its first
 occurrence binds it, `(_tK := ...)`, and later ones read `_tK`.  The
-memo is keyed on the tree node, and a denominator is rendered before
-its numerator, the order in which they run, so every binding precedes
-its uses.
+memo is keyed on the atom, on (atom, exponent), which atom interning
+makes exact, and, for the inverse of a sum in a function argument, on
+(its Poly, -1).  A denominator is written before its numerator, the
+order in which they run, so every binding precedes its uses.
 
 `compile_numeric` wraps one such body into a function of positional
 floats that returns every component.  `integrate_geodesic` is classical
@@ -36,8 +38,7 @@ from array import array
 
 from .errors import IntegrationError
 from .geometry import GeodesicSystem
-from .symexpr import render_ratfunc, substitute_function
-from .symexpr.nodes import Add, Fn, Mul, Num, Op, Pow, Sym
+from .symexpr import substitute_function
 from .symexpr.poly import RatFunc
 
 _SINGULAR = 1e-12
@@ -59,88 +60,107 @@ _SCOPE = {f"_{name}": fn for name, fn in _MATH.items()}
 _SCOPE.update(IntegrationError=IntegrationError, _isfinite=math.isfinite)
 
 
-def _trees(rfs) -> list:
-    """(numerator tree, denominator tree or None) per RatFunc."""
-    return [
-        (render_ratfunc(RatFunc.from_poly(rf.num)),
-         None if rf.den.is_const() else render_ratfunc(RatFunc.from_poly(rf.den)))
-        for rf in rfs
-    ]
+class _Source:
+    """Python source of Polys and RatFuncs, term by term as they print.
+
+    It runs twice over one system: a counting pass that tallies each
+    shared node (function application, fractional-power atom, power of
+    an atom, inverse of a denominator) and rejects what cannot compile,
+    first offender first, then an emitting pass that binds each node met
+    more than once at its first use.  A repeated node is written as a
+    name, so its inside is counted once."""
+
+    def __init__(self, args: dict):
+        self.args = args
+        self.counts = {}
+        self.bound = None  # node -> name, once emitting
+
+    def shared(self, key, build) -> str:
+        if self.bound is None:
+            seen = self.counts.get(key, 0)
+            self.counts[key] = seen + 1
+            return "" if seen else build()
+        name = self.bound.get(key)
+        if name is not None:
+            return name
+        src = build()
+        if self.counts[key] < 2:
+            return src
+        name = self.bound[key] = f"_t{len(self.bound)}"
+        return f"({name} := {src})"
+
+    def poly(self, p) -> str:
+        if not p.terms:
+            return "(0/1)"
+        terms = [self.product(self.factors(m, c)) for m, c in p.printed_terms()]
+        return terms[0] if len(terms) == 1 else "(" + " + ".join(terms) + ")"
+
+    def factors(self, mono, c) -> list:
+        head = [f"({c.numerator}/{c.denominator})"] if c != 1 or not mono else []
+        return head + [self.power(a, e) for a, e in mono]
+
+    @staticmethod
+    def product(factors) -> str:
+        return factors[0] if len(factors) == 1 else "(" + " * ".join(factors) + ")"
+
+    def power(self, a, e: int) -> str:
+        if e == 1:
+            return self.atom(a)
+        return self.shared((a, e), lambda: f"({self.atom(a)} ** ({e}/1))")
+
+    def atom(self, a) -> str:
+        if a.kind == "sym":
+            name = self.args.get(a.payload)
+            if name is None:
+                raise IntegrationError(
+                    f"symbol {a.payload} is not an argument of the compiled function")
+            return name
+        if a.kind == "op":
+            raise IntegrationError(
+                f"opaque function {a.payload[0]} must be bound before numeric evaluation")
+        if a.kind == "fn":
+            fname, arg = a.payload
+            return self.shared(a, lambda: f"_{fname}({self.ratfunc(arg)})")
+        base, q = a.payload
+        return self.shared(a, lambda: f"({self.poly(base)} ** ({q.numerator}/{q.denominator}))")
+
+    def ratfunc(self, rf) -> str:
+        """A function argument: over a monomial, the numerator times
+        each atom to its negative power; over a sum, the numerator's
+        factors times the sum to the power -1."""
+        num, den = rf.num, rf.den
+        if den.is_const():
+            return self.poly(num)
+        if len(den.terms) == 1:
+            (mono, _), = den.terms.items()
+            one = num.is_const() and num.const_value() == 1
+            factors = [] if one else [self.poly(num)]
+            factors += [self.power(a, -e) for a, e in mono]
+        else:
+            factors = self.factors(*num.rational_terms()[0]) if len(num.terms) == 1 \
+                else [self.poly(num)]
+            factors.append(self.shared((den, -1), lambda: f"({self.poly(den)} ** (-1/1))"))
+        return self.product(factors)
 
 
-def _tally(e, args: dict, counts: dict) -> None:
-    """Count the rendered occurrences of each Pow and Fn subtree of `e`,
-    and reject what cannot compile, first offender first.
-
-    A repeated subtree renders as a name, so its inside is counted once."""
-    if isinstance(e, Num):
-        return
-    if isinstance(e, Sym):
-        if e.name not in args:
-            raise IntegrationError(f"symbol {e.name} is not an argument of the compiled function")
-        return
-    if isinstance(e, (Add, Mul)):
-        for sub in (e.terms if isinstance(e, Add) else e.factors):
-            _tally(sub, args, counts)
-        return
-    if isinstance(e, Fn) and e.name not in _MATH:
-        raise IntegrationError(f"cannot compile function {e.name}")
-    if isinstance(e, (Pow, Fn)):
-        seen = counts.get(e, 0)
-        counts[e] = seen + 1
-        if not seen:
-            _tally(e.base if isinstance(e, Pow) else e.arg, args, counts)
-        return
-    if isinstance(e, Op):
-        raise IntegrationError(
-            f"opaque function {e.name} must be bound before numeric evaluation"
-        )
-    raise TypeError(f"unknown node {e!r}")
-
-
-def _py_src(e, args: dict, counts: dict, bound: dict) -> str:
-    """Python source of a tallied tree; `args` maps a symbol to its
-    variable, `bound` the repeated subtrees rendered so far to theirs."""
-    if isinstance(e, Num):
-        return f"({e.value.numerator}/{e.value.denominator})"
-    if isinstance(e, Sym):
-        return args[e.name]
-    if isinstance(e, Add):
-        return "(" + " + ".join(_py_src(t, args, counts, bound) for t in e.terms) + ")"
-    if isinstance(e, Mul):
-        return "(" + " * ".join(_py_src(f, args, counts, bound) for f in e.factors) + ")"
-    name = bound.get(e)
-    if name is not None:
-        return name
-    if isinstance(e, Pow):
-        q = e.exponent
-        src = f"({_py_src(e.base, args, counts, bound)} ** ({q.numerator}/{q.denominator}))"
-    else:
-        src = f"_{e.name}({_py_src(e.arg, args, counts, bound)})"
-    if counts[e] < 2:
-        return src
-    name = bound[e] = f"_t{len(bound)}"
-    return f"({name} := {src})"
-
-
-def _emit(trees, args: dict, outputs, indent: str) -> list:
-    """Statements that assign component k of `trees` to outputs[k]."""
-    counts = {}
-    for num, den in trees:
-        _tally(num, args, counts)
-        if den is not None:
-            _tally(den, args, counts)
-    bound = {}
+def _emit(rfs, args: dict, outputs, indent: str) -> list:
+    """Statements that assign component k of `rfs` to outputs[k]."""
+    src = _Source(args)
+    for rf in rfs:
+        src.poly(rf.num)
+        if not rf.den.is_const():
+            src.poly(rf.den)
+    src.bound = {}
     lines = []
-    for out, (num, den) in zip(outputs, trees):
-        if den is None:
-            lines.append(f"{out} = {_py_src(num, args, counts, bound)}")
+    for out, rf in zip(outputs, rfs):
+        if rf.den.is_const():
+            lines.append(f"{out} = {src.poly(rf.num)}")
             continue
         lines += [
-            f"_d = {_py_src(den, args, counts, bound)}",
+            f"_d = {src.poly(rf.den)}",
             f"if {-_SINGULAR!r} < _d < {_SINGULAR!r}:",
             "    raise IntegrationError('denominator within 1e-12 of zero')",
-            f"{out} = {_py_src(num, args, counts, bound)} / _d",
+            f"{out} = {src.poly(rf.num)} / _d",
         ]
     return [indent + line for line in lines]
 
@@ -169,7 +189,7 @@ def compile_numeric(rfs, names):
     from the first component that meets one."""
     args = {name: f"_x{i}" for i, name in enumerate(names)}
     outputs = [f"_c{k}" for k in range(len(rfs))]
-    body = _emit(_trees(rfs), args, outputs, " " * 8)
+    body = _emit(rfs, args, outputs, " " * 8)
     body.append(f"        return ({''.join(o + ', ' for o in outputs)})")
     return _define("_compiled", args.values(), body)
 
@@ -237,9 +257,9 @@ def _bound(rf: RatFunc, function_bindings) -> RatFunc:
     return substitute_function(rf, function_bindings) if function_bindings else rf
 
 
-def _rk4_loop(trees, names, n: int):
+def _rk4_loop(rfs, names, n: int):
     """f(s, x..., v..., h, steps, out): `steps` RK4 steps of xddot = the
-    components of `trees`, appending each new sample to `out`.
+    components of `rfs`, appending each new sample to `out`.
 
     `names` are the parameter, coordinate and velocity symbols.  Each
     stage evaluates the accelerations inline; the arithmetic is that of
@@ -256,7 +276,7 @@ def _rk4_loop(trees, names, n: int):
     a1, a2, a3, a4 = map(local, ("a1_", "a2_", "a3_", "a4_"))
 
     def stage(s, xs, vs, acc):
-        return _emit(trees, dict(zip(names, [s, *xs, *vs])), acc, pad)
+        return _emit(rfs, dict(zip(names, [s, *xs, *vs])), acc, pad)
 
     def move(dst, base, coef, slope):
         return [f"{pad}{d} = {b} + {coef} * {m}" for d, b, m in zip(dst, base, slope)]
@@ -305,8 +325,8 @@ def integrate_geodesic(system: GeodesicSystem, function_bindings: dict,
     if len(initial_position) != n or len(initial_velocity) != n:
         raise IntegrationError(f"initial state must have {n} + {n} numbers")
     steps = step_count(step, span)
-    trees = _trees([_bound(g, function_bindings) for g in system.accelerations])
-    rk4 = _rk4_loop(trees, _state_names(chart), n)
+    rfs = [_bound(g, function_bindings) for g in system.accelerations]
+    rk4 = _rk4_loop(rfs, _state_names(chart), n)
     state = [0.0, *map(float, initial_position), *map(float, initial_velocity)]
     flat = array("d", state)
     h = float(step)
@@ -314,23 +334,23 @@ def integrate_geodesic(system: GeodesicSystem, function_bindings: dict,
     return GeodesicTrace(step=h, dim=n, flat=flat)
 
 
-def _drift_loop(trees, names):
+def _drift_loop(rfs, names):
     """f(flat, f0...): max |component k - f0[k]| over every sample of a
     flat trace after its first; `if e > w: w = e` is max(w, e), NaN
     included."""
     args = {name: f"_x{i}" for i, name in enumerate(names)}
-    k = range(len(trees))
+    k = range(len(rfs))
     pad = " " * 12
     body = [
         *(f"        _w{i} = 0.0" for i in k),
         f"        _rows = zip(*[iter(flat)] * {len(names)})",
         "        next(_rows)",
         f"        for {''.join(x + ', ' for x in args.values())}in _rows:",
-        *_emit(trees, args, [f"_c{i}" for i in k], pad),
+        *_emit(rfs, args, [f"_c{i}" for i in k], pad),
         *(line for i in k for line in (f"{pad}_e = abs(_c{i} - _f{i})",
                                        f"{pad}if _e > _w{i}:",
                                        f"{pad}    _w{i} = _e")),
-        *([] if trees else [f"{pad}pass"]),
+        *([] if rfs else [f"{pad}pass"]),
         f"        return [{', '.join(f'_w{i}' for i in k)}]",
     ]
     return _define("_drift", ["flat", *(f"_f{i}" for i in k)], body)
@@ -344,4 +364,4 @@ def drift_along_trace(rfs, trace: GeodesicTrace, chart,
     names = _state_names(chart)
     rfs = [_bound(rf, function_bindings) for rf in rfs]
     first = compile_numeric(rfs, names)(*trace.flat[:len(names)])
-    return _drift_loop(_trees(rfs), names)(trace.flat, *first)
+    return _drift_loop(rfs, names)(trace.flat, *first)

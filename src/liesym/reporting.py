@@ -1,6 +1,6 @@
 """Deterministic text, JSON, and LaTeX report emitters.
 
-This is the render boundary.  Each multi-format command builds one
+This is the report boundary.  Each multi-format command builds one
 payload of strings, numbers and lists, in which every field component,
 residual, first integral and structure constant is printed once with
 str().  The JSON report is the payload; the text and LaTeX reports are

@@ -13,7 +13,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .canonical import _cos_of, _sin_of, fn_ratfunc, pow_ratfunc
-from .poly import POLY_ONE, RAT_ONE, Poly, RatFunc, op_atom, rat_sum
+from .nodes import op_atom
+from .poly import POLY_ONE, RAT_ONE, Poly, RatFunc, rat_sum
 
 
 class NonPolynomialError(ValueError):
@@ -28,8 +29,9 @@ def derive(rf: RatFunc, coefficients: dict, memo: dict | None = None) -> RatFunc
     its action.  The chain rule runs per kernel atom, each atom's
     derivative built by the kernel's own constructors, and a monomial
     denominator is differentiated factor by factor, as the product rule
-    runs over the rendered tree.  So the result is the canonical form of
-    the tree derivative of render_ratfunc(rf), with no tree built.
+    runs over the printed quotient N/(a1^e1*...*ak^ek).  So the result
+    is the canonical form of the derivative of the expression that
+    str(rf) reads.
 
     `memo` holds each atom's derivative; an atom's derivative depends
     only on the atom and `coefficients`, so calls with equal
@@ -53,8 +55,9 @@ def _derive(rf: RatFunc, coefficients: dict, memo: dict) -> RatFunc:
 
 def _derive_over_monomial(rf: RatFunc, dnum: RatFunc, coefficients: dict, memo: dict) -> RatFunc:
     """d(N / prod a^e) factor by factor, as the product rule runs over
-    the rendered tree: only factors that vary are raised to a^-(e+1), so
-    a constant radical in the denominator is never squared into it."""
+    the printed quotient: only factors that vary are raised to
+    a^-(e+1), so a constant radical in the denominator is never squared
+    into it."""
     (mono, _), = rf.den.terms.items()
     num = RatFunc.from_poly(rf.num)
     terms = [dnum * RatFunc(POLY_ONE, rf.den, reduced=True)]

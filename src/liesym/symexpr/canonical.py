@@ -1,13 +1,14 @@
-"""Conversion between expression trees and canonical rational functions.
+"""Canonical constructors: products, rational powers and elementary
+functions of RatFuncs.
 
-The canonical pipeline rewrites tan/cot/csc/sec into sin/cos, pushes
-everything into a reduced RatFunc over kernel atoms, and renders the
-result back into a deterministic tree.  sin/cos/exp applications whose
-argument is a polynomial with several terms, or an integer multiple of
-a kernel monomial, are expanded through the addition formulas so that
-group-law and automorphism identities in adjoint parameters close
-canonically; all other arguments become inert atoms keyed by the
-canonical form of the argument.
+The parser reads every product, power and function application
+through these, and the calculus rebuilds function and power atoms with
+them.  tan/cot/csc/sec become quotients of sin and cos.  sin/cos/exp
+applications whose argument is a polynomial with several terms, or an
+integer multiple of a kernel monomial, are expanded through the
+addition formulas so that group-law and automorphism identities in
+adjoint parameters close canonically; all other arguments become inert
+atoms keyed by the canonical form of the argument.
 """
 
 from __future__ import annotations
@@ -15,19 +16,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .nodes import Add, Expr, Fn, Mul, Num, Op, Pow, Sym
-from .poly import (
-    MONOMIAL_ONE,
-    Atom,
-    Poly,
-    RAT_ONE,
-    RAT_ZERO,
-    RatFunc,
-    monomial_key,
-    op_atom,
-    rat_sum,
-    sym_atom,
-)
+from .nodes import Atom
+from .poly import RAT_ONE, RAT_ZERO, Poly, RatFunc, monomial_key
 
 # Bounds on input whose canonical form would take unbounded work.  Each
 # is checked before the work starts and raises ValueError, which the file
@@ -38,43 +28,19 @@ MAX_TRIG_MULTIPLE = 100  # n in sin(n w), cos(n w) for a kernel monomial w
 MAX_TRIAL_DIVISOR = 10**6  # trial divisors for an integer under a fractional power
 # bits of the coefficients of a power, bounded from its base and exponent;
 # 14000 bits keep every numerator and denominator under 4300 digits, the
-# longest int Python converts to str by default; the file loaders and
-# --bind hold every canonical input to it as well
+# longest int Python converts to str by default; the parser holds every
+# input expression to it as well
 MAX_POWER_COEFFICIENT_BITS = 14_000
 
 
-def canonical_ratfunc(e: Expr, _memo=None) -> RatFunc:
-    if _memo is None:
-        _memo = {}
-    key = id(e)
-    hit = _memo.get(key)
-    if hit is not None:
-        return hit
-    if isinstance(e, Num):
-        out = RatFunc.const(e.value)
-    elif isinstance(e, Sym):
-        out = RatFunc.atom(sym_atom(e.name))
-    elif isinstance(e, Op):
-        out = RatFunc.atom(op_atom(e.name, e.args, e.orders))
-    elif isinstance(e, Add):
-        out = rat_sum(canonical_ratfunc(t, _memo) for t in e.terms)
-    elif isinstance(e, Mul):
-        out = RAT_ONE
-        for f in e.factors:
-            rf = canonical_ratfunc(f, _memo)
-            for a, b in ((out.num, rf.num), (out.den, rf.den)):
-                if _expansion_terms([(a, 1), (b, 1)]) > MAX_EXPANDED_TERMS:
-                    raise ValueError(f"a product whose expansion could have more than "
-                                     f"{MAX_EXPANDED_TERMS} terms")
-            out = out * rf
-    elif isinstance(e, Pow):
-        out = pow_ratfunc(canonical_ratfunc(e.base, _memo), e.exponent)
-    elif isinstance(e, Fn):
-        out = fn_ratfunc(e.name, canonical_ratfunc(e.arg, _memo))
-    else:
-        raise TypeError(f"unknown Expr node: {e!r}")
-    _memo[key] = out
-    return out
+def mul_ratfunc(a: RatFunc, b: RatFunc) -> RatFunc:
+    """a * b, once the terms its expansion could have are within
+    MAX_EXPANDED_TERMS."""
+    for p, q in ((a.num, b.num), (a.den, b.den)):
+        if _expansion_terms([(p, 1), (q, 1)]) > MAX_EXPANDED_TERMS:
+            raise ValueError(f"a product whose expansion could have more than "
+                             f"{MAX_EXPANDED_TERMS} terms")
+    return a * b
 
 
 def fn_ratfunc(name: str, arg: RatFunc) -> RatFunc:
@@ -347,62 +313,3 @@ def _factorize(n: int):
     if n > 1:
         out.append((n, 1))
     return out
-
-
-# ---------------------------------------------------------------------------
-# Rendering canonical fractions back into trees.
-
-
-def render_ratfunc(rf: RatFunc) -> Expr:
-    num_tree = _render_poly(rf.num)
-    if rf.den.is_const():
-        return num_tree
-    if len(rf.den.terms) == 1:
-        # Denominator is a primitive monomial: fold in negated exponents.
-        (mono, coeff), = rf.den.rational_terms()
-        factors = []
-        if not (rf.num.is_const() and rf.num.const_value() == 1):
-            factors.append(num_tree)
-        if coeff != 1:
-            factors.append(Pow(Num(coeff), Fraction(-1)))
-        for a, e in mono:
-            factors.append(Pow(_render_atom(a), Fraction(-e)))
-        if len(factors) == 1:
-            return factors[0]
-        return Mul(factors)
-    return Mul.of(num_tree, Pow(_render_poly(rf.den), Fraction(-1)))
-
-
-def _render_poly(p: Poly) -> Expr:
-    if p.is_zero():
-        return Num(0)
-    items = sorted(p.rational_terms(), key=lambda t: monomial_key(t[0]), reverse=True)
-    terms = [_render_term(m, c) for m, c in items]
-    if len(terms) == 1:
-        return terms[0]
-    return Add(terms)
-
-
-def _render_term(mono, coeff: Fraction) -> Expr:
-    factors = []
-    if coeff != 1 or mono == MONOMIAL_ONE:
-        factors.append(Num(coeff))
-    for a, e in mono:
-        at = _render_atom(a)
-        factors.append(at if e == 1 else Pow(at, Fraction(e)))
-    if len(factors) == 1:
-        return factors[0]
-    return Mul(factors)
-
-
-def _render_atom(a: Atom) -> Expr:
-    if a.kind == "sym":
-        return Sym(a.payload)
-    if a.kind == "op":
-        name, args, orders = a.payload
-        return Op(name, args, orders)
-    if a.kind == "fn":
-        fname, arg = a.payload
-        return Fn(fname, render_ratfunc(arg))
-    base, frac = a.payload
-    return Pow(render_ratfunc(RatFunc.from_poly(base)), frac)

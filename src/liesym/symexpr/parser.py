@@ -1,4 +1,4 @@
-"""Recursive descent parser for the expression DSL.
+"""Recursive descent parser for the expression DSL, folding to RatFuncs.
 
 Grammar:
     expr   := term (('+'|'-') term)*
@@ -10,17 +10,28 @@ Grammar:
 A bare exponent is an integer; rational exponents take parentheses, so
 x^2/3 parses as (x^2)/3.  The derivative marker D(f, x, k) denotes the
 k-th derivative of the opaque function f in x (k defaults to 1) and
-extends to mixed partials as D(f, x1, k1, x2, k2, ...).  sqrt(u) lowers
-to u^(1/2).  Whitespace is insignificant.
+extends to mixed partials as D(f, x1, k1, x2, k2, ...).  sqrt(u) reads
+as u^(1/2).  Whitespace is insignificant.
+
+Every grammar action calls a canonical constructor, so the parser reads
+text straight into its canonical RatFunc: sums and products fold left
+to right, and powers and elementary functions go through pow_ratfunc
+and fn_ratfunc.  A kernel error met while folding (a zero denominator,
+ln(0), an even root of a negative rational, an expansion past a cap) is
+kept and raised only once the whole text has parsed, so a syntax error
+anywhere in the text is reported before it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .nodes import Add, ELEMENTARY_FUNCTIONS, Expr, Fn, Mul, Num, Op, Pow, Sym
+from .canonical import MAX_POWER_COEFFICIENT_BITS, fn_ratfunc, mul_ratfunc, pow_ratfunc
+from .nodes import ELEMENTARY_FUNCTIONS, op_atom, sym_atom
+from .poly import RatFunc, rat_sum
 
 _PARSED_FUNCTIONS = ELEMENTARY_FUNCTIONS + ("sqrt",)
+_MINUS_ONE = RatFunc.const(-1)
 
 
 class ExprSyntaxError(ValueError):
@@ -94,35 +105,56 @@ class _Parser:
     def __init__(self, text: str, functions=None):
         self.toks = _Tokenizer(text)
         self.functions = functions
+        self.symbols = set()
+        self.error = None  # the first kernel error, raised after the parse
 
-    def parse(self) -> Expr:
+    def parse(self):
         e = self.expr()
         tok = self.toks.peek()
         if tok[0] != "eof":
             raise ExprSyntaxError(f"unexpected {tok[1]!r}", tok[2])
-        return e
+        if self.error is not None:
+            raise self.error
+        for p in (e.num, e.den):
+            bits = max([p.den, *map(abs, p.terms.values())]).bit_length()
+            if bits > MAX_POWER_COEFFICIENT_BITS:
+                raise ValueError(f"a coefficient of the canonical form has {bits} bits, "
+                                 f"above {MAX_POWER_COEFFICIENT_BITS}")
+        return e, frozenset(self.symbols)
 
-    def expr(self) -> Expr:
+    def fold(self, build, *args):
+        """build(*args); after a kernel error, None without building."""
+        if self.error is not None:
+            return None
+        try:
+            return build(*args)
+        except (ZeroDivisionError, ValueError) as exc:
+            self.error = exc
+            return None
+
+    def expr(self):
         terms = [self.term()]
         while self.toks.peek()[0] in ("+", "-"):
             op = self.toks.next()[0]
             t = self.term()
-            terms.append(t if op == "+" else Mul.of(Num(-1), t))
-        return Add.of(*terms) if len(terms) > 1 else terms[0]
+            terms.append(t if op == "+" else self.fold(mul_ratfunc, _MINUS_ONE, t))
+        return self.fold(rat_sum, terms) if len(terms) > 1 else terms[0]
 
-    def term(self) -> Expr:
-        factors = [self.factor()]
+    def term(self):
+        out = self.factor()
         while self.toks.peek()[0] in ("*", "/"):
             op = self.toks.next()[0]
             f = self.factor()
-            factors.append(f if op == "*" else Pow(f, Fraction(-1)))
-        return Mul.of(*factors) if len(factors) > 1 else factors[0]
+            if op == "/":
+                f = self.fold(pow_ratfunc, f, Fraction(-1))
+            out = self.fold(mul_ratfunc, out, f)
+        return out
 
-    def factor(self) -> Expr:
+    def factor(self):
         b = self.base()
         if self.toks.peek()[0] == "^":
             self.toks.next()
-            return Pow(b, self.exponent())
+            return self.fold(pow_ratfunc, b, self.exponent())
         return b
 
     def exponent(self) -> Fraction:
@@ -148,14 +180,14 @@ class _Parser:
             sign = -1
         return Fraction(sign * int(self.toks.expect("num")[1]))
 
-    def base(self) -> Expr:
+    def base(self):
         tok = self.toks.peek()
         if tok[0] == "num":
             self.toks.next()
-            return Num(int(tok[1]))
+            return RatFunc.const(int(tok[1]))
         if tok[0] == "-":
             self.toks.next()
-            return Mul.of(Num(-1), self.factor())
+            return self.fold(mul_ratfunc, _MINUS_ONE, self.factor())
         if tok[0] == "(":
             self.toks.next()
             e = self.expr()
@@ -164,38 +196,40 @@ class _Parser:
         if tok[0] == "ident":
             self.toks.next()
             if self.toks.peek()[0] != "(":
-                return Sym(tok[1])
+                self.symbols.add(tok[1])
+                return RatFunc.atom(sym_atom(tok[1]))
             return self.application(tok[1], tok[2])
         raise ExprSyntaxError(
             f"expected expression, found {tok[1]!r}" if tok[0] != "eof"
             else "unexpected end of input", tok[2])
 
-    def application(self, name: str, col: int) -> Expr:
+    def application(self, name: str, col: int):
         self.toks.expect("(")
         if name == "D":
             return self.derivative_marker(col)
-        args = [self.expr()]
-        while self.toks.peek()[0] == ",":
-            self.toks.next()
+        args = []
+        bare = []  # per argument, the identifier when it is one alone
+        while True:
+            start = self.toks.index
             args.append(self.expr())
+            idents = [t for t in self.toks.tokens[start:self.toks.index] if t[0] not in ("(", ")")]
+            bare.append(idents[0][1] if len(idents) == 1 and idents[0][0] == "ident" else None)
+            if self.toks.peek()[0] != ",":
+                break
+            self.toks.next()
         self.toks.expect(")")
-        if name == "sqrt":
-            if len(args) != 1:
-                raise ExprSyntaxError("sqrt takes one argument", col)
-            return Pow(args[0], Fraction(1, 2))
-        if name in ELEMENTARY_FUNCTIONS:
+        if name in _PARSED_FUNCTIONS:
             if len(args) != 1:
                 raise ExprSyntaxError(f"{name} takes one argument", col)
-            return Fn(name, args[0])
-        return self.opaque(name, args, col)
+            if name == "sqrt":
+                return self.fold(pow_ratfunc, args[0], Fraction(1, 2))
+            return self.fold(fn_ratfunc, name, args[0])
+        return self.opaque(name, bare, col)
 
-    def opaque(self, name: str, args, col: int) -> Expr:
-        argnames = []
-        for a in args:
-            if not isinstance(a, Sym):
-                raise UnknownFunctionError(
-                    f"unknown function {name!r} (opaque arguments must be symbols)", col)
-            argnames.append(a.name)
+    def opaque(self, name: str, argnames, col: int):
+        if None in argnames:
+            raise UnknownFunctionError(
+                f"unknown function {name!r} (opaque arguments must be symbols)", col)
         if self.functions is not None:
             declared = self.functions.get(name)
             if declared is None:
@@ -203,9 +237,9 @@ class _Parser:
             if tuple(declared) != tuple(argnames):
                 raise ExprSyntaxError(
                     f"{name} declared with arguments {tuple(declared)}", col)
-        return Op(name, argnames)
+        return RatFunc.atom(op_atom(name, argnames, (0,) * len(argnames)))
 
-    def derivative_marker(self, col: int) -> Expr:
+    def derivative_marker(self, col: int):
         tok = self.toks.expect("ident")
         fname = tok[1]
         if fname in _PARSED_FUNCTIONS or fname == "D":
@@ -238,15 +272,22 @@ class _Parser:
                 raise ExprSyntaxError(
                     f"{fname} does not depend on {var!r}", col)
             orders[args.index(var)] += order
-        return Op(fname, args, orders)
+        self.symbols.update(args)
+        return RatFunc.atom(op_atom(fname, args, orders))
 
 
-def parse_expr(text: str, functions=None) -> Expr:
-    """Parse the DSL into an expression tree.
+def parse_expr(text: str, functions=None):
+    """Parse the DSL into (its canonical RatFunc, the symbol names it reads).
 
+    The names are those of the bare symbols and of the arguments of
+    every opaque function, read before anything cancels (w - w reads w).
     `functions`, when given, maps declared opaque function names to
     their argument symbol tuples and makes undeclared applications an
     error; without it any ident(symbol, ...) application is accepted as
-    opaque.
+    opaque.  Raises ExprSyntaxError for malformed text, then
+    ZeroDivisionError or ValueError for text the kernel cannot
+    represent, or whose canonical form has a coefficient of more than
+    MAX_POWER_COEFFICIENT_BITS bits, too long to print: a product or sum
+    of powers each below the kernel's cap can build one (7^4000*7^4000).
     """
     return _Parser(text, functions).parse()

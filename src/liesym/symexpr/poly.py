@@ -1,7 +1,7 @@
 """Exact multivariate polynomial and rational-function arithmetic.
 
 The canonical form of an expression is a reduced fraction of two
-polynomials over Q whose variables ("atoms") are the kernel set:
+polynomials over Q whose variables are the kernel atoms of `nodes`:
 plain symbols, opaque function applications, elementary function
 applications keyed by the canonical form of their argument, and
 fractional powers keyed by an integral polynomial base.
@@ -47,87 +47,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-# key -> the one Atom with that key (see Atom)
-_ATOMS = {}
-
-
-class Atom:
-    """A kernel variable of the polynomial layer.
-
-    kind is one of:
-      "sym"  payload = symbol name
-      "op"   payload = (name, args, orders)
-      "fn"   payload = (fname, arg RatFunc)
-      "pow"  payload = (integral base Poly, fractional exponent in (0,1))
-
-    `fold` marks the atoms a rewrite rule acts on: 1 for cos, 2 for
-    fractional powers, 0 for the rest.
-
-    Atoms are interned by key: constructing an atom whose key exists
-    returns the one instance already made, so equal atoms are identical
-    and equality and hashing are by identity.  The table lives as long
-    as the process; it holds each distinct atom once.
-    """
-
-    __slots__ = ("kind", "payload", "fold", "_key")
-
-    def __new__(cls, kind, payload):
-        # Kind ranks keep the rewrite rules monotone under the monomial
-        # order: cos must rank above sin (cos^2 -> 1 - sin^2 decreases),
-        # and fractional-power atoms above everything (folding decreases).
-        # The key is built here because every monomial product compares it.
-        fold = 0
-        if kind == "sym":
-            key = (0, "sym", payload)
-        elif kind == "op":
-            name, args, orders = payload
-            key = (1, "op", name, args, orders)
-        elif kind == "fn":
-            fname, arg = payload
-            if fname == "cos":
-                fold = 1
-                fname = "~cos"
-            key = (2, fname, arg.key())
-        else:
-            base, frac = payload
-            fold = 2
-            key = (3, base.key(), (frac.numerator, frac.denominator))
-        atom = _ATOMS.get(key)
-        if atom is None:
-            atom = object.__new__(cls)
-            atom.kind = kind
-            atom.payload = payload
-            atom.fold = fold
-            atom._key = key
-            _ATOMS[key] = atom
-        return atom
-
-    def key(self):
-        return self._key
-
-    def __lt__(self, other):
-        return self._key < other._key
-
-    def __repr__(self):
-        return f"Atom({self.kind}, {self.payload!r})"
-
-    def free_symbols(self):
-        if self.kind == "sym":
-            return frozenset([self.payload])
-        if self.kind == "op":
-            return frozenset(self.payload[1])
-        if self.kind == "fn":
-            return self.payload[1].free_symbols()
-        return self.payload[0].free_symbols()
-
-
-def sym_atom(name: str) -> Atom:
-    return Atom("sym", name)
-
-
-def op_atom(name, args, orders) -> Atom:
-    return Atom("op", (name, tuple(args), tuple(orders)))
-
+from .nodes import Atom
 
 # A monomial is a tuple of (Atom, positive int exponent) sorted by atom
 # key; the empty tuple is the constant monomial 1.
@@ -315,9 +235,14 @@ class Poly:
 
     def rational_terms(self):
         """(monomial, Fraction coefficient) pairs: the rational reading
-        of the terms, for the boundaries that render or report them."""
+        of the terms, for the boundaries that print or report them."""
         den = self.den
         return [(m, Fraction(c, den)) for m, c in self.terms.items()]
+
+    def printed_terms(self):
+        """rational_terms in the order they print: descending monomial
+        order, the constant term last."""
+        return sorted(self.rational_terms(), key=lambda t: monomial_key(t[0]), reverse=True)
 
     def key(self):
         """Per term, in monomial order: (monomial key, (numerator,
@@ -763,11 +688,10 @@ class RatFunc:
         return f"RatFunc({self.num!r}/{self.den!r})"
 
     def __str__(self):
-        # canonical imports this module
-        from .canonical import render_ratfunc
-        from .printer import to_text
+        # the printer imports this module
+        from .printer import ratfunc_text
 
-        return to_text(render_ratfunc(self))
+        return ratfunc_text(self)
 
 
 def _reduce_fraction(num: Poly, den: Poly):

@@ -33,17 +33,8 @@ from .geometry import GeodesicSystem, Metric, geodesic_lagrangian
 from .jets import BundleVectorField, prolong, symbol, total_coefficients
 from .linalg import ZeroPins, sparse_nullspace
 from .symexpr import collect_ratfunc, derive, fn_ratfunc, split_monomials, substitute_atoms
-from .symexpr.poly import (
-    RAT_ONE,
-    RAT_ZERO,
-    Poly,
-    RatFunc,
-    op_atom,
-    poly_divexact,
-    poly_lcm,
-    rat_sum,
-    sym_atom,
-)
+from .symexpr.nodes import op_atom, sym_atom
+from .symexpr.poly import RAT_ONE, RAT_ZERO, Poly, RatFunc, poly_divexact, poly_lcm, rat_sum
 
 UNKNOWN_XI = "xi"
 

@@ -5,13 +5,13 @@ import pytest
 from liesym.charts import CoordChart
 from liesym.geometry import Metric, geodesic_lagrangian, geodesic_system
 from liesym.jets import BundleVectorField
-from liesym.symexpr import canonical_ratfunc, parse_expr
+from liesym.symexpr import parse_expr
 from liesym.symmetry import default_ansatz, determining_system, solve_determining
 
 
 def rf(text, functions=None):
     """The canonical RatFunc of an expression written as text."""
-    return canonical_ratfunc(parse_expr(text, functions))
+    return parse_expr(text, functions)[0]
 
 
 @pytest.fixture(scope="session")

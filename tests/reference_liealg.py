@@ -27,7 +27,8 @@ from liesym.jets import symbol
 from liesym.liealg import _identity, _mat_mul, ad_matrix, adjoint_exp, span_rref
 from liesym.linalg import express_in_basis
 from liesym.symexpr import substitute_atoms
-from liesym.symexpr.poly import RAT_ZERO, RatFunc, rat_sum, sym_atom
+from liesym.symexpr.nodes import sym_atom
+from liesym.symexpr.poly import RAT_ZERO, RatFunc, rat_sum
 
 
 def _unit(m, i):

@@ -1,62 +1,74 @@
 """List-form RK4 and an unshared numeric compiler: a reference for tests.
 
 `liesym.numeric` generates one straight-line function per system that
-runs the whole RK4 loop on scalar locals, binds each repeated Pow or Fn
-subtree once per evaluation, and stores the trace in one flat array.
-This module keeps the earlier design: each component rendered as its
-own expression tree with nothing shared, one compiled call per RK4
-stage, lists for the stage states and a list of (s, x, xdot) tuples for
-the trace.  Tests assert that both give the same floats, bit for bit,
-and the same IntegrationError messages.
+runs the whole RK4 loop on scalar locals, binds each repeated power or
+function application once per evaluation, and stores the trace in one
+flat array.  This module keeps the earlier design: each component
+written from its Poly terms with nothing shared, one compiled call per
+RK4 stage, lists for the stage states and a list of (s, x, xdot) tuples
+for the trace.  A polynomial is the sum of its terms in descending
+monomial order, each the coefficient times its atoms to their powers,
+left to right, as the kernel lays it out; a function argument is its
+numerator over its denominator.  Tests assert that both give the same
+floats, bit for bit, and the same IntegrationError messages, on
+functions whose arguments have no denominator.
 """
 
 import math
 
 from liesym.errors import IntegrationError
 from liesym.numeric import _MATH, _SINGULAR, _bound, _state_names, step_count
-from liesym.symexpr import render_ratfunc
-from liesym.symexpr.nodes import Add, Fn, Mul, Num, Op, Pow, Sym
-from liesym.symexpr.poly import RatFunc
 
 
-def _py_src(e, args):
-    if isinstance(e, Num):
-        return f"({e.value.numerator}/{e.value.denominator})"
-    if isinstance(e, Sym):
-        arg = args.get(e.name)
+def _number(c):
+    return f"({c.numerator}/{c.denominator})"
+
+
+def _poly_src(p, args):
+    terms = []
+    for mono, c in p.printed_terms():
+        factors = [_number(c)] if c != 1 or not mono else []
+        for a, e in mono:
+            atom = _atom_src(a, args)
+            factors.append(atom if e == 1 else f"({atom} ** ({e}/1))")
+        terms.append(factors[0] if len(factors) == 1 else "(" + " * ".join(factors) + ")")
+    if not terms:
+        return _number(0)
+    return terms[0] if len(terms) == 1 else "(" + " + ".join(terms) + ")"
+
+
+def _atom_src(a, args):
+    if a.kind == "sym":
+        arg = args.get(a.payload)
         if arg is None:
-            raise IntegrationError(f"symbol {e.name} is not an argument of the compiled function")
+            raise IntegrationError(
+                f"symbol {a.payload} is not an argument of the compiled function")
         return arg
-    if isinstance(e, Add):
-        return "(" + " + ".join(_py_src(t, args) for t in e.terms) + ")"
-    if isinstance(e, Mul):
-        return "(" + " * ".join(_py_src(f, args) for f in e.factors) + ")"
-    if isinstance(e, Pow):
-        q = e.exponent
-        return f"({_py_src(e.base, args)} ** ({q.numerator}/{q.denominator}))"
-    if isinstance(e, Fn):
-        if e.name not in _MATH:
-            raise IntegrationError(f"cannot compile function {e.name}")
-        return f"_{e.name}({_py_src(e.arg, args)})"
-    if isinstance(e, Op):
+    if a.kind == "op":
         raise IntegrationError(
-            f"opaque function {e.name} must be bound before numeric evaluation"
-        )
-    raise TypeError(f"unknown node {e!r}")
+            f"opaque function {a.payload[0]} must be bound before numeric evaluation")
+    if a.kind == "fn":
+        name, arg = a.payload
+        src = _poly_src(arg.num, args)
+        if not arg.den.is_const():
+            src = f"({src} / {_poly_src(arg.den, args)})"
+        return f"_{name}({src})"
+    base, q = a.payload
+    return f"({_poly_src(base, args)} ** ({q.numerator}/{q.denominator}))"
 
 
 def compile_numeric(rfs, names):
-    """f(*values) -> tuple of floats, every subtree computed where it occurs."""
+    """f(*values) -> tuple of floats, every power and function computed
+    where it occurs."""
     args = {name: f"_x{i}" for i, name in enumerate(names)}
     body = []
     for k, rf in enumerate(rfs):
-        num_src = _py_src(render_ratfunc(RatFunc.from_poly(rf.num)), args)
+        num_src = _poly_src(rf.num, args)
         if rf.den.is_const():
             body.append(f"        _c{k} = {num_src}")
             continue
-        den_src = _py_src(render_ratfunc(RatFunc.from_poly(rf.den)), args)
         body += [
-            f"        _d = {den_src}",
+            f"        _d = {_poly_src(rf.den, args)}",
             "        if abs(_d) < _SINGULAR:",
             "            raise IntegrationError('denominator within 1e-12 of zero')",
             f"        _c{k} = {num_src} / _d",

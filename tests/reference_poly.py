@@ -14,7 +14,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from liesym.symexpr.poly import Atom, monomial_gt, monomial_key
+from liesym.symexpr.nodes import Atom
+from liesym.symexpr.poly import monomial_gt, monomial_key
 
 
 def from_poly(p) -> "RefPoly":

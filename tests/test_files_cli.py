@@ -473,3 +473,36 @@ def test_complex_value_during_integrate_exits_3():
     assert out.returncode == 3
     assert "error: numeric evaluation failed:" in out.stderr
     assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("files, argv, where, cause", [
+    # an undeclared symbol and a zero denominator: the kernel error is
+    # met while the expression is read, before the symbols are checked
+    ({"in.metric": FLAT_PLANE.replace("g 0 0 = 1", "g 0 0 = w/0")},
+     ("analyze", "in.metric"), "in.metric:3", "inverse of zero expression"),
+    # a zero denominator and a syntax error in one expression: the
+    # syntax error is named
+    ({"in.metric": FLAT_PLANE.replace("g 0 0 = 1", "g 0 0 = 1/0 + (")},
+     ("analyze", "in.metric"), "in.metric:3", "unexpected end of input at column 8"),
+    # a zero denominator in one expression of a generator line and an
+    # undeclared symbol in the next
+    ({"in.metric": FLAT_PLANE, "in.gens": TRANSLATIONS + "gen bad = 1/0 | w | 0\n"},
+     ("verify", "in.metric", "in.gens", "--liepoint"), "in.gens:3",
+     "inverse of zero expression"),
+    # an opaque argument that is no bare symbol, though it folds to one
+    ({"in.metric": FLAT_PLANE.replace("coords x y\n", "coords x y\nfunction M(x)\n")
+                             .replace("g 0 0 = 1", "g 0 0 = M(x + 0)")},
+     ("analyze", "in.metric"), "in.metric:4",
+     "unknown function 'M' (opaque arguments must be symbols) at column 1"),
+    # a binding with a symbol outside M's arguments and a zero denominator
+    ({}, ("integrate", "vaidya_bonner.metric", "--bind", "M=w/0", "--bind", "Q=t", *INIT,
+          "--step", "0.5", "--span", "1"), "<bind>:0", "inverse of zero expression"),
+], ids=["undeclared-and-zero-denominator", "zero-denominator-and-syntax",
+        "generator-zero-denominator-then-undeclared", "opaque-argument-folds-to-symbol",
+        "binding-undeclared-and-zero-denominator"])
+def test_line_with_two_faults_names_one_and_exits_2(tmp_path, files, argv, where, cause):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    out = _run_cli(*argv, cwd=tmp_path)
+    assert out.returncode == 2
+    assert out.stderr == f"error: {where}: {cause}\n"

@@ -8,10 +8,11 @@ import pytest
 from liesym.charts import CoordChart
 from liesym.errors import ChartError, JetOrderError
 from liesym.jets import BundleVectorField, prolong, symbol, total
-from liesym.symexpr import Add, Mul, Num, Sym, canonical_ratfunc, collect_ratfunc, derive
+from liesym.symexpr import collect_ratfunc, derive
 from liesym.symexpr.poly import RAT_ONE, RatFunc
 
 from conftest import make_field, rf
+from reference_calculus import add, fold, mul, num, sym
 
 
 class TestTotalDerivative:
@@ -99,13 +100,13 @@ def random_polynomial_field(chart, rng):
     vars_ = [chart.param, *chart.coords]
 
     def poly():
-        terms = [Num(Fraction(rng.randint(-3, 3)))]
+        terms = [num(rng.randint(-3, 3))]
         for _ in range(rng.randint(1, 3)):
-            factors = [Num(Fraction(rng.randint(-2, 2)))]
+            factors = [num(rng.randint(-2, 2))]
             for _ in range(rng.randint(1, 2)):
-                factors.append(Sym(rng.choice(vars_)))
-            terms.append(Mul.of(*factors))
-        return canonical_ratfunc(Add.of(*terms))
+                factors.append(sym(rng.choice(vars_)))
+            terms.append(mul(*factors))
+        return fold(add(*terms))
 
     return BundleVectorField(chart, [poly() for _ in range(chart.dim + 1)])
 

@@ -28,7 +28,8 @@ from liesym.liealg import (
     structure_constants,
 )
 from liesym.symexpr import derive, substitute_atoms
-from liesym.symexpr.poly import RAT_ONE, RAT_ZERO, RatFunc, rat_sum, sym_atom
+from liesym.symexpr.nodes import sym_atom
+from liesym.symexpr.poly import RAT_ONE, RAT_ZERO, RatFunc, rat_sum
 
 from conftest import make_field, rf
 from reference_liealg import adjoint_series_truncation, is_subalgebra

@@ -16,7 +16,7 @@ from liesym.numeric import (
     integrate_geodesic,
     step_count,
 )
-from liesym.symexpr import derive, render_ratfunc
+from liesym.symexpr import derive
 from liesym.symexpr.poly import RAT_ONE
 
 import reference_numeric as reference
@@ -57,7 +57,7 @@ class TestCompile:
             got = f(float(point["x"]), float(point["y"]))
             assert len(got) == len(comps)
             for value, c in zip(got, comps):
-                exact = float(evaluate_rational(render_ratfunc(c), point))
+                exact = float(evaluate_rational(c, point))
                 assert value == pytest.approx(exact, rel=1e-12, abs=1e-12)
 
     def test_singular_second_component(self):
@@ -85,8 +85,9 @@ def _outcome(f, *values):
 
 
 class TestSharedSubtrees:
-    """Repeated Pow and Fn subtrees are computed once per evaluation;
-    every value and every error must match the unshared reference."""
+    """Repeated powers and function applications are computed once per
+    evaluation; every value and every error must match the unshared
+    reference."""
 
     POINTS = [1.5, 0.5, 1.0, 0.0, -0.5, 1e-13, 1e200,
               float("nan"), float("inf"), -float("inf")]
@@ -101,7 +102,7 @@ class TestSharedSubtrees:
     def test_first_use_in_a_later_denominator(self):
         # ln(x) first occurs in the denominator of the second component
         # and recurs in its numerator and in the third component: a
-        # denominator must be rendered, and bound, before its numerator.
+        # denominator must be written, and bound, before its numerator.
         comps = [rf("y + 1"), rf("ln(x)/(1 + ln(x)^2)"), rf("y*ln(x)^2 - sin(y)^2*ln(x)")]
         f = compile_numeric(comps, ["x", "y"])
         assert f(math.e, 2.0)[1] == 1 / (1 + 1.0 ** 2)

@@ -8,59 +8,43 @@ import random
 from fractions import Fraction
 
 import reference_poly as ref
-from liesym.symexpr import (
-    Add,
-    Fn,
-    Mul,
-    Num,
-    Op,
-    Pow,
-    Sym,
-    derive,
-    parse_expr,
-    render_ratfunc,
-    to_text,
-)
-from liesym.symexpr.canonical import canonical_ratfunc
-from liesym.symexpr.poly import (
-    RAT_ONE,
-    Atom,
-    Poly,
-    RatFunc,
-    _reduce_fraction,
-    poly_divexact,
-    poly_gcd,
-    sym_atom,
-)
+from liesym.symexpr import derive
+from liesym.symexpr.nodes import Atom, sym_atom
+from liesym.symexpr.poly import RAT_ONE, Poly, RatFunc, _reduce_fraction, poly_divexact, poly_gcd
+
+from conftest import rf
+from reference_calculus import add, fn, fold, mul, num, op, plain_text, power, sym, text
 
 SYMBOLS = ["x", "y", "r", "t"]
 ANGLES = ["theta", "phi"]
 
 
 def random_expr(rng, depth=3):
+    """A seeded tree (see reference_calculus) of sums, products and
+    integer powers over rationals, symbols, sin and cos of an angle and
+    jets of M(t) and Q(t)."""
     if depth == 0 or rng.random() < 0.3:
         kind = rng.randrange(4)
         if kind == 0:
-            return Num(Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
+            return num(Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
         if kind == 1:
-            return Sym(rng.choice(SYMBOLS))
+            return sym(rng.choice(SYMBOLS))
         if kind == 2:
-            return Fn(rng.choice(["sin", "cos"]), Sym(rng.choice(ANGLES)))
-        return Op(rng.choice(["M", "Q"]), ("t",), (rng.randint(0, 2),))
+            return fn(rng.choice(["sin", "cos"]), sym(rng.choice(ANGLES)))
+        return op(rng.choice(["M", "Q"]), ("t",), (rng.randint(0, 2),))
     kind = rng.randrange(3)
     if kind == 0:
-        return Add.of(*[random_expr(rng, depth - 1) for _ in range(rng.randint(2, 3))])
+        return add(*[random_expr(rng, depth - 1) for _ in range(rng.randint(2, 3))])
     if kind == 1:
-        return Mul.of(*[random_expr(rng, depth - 1) for _ in range(rng.randint(2, 3))])
-    return Pow(random_expr(rng, depth - 1), Fraction(rng.randint(1, 3)))
+        return mul(*[random_expr(rng, depth - 1) for _ in range(rng.randint(2, 3))])
+    return power(random_expr(rng, depth - 1), Fraction(rng.randint(1, 3)))
 
 
 def test_canonical_idempotent_on_1000_trees():
     rng = random.Random(101)
     for _ in range(1000):
-        e = random_expr(rng)
-        once = canonical_ratfunc(e)
-        assert canonical_ratfunc(render_ratfunc(once)) == once
+        once = fold(random_expr(rng))
+        assert rf(str(once)) == once
 
 
 def test_differentiate_is_linear():
@@ -71,9 +55,9 @@ def test_differentiate_is_linear():
         a = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
         b = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
         v = {rng.choice(SYMBOLS + ANGLES): RAT_ONE}
-        lhs = derive(canonical_ratfunc(Add.of(Mul.of(Num(a), e1), Mul.of(Num(b), e2))), v)
-        rhs = (RatFunc.const(a) * derive(canonical_ratfunc(e1), v)
-               + RatFunc.const(b) * derive(canonical_ratfunc(e2), v))
+        lhs = derive(fold(add(mul(num(a), e1), mul(num(b), e2))), v)
+        rhs = (RatFunc.const(a) * derive(fold(e1), v)
+               + RatFunc.const(b) * derive(fold(e2), v))
         assert (lhs - rhs).is_zero()
 
 
@@ -83,25 +67,26 @@ def test_product_rule():
         e1 = random_expr(rng, 2)
         e2 = random_expr(rng, 2)
         v = {rng.choice(SYMBOLS + ANGLES): RAT_ONE}
-        c1, c2 = canonical_ratfunc(e1), canonical_ratfunc(e2)
-        lhs = derive(canonical_ratfunc(Mul.of(e1, e2)), v)
+        c1, c2 = fold(e1), fold(e2)
+        lhs = derive(fold(mul(e1, e2)), v)
         rhs = derive(c1, v) * c2 + c1 * derive(c2, v)
         assert (lhs - rhs).is_zero()
 
 
 def test_parse_print_round_trip():
+    # the grammar's precedence: the text with the fewest parentheses
+    # reads as the fully parenthesized one
     rng = random.Random(404)
     for _ in range(400):
         e = random_expr(rng)
-        text = to_text(e)
-        assert canonical_ratfunc(parse_expr(text)) == canonical_ratfunc(e)
+        assert rf(plain_text(e)) == fold(e), plain_text(e)
 
 
 def test_round_trip_of_canonical_forms():
     rng = random.Random(505)
     for _ in range(400):
-        c = canonical_ratfunc(random_expr(rng))
-        assert canonical_ratfunc(parse_expr(str(c))) == c
+        c = fold(random_expr(rng))
+        assert rf(str(c)) == c
 
 
 def _tree_value(e, point):
@@ -110,25 +95,26 @@ def _tree_value(e, point):
     `point` gives independent rationals to each symbol and each opaque
     function jet; an angle's sin and cos come from its tangent
     half-angle u as 2u/(1+u^2) and (1-u^2)/(1+u^2)."""
-    if isinstance(e, Num):
-        return e.value
-    if isinstance(e, Sym):
-        return point[e.name]
-    if isinstance(e, Op):
-        return point[(e.name, e.args, e.orders)]
-    if isinstance(e, Fn):
-        u = point[("half-angle", e.arg.name)]
-        return 2 * u / (1 + u * u) if e.name == "sin" else (1 - u * u) / (1 + u * u)
-    if isinstance(e, Add):
-        return sum((_tree_value(t, point) for t in e.terms), Fraction(0))
-    if isinstance(e, Mul):
+    kind = e[0]
+    if kind == "num":
+        return e[1]
+    if kind == "sym":
+        return point[e[1]]
+    if kind == "op":
+        return point[e[1:]]
+    if kind == "fn":
+        u = point[("half-angle", e[2][1])]
+        return 2 * u / (1 + u * u) if e[1] == "sin" else (1 - u * u) / (1 + u * u)
+    if kind == "add":
+        return sum((_tree_value(t, point) for t in e[1:]), Fraction(0))
+    if kind == "mul":
         out = Fraction(1)
-        for f in e.factors:
+        for f in e[1:]:
             out *= _tree_value(f, point)
         return out
-    if isinstance(e, Pow):
-        q = e.exponent
-        return _exact_root(_tree_value(e.base, point), q.denominator) ** q.numerator
+    if kind == "pow":
+        q = e[2]
+        return _exact_root(_tree_value(e[1], point), q.denominator) ** q.numerator
     raise TypeError(f"cannot evaluate {e!r}")
 
 
@@ -169,18 +155,17 @@ def test_zero_test_agrees_with_tree_evaluation():
         if i % 3 == 0:
             e = e1
         else:
-            a = Sym(rng.choice(ANGLES))
-            e = Add.of(
-                Mul.of(e1, Add.of(e2, e3)),
-                Mul.of(Num(-1), e1, e2),
-                Mul.of(Num(-1), e1, e3),
-                Mul.of(e2, Add.of(Pow(Fn("sin", a), Fraction(2)),
-                                  Pow(Fn("cos", a), Fraction(2)), Num(-1))),
+            a = sym(rng.choice(ANGLES))
+            e = add(
+                mul(e1, add(e2, e3)),
+                mul(num(-1), e1, e2),
+                mul(num(-1), e1, e3),
+                mul(e2, add(power(fn("sin", a), 2), power(fn("cos", a), 2), num(-1))),
             )
             if i % 3 == 2:
-                e = Add.of(e, Mul.of(e3, Sym(rng.choice(SYMBOLS))))
+                e = add(e, mul(e3, sym(rng.choice(SYMBOLS))))
         truth = _vanishes_at_points(e, rng)
-        assert canonical_ratfunc(e).is_zero() == truth, to_text(e)
+        assert fold(e).is_zero() == truth, text(e)
         zeros += truth
         nonzeros += not truth
     assert zeros >= 100 and nonzeros >= 100
@@ -197,14 +182,14 @@ def test_products_of_radicals_of_one_base():
         parts = [rng.choice(exponents) for _ in range(rng.randint(2, 4))]
         total = sum(parts) + (rng.choice(exponents) if i % 3 == 0 else 0)
         factor = random_expr(rng, 1)
-        e = Add.of(Mul.of(factor, *(Pow(Sym("r"), f) for f in parts)),
-                   Mul.of(Num(-1), factor, Pow(Sym("r"), total)))
+        e = add(mul(factor, *(power(sym("r"), f) for f in parts)),
+                mul(num(-1), factor, power(sym("r"), total)))
         truth = True
         for _ in range(3):
             point = _RationalPoint(rng)
             point["r"] = Fraction(rng.randint(2, 7), rng.randint(1, 5)) ** 6
             truth = truth and _tree_value(e, point) == 0
-        assert canonical_ratfunc(e).is_zero() == truth, to_text(e)
+        assert fold(e).is_zero() == truth, text(e)
         zeros += truth
         nonzeros += not truth
     assert zeros >= 100 and nonzeros >= 30
@@ -212,8 +197,8 @@ def test_products_of_radicals_of_one_base():
 
 # The integer-coefficient Poly against the Fraction-coefficient reference.
 
-def _atom_of(text):
-    (mono, _), = canonical_ratfunc(parse_expr(text, {"M": ("t",)})).num.terms.items()
+def _atom_of(source):
+    (mono, _), = rf(source, {"M": ("t",)}).num.terms.items()
     (atom, _), = mono
     return atom
 
@@ -344,8 +329,8 @@ def test_single_term_division_gcd_and_fractions_match_fraction_reference():
 def test_atoms_are_interned_and_compare_by_identity():
     assert sym_atom("x") is sym_atom("x")
     assert sym_atom("x") is not sym_atom("y")
-    arg1 = canonical_ratfunc(parse_expr("x + 1"))
-    arg2 = canonical_ratfunc(parse_expr("(2*x + 2)/2"))
+    arg1 = rf("x + 1")
+    arg2 = rf("(2*x + 2)/2")
     assert arg1 is not arg2 and arg1 == arg2
     assert Atom("fn", ("sin", arg1)) is Atom("fn", ("sin", arg2))
     assert _atom_of("sin(x*y)") is _atom_of("sin(y*x)")
@@ -373,5 +358,5 @@ def test_power_of_reduced_fraction_matches_reducing_construction():
         assert f ** n == RatFunc(f.num ** n, f.den ** n)
         folds += any(a.fold for a in f.atoms())
     assert 100 <= folds <= 150
-    f = canonical_ratfunc(parse_expr("cos(x)/(1 - sin(x))"))
-    assert f ** 2 == canonical_ratfunc(parse_expr("(1 + sin(x))/(1 - sin(x))"))
+    f = rf("cos(x)/(1 - sin(x))")
+    assert f ** 2 == rf("(1 + sin(x))/(1 - sin(x))")

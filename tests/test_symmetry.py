@@ -15,7 +15,6 @@ from liesym.symexpr import (
     NonPolynomialError,
     collect_ratfunc,
     derive,
-    render_ratfunc,
     substitute_atoms,
 )
 from liesym.symexpr.poly import RAT_ONE, RAT_ZERO
@@ -253,7 +252,7 @@ def brute_force_nullity(metric, degree, rows_per_equation=8):
         coeff_of = {}
         for a in atoms:
             picks = {b: RAT_ONE if b == a else RAT_ZERO for b in atoms}
-            coeff_of[a] = render_ratfunc(substitute_atoms(eq, picks.get))
+            coeff_of[a] = substitute_atoms(eq, picks.get)
         for a in atoms:
             orders = a.payload[2]
             for k in range(nb):
@@ -262,7 +261,7 @@ def brute_force_nullity(metric, degree, rows_per_equation=8):
                     for sym, order in zip(args, orders):
                         for _ in range(order):
                             b = derive(b, {sym: RAT_ONE})
-                    deriv_cache[(orders, k)] = render_ratfunc(b)
+                    deriv_cache[(orders, k)] = b
         produced = 0
         attempts = 0
         while produced < rows_per_equation and attempts < 50:
