@@ -389,11 +389,13 @@ def _levi_factor(g: LieAlgebra, rad):
     pivots = {next(i for i, x in enumerate(v) if x) for v in rad}
     off = [i for i in range(m) if i not in pivots]
     xs = [_unit(m, i) for i in off]
+    if not rad:
+        return span_rref(xs)
     pairs = [(i, j) for i in range(len(xs)) for j in range(i + 1, len(xs))]
     # each x_k stays the unit vector at off[k] modulo r
     c = {(i, j): [_reduce(g.bracket_coeffs(xs[i], xs[j]), rad)[l] for l in off]
          for i, j in pairs}
-    chain = _derived_chain(g, rad) if rad else []
+    chain = _derived_chain(g, rad)
     for r_t, r_next in zip(chain, chain[1:]):
         columns = []  # the image of y_k = b, for each k and b in r_t
         for k in range(len(xs)):

@@ -15,16 +15,14 @@ exactly when (ad)^2 + (cb)^2 is a perfect square r^2, the hypotenuse
 then being r/(bd).  From the first irrational rotation on, the
 reduction works on a plain list of floats.  `_reduce` records each move
 as a tuple (generator, parameter, exact (cos, sin) or None), and
-`_replay` re-applies such tuples.
+`_replay` re-applies such tuples, on Fractions for an exact reduction
+and on floats otherwise.
 
 `verify_optimal_cover` runs the structure gate (`_check_structure`)
 once per cover, before drawing any sample, prepares the representative
 patterns once, and draws every value from one table of the entries of
 p/q, -9 <= p <= 9, 1 <= q <= 4, built per call: drawing converts no
-value and builds no Fraction.  The drift and replay checks of a float
-reduction read its lists directly; the few exact ones replay through
-the `ReductionTrace` that `adjoint_orbit_reduce` also returns.
-`adjoint_orbit_reduce` gates each call and shares `_reduce`.
+value and builds no Fraction.
 """
 
 from __future__ import annotations
@@ -84,35 +82,10 @@ def default_representatives() -> list:
     ]
 
 
-class _Record:
-    """Equal to another record of its class with equal attributes."""
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return vars(self) == vars(other)
-
-
-class Move(_Record):
-    """One adjoint move: generator index, rotation parameter, and the
-    exact (cos, sin) pair when the parameter is exactly representable."""
-
-    def __init__(self, generator: int, parameter: float, exact_cos_sin: tuple | None = None):
-        self.generator = generator
-        self.parameter = parameter
-        self.exact_cos_sin = exact_cos_sin
-
-
-class ReductionTrace(_Record):
-    def __init__(self, input: tuple, moves: list, scale: Fraction | float, output: tuple,
-                 matched_case: int | None, parameters: dict, exact: bool):
-        self.input = input
-        self.moves = moves
-        self.scale = scale
-        self.output = output
-        self.matched_case = matched_case
-        self.parameters = parameters
-        self.exact = exact
+# The rotation triple: generator k brackets slots i and j into k, and
+# its row action mixes slots i and j.  The gate checks the brackets and
+# the reduction rotates on the slots, so both read this one table.
+ROTATION_SLOTS = {2: (3, 4), 3: (2, 4), 4: (2, 3)}
 
 
 def _check_structure(g: LieAlgebra):
@@ -125,19 +98,11 @@ def _check_structure(g: LieAlgebra):
         for j in range(m):
             if any(g.c[i][j][k] for k in range(m)):
                 raise OptimalSystemError("first two generators must be central")
-    expected = {(2, 3): 4, (3, 4): 2, (2, 4): 3}
-    for (i, j), k in expected.items():
+    for k, (i, j) in ROTATION_SLOTS.items():
         row = [g.c[i][j][t] for t in range(m)]
         nz = [t for t, v in enumerate(row) if v]
         if nz != [k] or abs(row[k]) != 1:
             raise OptimalSystemError("generators 3..5 do not close as a rotation triple")
-
-
-# Row-action of the three rotation maps on coefficient vectors.  Each
-# generator mixes two slots; the orientation records the sign of the
-# sine entry so moves agree exactly with the adjoint matrices.
-ROTATION_SLOTS = {2: (3, 4), 3: (2, 4), 4: (2, 3)}
-ROTATION_ORIENT = {2: 1, 3: -1, 4: 1}
 
 
 def _float(v) -> float:
@@ -196,33 +161,6 @@ def _match_float(vec, patterns):
     return None
 
 
-def adjoint_orbit_reduce(coeffs, g: LieAlgebra, reps=None) -> ReductionTrace:
-    """Reduce a coefficient vector to an optimal-system representative.
-
-    The trace records every move and the overall scaling; an unmatched
-    result is reported in the trace (matched_case None), not raised.
-    """
-    if reps is None:
-        reps = default_representatives()
-    vec = [Fraction(v) for v in coeffs]
-    if not any(vec):
-        raise OptimalSystemError("zero vector does not span a subalgebra")
-    _check_structure(g)
-    entries = [_entry(v) for v in vec]
-    return _trace(entries, _reduce(entries, _patterns(reps)))
-
-
-def _trace(vec, reduction) -> ReductionTrace:
-    """The ReductionTrace of `reduction = _reduce(vec, patterns)`."""
-    pattern, exact, moves, scale, out = reduction
-    if pattern is None:
-        case, params = None, {}
-    else:
-        case, params = pattern[0], {name: out[i] for i, name in pattern[3]}
-    return ReductionTrace(tuple(e[0] for e in vec), [Move(*mv) for mv in moves], scale,
-                          tuple(out), case, params, exact)
-
-
 def _reduce(vec, patterns) -> tuple:
     """Reduce a nonzero list of `_entry` values, of an algebra that passed
     _check_structure, against _patterns(reps).
@@ -231,7 +169,7 @@ def _reduce(vec, patterns) -> tuple:
     or None; whether the reduction stayed exact; the moves as tuples
     (generator, parameter, exact (cos, sin) or None); the scale and the
     output, Fractions when exact, floats otherwise."""
-    # already a representative: identity trace
+    # already a representative: no moves
     pattern = _match_exact([e[2] for e in vec], patterns)
     if pattern is not None:
         return pattern, True, [], Fraction(1), [e[0] for e in vec]
@@ -240,10 +178,9 @@ def _reduce(vec, patterns) -> tuple:
     moves = []
     # clear the fourth slot into the fifth, then the third into the
     # fifth; the zeroed slot vanishes and the kept slot becomes the
-    # positive hypotenuse h, with cos = y/h and effective sine -x/h
+    # positive hypotenuse h, with cos = y/h and sine -x/h
     for gen in (2, 3):
         i, j = ROTATION_SLOTS[gen]
-        orient = ROTATION_ORIENT[gen]
         if exact:
             (a, b), (c, d) = work[i][2], work[j][2]
             if not a:
@@ -254,7 +191,7 @@ def _reduce(vec, patterns) -> tuple:
             r = isqrt(s)
             if r * r == s:
                 cos_v = Fraction(c * b, r)
-                sin_v = Fraction(-a * d * orient, r)
+                sin_v = Fraction(-a * d, r)
                 moves.append((gen, atan2(_float(sin_v), _float(cos_v)), (cos_v, sin_v)))
                 work[i] = _entry(Fraction(0))
                 work[j] = _entry(Fraction(r, b * d))
@@ -266,11 +203,10 @@ def _reduce(vec, patterns) -> tuple:
         x, y = work[i], work[j]
         h = hypot(x, y)
         cos_v = y / h
-        sin_v = -x / h * orient
+        sin_v = -x / h
         moves.append((gen, atan2(sin_v, cos_v), None))
-        s_eff = sin_v * orient
-        work[i] = x * cos_v + y * s_eff
-        work[j] = -x * s_eff + y * cos_v
+        work[i] = x * cos_v + y * sin_v
+        work[j] = -x * sin_v + y * cos_v
     # after both rotations the third and fourth slots are clear, so the
     # scaling target is the first central slot, else the second, else
     # the surviving rotation norm
@@ -295,32 +231,21 @@ def _reduce(vec, patterns) -> tuple:
 
 
 def _replay(vec, moves, scale, exact: bool) -> list:
-    """`replay` of a trace's parts: `vec` is the input, as Fractions when
-    exact and as floats otherwise, and each move a tuple (generator,
-    parameter, exact (cos, sin) or None)."""
+    """Re-apply the moves and the scale of a `_reduce` result to its
+    input `vec`, as Fractions when exact and as floats otherwise; each
+    move is a tuple (generator, parameter, exact (cos, sin) or None)."""
     work = list(vec)
     for gen, param, cos_sin in moves:
-        if cos_sin is not None and exact:
-            cos_v, sin_v = cos_sin
-        else:
-            cos_v, sin_v = cos(param), sin(param)
-            if exact:
-                work = [_float(v) for v in work]
-        # the row action of Ad(exp(param X_gen))
+        # every move of an exact reduction is exact
+        cos_v, sin_v = cos_sin if exact else (cos(param), sin(param))
+        # the row action of Ad(exp(param X_gen)), up to the sign of the
+        # bracket constant, which the gate leaves free and the orbit
+        # does not depend on
         i, j = ROTATION_SLOTS[gen]
-        s_eff = sin_v * ROTATION_ORIENT[gen]
         x, y = work[i], work[j]
-        work[i] = x * cos_v + y * s_eff
-        work[j] = -x * s_eff + y * cos_v
+        work[i] = x * cos_v + y * sin_v
+        work[j] = -x * sin_v + y * cos_v
     return [v * scale for v in work]
-
-
-def replay(trace: ReductionTrace):
-    """Re-apply the recorded moves and scaling to the recorded input."""
-    exact = trace.exact
-    work = [Fraction(v) for v in trace.input] if exact else [_float(v) for v in trace.input]
-    moves = [(mv.generator, mv.parameter, mv.exact_cos_sin) for mv in trace.moves]
-    return _replay(work, moves, trace.scale, exact)
 
 
 def _invariant_signature(rep: OptimalRep):
@@ -378,17 +303,16 @@ def verify_optimal_cover(g: LieAlgebra, reps=None, samples: int = 1000,
         if not any(a_in):
             rejected += 1
             continue
-        reduction = _reduce(vec, patterns)
-        pattern, exact, moves, scale, out = reduction
+        pattern, exact, moves, scale, out = _reduce(vec, patterns)
         if pattern is None:
             unmatched.append([str(e[0]) for e in vec])
             continue
         case = pattern[0]
         matched[case] = matched.get(case, 0) + 1
         if exact:
-            # a few in a hundred: replayed on Fractions from the trace that
-            # adjoint_orbit_reduce returns, then compared as floats
-            replayed = [_float(v) for v in replay(_trace(vec, reduction))]
+            # a few in a hundred: replayed on Fractions, then compared as
+            # floats
+            replayed = [_float(v) for v in _replay([e[0] for e in vec], moves, scale, True)]
             out = [_float(v) for v in out]
             scale = _float(scale)
         else:

@@ -31,6 +31,9 @@ MAX_TRIAL_DIVISOR = 10**6  # trial divisors for an integer under a fractional po
 # longest int Python converts to str by default; the parser holds every
 # input expression to it as well
 MAX_POWER_COEFFICIENT_BITS = 14_000
+# parentheses, unary minus signs and function arguments an expression may
+# nest; parsing, printing and the compiled numeric source recurse on them
+MAX_NESTING = 64
 
 
 def mul_ratfunc(a: RatFunc, b: RatFunc) -> RatFunc:

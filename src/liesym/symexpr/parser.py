@@ -26,7 +26,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .canonical import MAX_POWER_COEFFICIENT_BITS, fn_ratfunc, mul_ratfunc, pow_ratfunc
+from .canonical import (
+    MAX_NESTING,
+    MAX_POWER_COEFFICIENT_BITS,
+    fn_ratfunc,
+    mul_ratfunc,
+    pow_ratfunc,
+)
 from .nodes import ELEMENTARY_FUNCTIONS, op_atom, sym_atom
 from .poly import RatFunc, rat_sum
 
@@ -107,6 +113,7 @@ class _Parser:
         self.functions = functions
         self.symbols = set()
         self.error = None  # the first kernel error, raised after the parse
+        self.depth = 0  # open parentheses, unary minus signs and arguments
 
     def parse(self):
         e = self.expr()
@@ -181,27 +188,29 @@ class _Parser:
         return Fraction(sign * int(self.toks.expect("num")[1]))
 
     def base(self):
-        tok = self.toks.peek()
+        tok = self.toks.next()
         if tok[0] == "num":
-            self.toks.next()
             return RatFunc.const(int(tok[1]))
+        if tok[0] == "ident" and self.toks.peek()[0] != "(":
+            self.symbols.add(tok[1])
+            return RatFunc.atom(sym_atom(tok[1]))
+        if tok[0] not in ("-", "(", "ident"):
+            raise ExprSyntaxError(
+                f"expected expression, found {tok[1]!r}" if tok[0] != "eof"
+                else "unexpected end of input", tok[2])
+        # the rest nest: held to MAX_NESTING before they recurse
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ExprSyntaxError(f"nesting deeper than {MAX_NESTING}", tok[2])
         if tok[0] == "-":
-            self.toks.next()
-            return self.fold(mul_ratfunc, _MINUS_ONE, self.factor())
-        if tok[0] == "(":
-            self.toks.next()
-            e = self.expr()
+            out = self.fold(mul_ratfunc, _MINUS_ONE, self.factor())
+        elif tok[0] == "(":
+            out = self.expr()
             self.toks.expect(")")
-            return e
-        if tok[0] == "ident":
-            self.toks.next()
-            if self.toks.peek()[0] != "(":
-                self.symbols.add(tok[1])
-                return RatFunc.atom(sym_atom(tok[1]))
-            return self.application(tok[1], tok[2])
-        raise ExprSyntaxError(
-            f"expected expression, found {tok[1]!r}" if tok[0] != "eof"
-            else "unexpected end of input", tok[2])
+        else:
+            out = self.application(tok[1], tok[2])
+        self.depth -= 1
+        return out
 
     def application(self, name: str, col: int):
         self.toks.expect("(")
@@ -284,10 +293,11 @@ def parse_expr(text: str, functions=None):
     `functions`, when given, maps declared opaque function names to
     their argument symbol tuples and makes undeclared applications an
     error; without it any ident(symbol, ...) application is accepted as
-    opaque.  Raises ExprSyntaxError for malformed text, then
-    ZeroDivisionError or ValueError for text the kernel cannot
-    represent, or whose canonical form has a coefficient of more than
-    MAX_POWER_COEFFICIENT_BITS bits, too long to print: a product or sum
-    of powers each below the kernel's cap can build one (7^4000*7^4000).
+    opaque.  Raises ExprSyntaxError for malformed text or text nested
+    more than MAX_NESTING deep, then ZeroDivisionError or ValueError for
+    text the kernel cannot represent, or whose canonical form has a
+    coefficient of more than MAX_POWER_COEFFICIENT_BITS bits, too long
+    to print: a product or sum of powers each below the kernel's cap can
+    build one (7^4000*7^4000).
     """
     return _Parser(text, functions).parse()

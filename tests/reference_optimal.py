@@ -16,13 +16,16 @@ from fractions import Fraction
 
 from liesym.optimal import (
     MATCH_TOL,
-    ROTATION_ORIENT,
     ROTATION_SLOTS,
     OptimalSystemError,
     _check_structure,
     default_representatives,
     separation_failures,
 )
+
+# The sign of the sine entry per rotation generator, so that the moves
+# agree with the adjoint matrices of the bundled vb_general basis.
+ROTATION_ORIENT = {2: 1, 3: -1, 4: 1}
 
 
 class Move:

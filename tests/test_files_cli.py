@@ -13,6 +13,7 @@ import liesym
 from liesym.cli import main
 from liesym.errors import FormatError
 from liesym.files import generators_to_text, load_generators, load_metric, resolve_input_path
+from liesym.symexpr.canonical import MAX_NESTING
 
 
 class TestMetricFiles:
@@ -409,6 +410,47 @@ def test_kernel_error_in_input_exits_2(tmp_path, expr, where):
     assert out.returncode == 2
     assert line in out.stderr
     assert "Traceback" not in out.stderr
+
+
+def _nested(opener, closer, depth, inner):
+    return opener * depth + inner + closer * depth
+
+
+@pytest.mark.parametrize("opener, closer, depth", [
+    ("(", ")", 300), ("-", "", 3000), ("sin(", ")", 100), ("(", ")", MAX_NESTING + 1),
+], ids=["parentheses-300", "unary-minus-3000", "sin-100", "parentheses-past-cap"])
+@pytest.mark.parametrize("where", ["metric", "generators", "bind"])
+def test_nesting_past_the_cap_exits_2(tmp_path, where, opener, closer, depth):
+    # each of these once overflowed the parser's recursion and exited 1
+    # with a traceback, or (sin 100 deep) compiled numeric source Python
+    # rejects
+    expr = _nested(opener, closer, depth, "1")
+    if where == "metric":
+        (tmp_path / "in.metric").write_text(FLAT_PLANE.replace("g 0 0 = 1", f"g 0 0 = {expr}"))
+        argv, line = ("analyze", "in.metric", "--noether"), "in.metric:3"
+    elif where == "generators":
+        (tmp_path / "in.metric").write_text(FLAT_PLANE)
+        (tmp_path / "in.gens").write_text(TRANSLATIONS + f"gen bad = 0 | {expr} | 0\n")
+        argv, line = ("verify", "in.metric", "in.gens", "--liepoint"), "in.gens:3"
+    else:
+        argv = ("integrate", "vaidya_bonner.metric", "--bind", f"M={expr}", "--bind", "Q=t",
+                *INIT, "--step", "0.5", "--span", "1")
+        line = "<bind>:0"
+    out = _run_cli(*argv, cwd=tmp_path, timeout=10)
+    assert out.returncode == 2
+    assert out.stderr.startswith(f"error: {line}: nesting deeper than {MAX_NESTING} at column ")
+    assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze", "in.metric", "--noether"),
+    ("integrate", "in.metric", "--init", "0", "0", "1", "0", "--step", "0.05", "--span", "1"),
+], ids=["analyze-noether", "integrate"])
+def test_nesting_at_the_cap_runs(tmp_path, argv):
+    inner = _nested("sin(", ")", MAX_NESTING, "x/9")
+    (tmp_path / "in.metric").write_text(FLAT_PLANE.replace("g 0 0 = 1", f"g 0 0 = 1 + {inner}"))
+    out = _run_cli(*argv, cwd=tmp_path, timeout=60)
+    assert out.returncode == 0, out.stderr
 
 
 def test_expansion_past_the_term_cap_in_analyze_exits_2(tmp_path):

@@ -34,7 +34,9 @@ for byte:
   samples and seed 7.  It guards the sample draws, the reduction moves,
   replay and the invariant drift.
 - `vb_general.optimal_5000.json`: the same with 5000 samples and seed
-  253381, the size of the benchmark's `optimal` command.
+  253381, the size of the benchmark's `optimal` command.  The first
+  golden also guards a copy of `vb_general.gens` with X5 negated, whose
+  rotation brackets all change sign.
 
 Every multi-format report is a view of one payload: formatting
 `json.loads` of a `--format json` report gives the `--format text` and
@@ -42,11 +44,13 @@ Every multi-format report is a view of one payload: formatting
 """
 
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from liesym.cli import main
+from liesym.files import resolve_input_path
 from liesym.reporting import algebra_latex, algebra_text, analyze_latex, analyze_text
 
 DATA = Path(__file__).parent / "data"
@@ -180,4 +184,24 @@ def test_optimal_matches_golden(capsys):
 def test_optimal_at_benchmark_size_matches_golden(capsys):
     assert _optimal_vb_general("5000", "253381") == 0
     expected = (GOLDEN / "vb_general.optimal_5000.json").read_bytes()
+    assert capsys.readouterr().out.encode() == expected
+
+
+def test_optimal_on_a_sign_flipped_rotation_basis_matches_golden(tmp_path, capsys):
+    # -X5 flips the sign of every bracket constant of the rotation triple;
+    # the structure gate takes either sign and the reduction reads none,
+    # so the cover prints the bundled basis's bytes
+    x5 = "gen X5 = 0 | 0 | 0 | sin(phi) | cos(phi)*cot(theta)"
+    text = resolve_input_path("vb_general.gens").read_text()
+    assert x5 in text
+    gens = tmp_path / "vb_general_flipped.gens"
+    gens.write_text(text.replace(x5, "gen X5 = 0 | 0 | 0 | -sin(phi) | -cos(phi)*cot(theta)"))
+    argv = ["--metric", "vaidya_bonner.metric"]
+    assert main(["algebra", str(gens), *argv, "--format", "json"]) == 0
+    flipped = json.loads(capsys.readouterr().out)["structure_constants"]["c"]
+    bundled = json.loads((GOLDEN / "vb_general.algebra.json").read_text())
+    assert flipped == [[i, j, k, str(-Fraction(v))]
+                       for i, j, k, v in bundled["structure_constants"]["c"]]
+    assert main(["optimal", str(gens), *argv, "--samples", "1000", "--seed", "7"]) == 0
+    expected = (GOLDEN / "vb_general.optimal.json").read_bytes()
     assert capsys.readouterr().out.encode() == expected

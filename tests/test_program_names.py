@@ -16,10 +16,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "liesym"
 ALLOWED = {
     "adjoint_exp": "closed-form adjoint maps; acceptance criterion 5 checks "
                    "the paper's adjoint matrices from it",
-    "adjoint_orbit_reduce": "reduces one vector with a replayable trace, "
-                            "through the cover's own routine; only tests call "
-                            "it, since verify_optimal_cover reduces through "
-                            "_reduce",
     "generators_to_text": "the writer of the generator-file format",
 }
 

@@ -19,6 +19,7 @@ from liesym.symexpr import (
     substitute_atoms,
     substitute_function,
 )
+from liesym.symexpr.canonical import MAX_NESTING
 from liesym.symexpr.nodes import op_atom, sym_atom
 from liesym.symexpr.poly import RAT_ONE, RAT_ZERO, RatFunc
 
@@ -86,6 +87,25 @@ class TestParser:
 
     def test_sqrt_lowering(self):
         assert parse_expr("sqrt(x)")[0] == pow_ratfunc(_sym("x"), Fraction(1, 2))
+
+    @pytest.mark.parametrize("opener, closer", [
+        ("(", ")"), ("-", ""), ("sin(", ")"), ("-(", ")"),
+    ], ids=["parentheses", "unary-minus", "function", "minus-and-parentheses"])
+    def test_nesting_cap(self, opener, closer):
+        # each opener nests one level (two for "-("); past MAX_NESTING
+        # the parse stops at the opener that crosses it, before recursing
+        per = 2 if opener == "-(" else 1
+        at_cap = MAX_NESTING // per
+        parse_expr(opener * at_cap + "x" + closer * at_cap)
+        with pytest.raises(ExprSyntaxError) as err:
+            parse_expr(opener * (at_cap + 1) + "x" + closer * (at_cap + 1))
+        assert err.value.message == f"nesting deeper than {MAX_NESTING}"
+        assert err.value.column == MAX_NESTING * len(opener) // per + 1
+
+    def test_nesting_counts_depth_not_width(self):
+        # siblings close their level before the next one opens
+        wide = " + ".join(["sin((x))"] * (4 * MAX_NESTING))
+        assert parse_expr(wide)[0] == RatFunc.const(4 * MAX_NESTING) * fn_ratfunc("sin", _sym("x"))
 
 
 class TestCanonical:
