@@ -46,6 +46,7 @@ from .reporting import (
 from .symexpr import ExprSyntaxError, derive, parse_expr
 from .symexpr.poly import RAT_ONE
 from .symmetry import (
+    MAX_ANSATZ_DEGREE,
     default_ansatz,
     determining_system,
     solve_determining,
@@ -89,7 +90,9 @@ def build_parser() -> argparse.ArgumentParser:
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--noether", action="store_true")
     mode.add_argument("--liepoint", action="store_true")
-    p.add_argument("--ansatz-degree", type=_checked(int, lambda v: v >= 0, "an integer >= 0"),
+    p.add_argument("--ansatz-degree",
+                   type=_checked(int, lambda v: 0 <= v <= MAX_ANSATZ_DEGREE,
+                                 f"an integer from 0 to {MAX_ANSATZ_DEGREE}"),
                    default=2)
     p.add_argument("--format", choices=("text", "json", "latex"), default="text")
 
@@ -117,7 +120,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("metric")
     p.add_argument("--bind", action="append", default=[],
                    metavar="NAME=EXPR", help="instantiate an opaque function")
-    p.add_argument("--init", nargs="+", required=True, type=float,
+    p.add_argument("--init", nargs="+", required=True,
+                   type=_checked(float, math.isfinite, "a finite number"),
                    help="initial coordinates then velocities")
     p.add_argument("--step", type=_positive_finite, required=True)
     p.add_argument("--span", type=_positive_finite, required=True)

@@ -23,10 +23,6 @@ class ChartError(LieSymError):
     pass
 
 
-class JetOrderError(LieSymError):
-    pass
-
-
 class NonClosureError(LieSymError):
     """A bracket fell outside the candidate span."""
 

@@ -3,10 +3,8 @@ geodesic system, geodesic Lagrangian.
 
 Every value is a canonical RatFunc: metric components (as loaded by
 `files`), the inverse adj(g)/det(g), Christoffel symbols gamma[i][j][k],
-the accelerations G^i and equations xddot^i - G^i of the geodesic
-system, and the Lagrangian.  Partial derivatives are `symexpr.derive`;
-the system's `on_shell` map restricts a RatFunc to the solution
-manifold through `substitute_atoms`."""
+the accelerations G^i of the geodesic system, and the Lagrangian.
+Partial derivatives are `symexpr.derive`."""
 
 from __future__ import annotations
 
@@ -17,7 +15,6 @@ from .charts import CoordChart
 from .errors import ChartError, SingularMetricError
 from .jets import symbol
 from .symexpr import derive
-from .symexpr.nodes import sym_atom
 from .symexpr.poly import RAT_ONE, RAT_ZERO, RatFunc, rat_sum
 
 
@@ -55,29 +52,12 @@ class Metric:
 
 
 class GeodesicSystem:
-    """Equations in solved form xddot^i - G^i(s, x, xdot) = 0 with
+    """Geodesics in solved form xddot^i = G^i(s, x, xdot) with
     G^i = -Gamma^i_{jk} xdot^j xdot^k; `accelerations` holds each G^i."""
 
     def __init__(self, chart: CoordChart, accelerations: tuple):
         self.chart = chart
         self.accelerations = accelerations
-
-    @cached_property
-    def equations(self) -> tuple:
-        """xddot^i - G^i for each coordinate."""
-        return tuple(
-            symbol(self.chart.jet2(c)) - g
-            for c, g in zip(self.chart.coords, self.accelerations)
-        )
-
-    @cached_property
-    def on_shell(self) -> dict:
-        """The atom map xddot^i -> G^i that restricts a RatFunc to the
-        solution manifold: substitute_atoms(rf, system.on_shell.get)."""
-        return {
-            sym_atom(self.chart.jet2(c)): g
-            for c, g in zip(self.chart.coords, self.accelerations)
-        }
 
 
 def _det(a):

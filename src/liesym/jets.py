@@ -1,20 +1,23 @@
-"""Second-order jet bookkeeping: bundle vector fields, the total
-derivative and prolongations.
+"""First-order jet bookkeeping: bundle vector fields, the total
+derivative and the first prolongation.
 
-A bundle vector field xi d_s + eta^a d_a lives on (s, x); prolonging it
-to velocities and accelerations uses the recursion
+A bundle vector field xi d_s + eta^a d_a lives on (s, x); its first
+prolongation adds
 
-    eta_(1) = D eta - xdot D xi,     eta_(2) = D eta_(1) - xddot D xi,
+    eta_(1)^a = D eta^a - xdot^a D xi
 
-with D the total derivative d_s + xdot d_x + xddot d_xdot.  Fields,
-D and the prolonged field are derivations (`symexpr.derive`); their
-components, their arguments and their results are canonical RatFuncs.
+on each velocity, with D = d_s + xdot^a d_a the total derivative.  On
+the solution manifold of xddot^a = G^a the total derivative is
+D + G^a d_{xdot^a}, so no acceleration symbol is ever built.  Fields,
+both total derivatives and the prolonged field are derivations
+(`symexpr.derive`); their components, their arguments and their
+results are canonical RatFuncs.
 """
 
 from __future__ import annotations
 
 from .charts import CoordChart
-from .errors import ChartError, JetOrderError
+from .errors import ChartError
 from .symexpr import derive
 from .symexpr.nodes import sym_atom
 from .symexpr.poly import RAT_ONE, RatFunc
@@ -64,64 +67,24 @@ class BundleVectorField:
         return derive(rf, self.coefficients())
 
 
-class ProlongedField:
-    """Base field plus first and second prolongation coefficients, as
-    canonical RatFuncs; `second` is empty when prolonged to order 1 only."""
-
-    def __init__(self, base: BundleVectorField, first: tuple, second: tuple):
-        self.base = base
-        self.first = first
-        self.second = second
-
-    def act(self, rf: RatFunc) -> RatFunc:
-        """The prolonged field acting on a canonical RatFunc in
-        (s, x, xdot, xddot)."""
-        chart = self.base.chart
-        if not self.second and rf.free_symbols() & set(chart.jets2):
-            raise JetOrderError(
-                "second-order expression needs a second-order prolongation")
-        coefficients = self.base.coefficients()
-        coefficients.update(zip(chart.jets1, self.first))
-        coefficients.update(zip(chart.jets2, self.second))
-        return derive(rf, coefficients)
-
-
-def total_coefficients(chart: CoordChart, order: int = 2) -> dict:
+def total_coefficients(chart: CoordChart, accelerations=()) -> dict:
     """The total derivative as a derivation: d_s + xdot^a d_a, plus
-    xddot^a d_{xdot^a} at order 2."""
+    G^a d_{xdot^a} on the solution manifold when the accelerations G^a
+    are given."""
     out = {chart.param: RAT_ONE}
     for c in chart.coords:
         out[c] = symbol(chart.jet1(c))
-        if order == 2:
-            out[chart.jet1(c)] = symbol(chart.jet2(c))
+    out.update(zip(chart.jets1, accelerations))
     return out
 
 
-def total(rf: RatFunc, chart: CoordChart) -> RatFunc:
-    """D rf = d_s rf + xdot^a d_a rf + xddot^a d_{xdot^a} rf.
-
-    rf may depend on jets of order <= 1; raises when acceleration
-    symbols are present, since order-3 jets are unsupported.
-    """
-    if rf.free_symbols() & set(chart.jets2):
-        raise JetOrderError("total derivative of a second-order expression needs order-3 jets")
-    return derive(rf, total_coefficients(chart))
-
-
-def prolong(field: BundleVectorField, order: int = 2) -> ProlongedField:
-    """Prolongation coefficients via the total-derivative recursion."""
-    if order not in (1, 2):
-        raise JetOrderError("prolongation order must be 1 or 2")
+def prolong(field: BundleVectorField) -> dict:
+    """The first prolongation as a derivation: the field's coefficients
+    plus eta_(1)^a = D eta^a - xdot^a D xi on each xdot^a."""
     chart = field.chart
-    dxi = total(field.xi, chart)
-    first = tuple(
-        total(comp, chart) - symbol(chart.jet1(c)) * dxi
-        for c, comp in zip(chart.coords, field.eta)
-    )
-    second = ()
-    if order == 2:
-        second = tuple(
-            total(e1, chart) - symbol(chart.jet2(c)) * dxi
-            for c, e1 in zip(chart.coords, first)
-        )
-    return ProlongedField(field, first, second)
+    total = total_coefficients(chart)
+    dxi = derive(field.xi, total)
+    out = field.coefficients()
+    for c, comp in zip(chart.coords, field.eta):
+        out[chart.jet1(c)] = derive(comp, total) - symbol(chart.jet1(c)) * dxi
+    return out

@@ -4,9 +4,10 @@ Residual conventions:
 
   * Noether: X^[1] L + (D_s xi) L, with D_s = d_s + xdot d_x; a
     field is a Noether point symmetry iff the residual vanishes.
-  * Lie point: X^[2] E_i restricted to the solution manifold by
-    substituting the solved-form accelerations; all residuals vanish
-    iff the field generates a point symmetry.
+  * Lie point: X^[2] (xddot^i - G^i) on the solution manifold
+    xddot = G, which is Dhat eta_(1)^i - G^i Dhat xi - X^[1] G^i with
+    Dhat = D_s + G^a d_{xdot^a}; all residuals vanish iff the field
+    generates a point symmetry.
 
 Lagrangians, residuals, first integrals, determining equations
 and ansatz functions are canonical RatFuncs; the unknown coefficient
@@ -37,6 +38,9 @@ from .symexpr.nodes import op_atom, sym_atom
 from .symexpr.poly import RAT_ONE, RAT_ZERO, Poly, RatFunc, poly_divexact, poly_lcm, rat_sum
 
 UNKNOWN_XI = "xi"
+# The --ansatz-degree cap: analyze on a bundled 4D metric takes about
+# 17 s at this degree on a 2-vCPU host.
+MAX_ANSATZ_DEGREE = 26
 
 
 def _unknown_names(chart: CoordChart):
@@ -45,11 +49,9 @@ def _unknown_names(chart: CoordChart):
 
 def _assert_velocity_degree(rf, chart: CoordChart, bound: int, what: str):
     """Residual degree bounds hold on every run; a violation signals a
-    prolongation or restriction bug upstream.  The velocity degree is
+    prolongation bug upstream.  The velocity degree is
     read from the numerator's monomials, with the checks of
     `collect_ratfunc`."""
-    if rf.free_symbols() & set(chart.jets2):
-        raise VerificationError(f"{what} still contains acceleration symbols")
     degree = max((sum(e) for e, _, _ in split_monomials(rf, chart.jets1)), default=0)
     if degree > bound:
         raise VerificationError(f"{what} exceeds velocity degree {bound}")
@@ -58,21 +60,25 @@ def _assert_velocity_degree(rf, chart: CoordChart, bound: int, what: str):
 def noether_residual(field: BundleVectorField, lagrangian: RatFunc) -> RatFunc:
     """X^[1] L + (D_s xi) L."""
     chart = field.chart
-    out = (prolong(field, 1).act(lagrangian)
-           + derive(field.xi, total_coefficients(chart, 1)) * lagrangian)
+    out = (derive(lagrangian, prolong(field))
+           + derive(field.xi, total_coefficients(chart)) * lagrangian)
     _assert_velocity_degree(out, chart, 3, "invariance residual")
     return out
 
 
 def liepoint_residuals(field: BundleVectorField, system: GeodesicSystem) -> tuple:
-    """Second prolongation applied to each solved-form equation, then
-    restricted to the solution manifold."""
-    pf = prolong(field, 2)
+    """X^[2] (xddot^i - G^i) on the solution manifold, per coordinate:
+    Dhat eta_(1)^i - G^i Dhat xi - X^[1] G^i, with Dhat the total
+    derivative on that manifold."""
+    chart = field.chart
+    x1 = prolong(field)
+    on_shell = total_coefficients(chart, system.accelerations)
+    dxi = derive(field.xi, on_shell)
     out = []
-    for eq in system.equations:
-        restricted = substitute_atoms(pf.act(eq), system.on_shell.get)
-        _assert_velocity_degree(restricted, field.chart, 3, "point-symmetry residual")
-        out.append(restricted)
+    for v, g in zip(chart.jets1, system.accelerations):
+        residual = derive(x1[v], on_shell) - g * dxi - derive(g, x1)
+        _assert_velocity_degree(residual, chart, 3, "point-symmetry residual")
+        out.append(residual)
     return tuple(out)
 
 

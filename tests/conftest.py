@@ -4,7 +4,7 @@ import pytest
 
 from liesym.charts import CoordChart
 from liesym.geometry import Metric, geodesic_lagrangian, geodesic_system
-from liesym.jets import BundleVectorField
+from liesym.jets import BundleVectorField, symbol
 from liesym.symexpr import parse_expr
 from liesym.symmetry import default_ansatz, determining_system, solve_determining
 
@@ -12,6 +12,13 @@ from liesym.symmetry import default_ansatz, determining_system, solve_determinin
 def rf(text, functions=None):
     """The canonical RatFunc of an expression written as text."""
     return parse_expr(text, functions)[0]
+
+
+def geodesic_equations(system) -> tuple:
+    """xddot^i - G^i for each coordinate of a geodesic system."""
+    chart = system.chart
+    return tuple(symbol(chart.jet2(c)) - g
+                 for c, g in zip(chart.coords, system.accelerations))
 
 
 @pytest.fixture(scope="session")

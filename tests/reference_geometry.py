@@ -8,9 +8,18 @@
 """
 
 from liesym.geometry import christoffel
-from liesym.jets import total
+from liesym.jets import symbol
 from liesym.symexpr import derive
 from liesym.symexpr.poly import RAT_ONE, rat_sum
+
+
+def total(rf, chart):
+    """D rf = d_s rf + xdot^a d_a rf + xddot^a d_{xdot^a} rf."""
+    coefficients = {chart.param: RAT_ONE}
+    for c in chart.coords:
+        coefficients[c] = symbol(chart.jet1(c))
+        coefficients[chart.jet1(c)] = symbol(chart.jet2(c))
+    return derive(rf, coefficients)
 
 
 def euler_lagrange(lagrangian, chart) -> tuple:

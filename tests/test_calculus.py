@@ -2,21 +2,29 @@
 
 `symexpr.derive` differentiates canonical RatFuncs atom by atom;
 `reference_calculus.diff` differentiates trees by the chain rule.  On
-canonical input both give the same canonical RatFunc, and the
+canonical input both give the same canonical RatFunc.  The first
 prolongation built on `derive` gives the same coefficients as the one
-built on the reference.  Inputs are trees of canonical forms only, read
-back from their printed text: on a raw tree with rational content
-under a radical the tree route depends on the tree's shape.
+built on the reference, and the Lie point residuals, taken on the
+solution manifold with no acceleration symbol, equal the reference's
+second prolongation of xddot^i - G^i with xddot then set to G.
+Inputs are trees of canonical forms only, read back from their printed
+text: on a raw tree with rational content under a radical the tree
+route depends on the tree's shape.
 """
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from liesym.jets import prolong, total
-from liesym.symexpr import derive
+from liesym.files import load_metric
+from liesym.geometry import geodesic_system
+from liesym.jets import prolong, symbol, total_coefficients
+from liesym.symexpr import derive, substitute_atoms
+from liesym.symexpr.nodes import sym_atom
 from liesym.symexpr.poly import RAT_ONE
+from liesym.symmetry import liepoint_residuals
 
 import reference_calculus as ref
 from conftest import make_field
@@ -25,6 +33,7 @@ from reference_calculus import add, fn, fold, mul, num, op, power, sym, text, tr
 SYMBOLS = ("x", "y", "r")
 FUNCTIONS = ("sin", "cos", "tan", "cot", "sec", "csc", "exp", "ln", "arctan")
 EXPONENTS = tuple(map(Fraction, ("1/2", "-1/2", "1/3", "2/3", "3/2", "-1", "2", "3")))
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def random_tree(rng, depth):
@@ -98,15 +107,74 @@ def _fields(chart):
     ]
 
 
+def reference_residuals(X, system) -> tuple:
+    """The reference's second prolongation applied to each
+    xddot^i - G^i, then restricted by xddot^a -> G^a."""
+    chart = X.chart
+    xi, *eta = (tree(str(c)) for c in X.components)
+    eta1, eta2 = ref.prolong(xi, eta, chart)
+    on_shell = {sym_atom(chart.jet2(c)): g
+                for c, g in zip(chart.coords, system.accelerations)}
+    return tuple(
+        substitute_atoms(
+            ref.apply_prolonged(xi, eta, eta1, eta2,
+                                tree(str(symbol(chart.jet2(c)) - g)), chart),
+            on_shell.get)
+        for c, g in zip(chart.coords, system.accelerations))
+
+
 @pytest.mark.parametrize("index", range(4))
 def test_prolongation_matches_reference(chart, vb_system, vb_lagrangian, index):
     X = _fields(chart)[index]
     xi, *eta = (tree(str(c)) for c in X.components)
     for comp in X.components:
-        assert total(comp, chart) == ref.total_derivative(tree(str(comp)), chart)
-    pf = prolong(X, 2)
+        assert (derive(comp, total_coefficients(chart))
+                == ref.total_derivative(tree(str(comp)), chart))
+    x1 = prolong(X)
     eta1, eta2 = ref.prolong(xi, eta, chart)
-    assert tuple(pf.first) == eta1
-    assert tuple(pf.second) == eta2
-    for e in (*vb_system.equations, vb_lagrangian):
-        assert pf.act(e) == ref.apply_prolonged(xi, eta, eta1, eta2, tree(str(e)), chart)
+    assert tuple(x1[v] for v in chart.jets1) == eta1
+    assert derive(vb_lagrangian, x1) == ref.apply_prolonged(
+        xi, eta, eta1, eta2, tree(str(vb_lagrangian)), chart)
+    assert liepoint_residuals(X, vb_system) == reference_residuals(X, vb_system)
+
+
+
+SPHERE = "param s\ncoords theta phi\nangles theta phi\ng 0 0 = 1\ng 1 1 = sin(theta)^2\n"
+
+
+def random_field(chart, rng):
+    """A field whose components are short sums of rational multiples of
+    monomials in (s, x), at most one sin or cos of a coordinate, and a
+    monomial denominator in the coordinates."""
+    variables = (chart.param, *chart.coords)
+
+    def term():
+        factors = [f"{rng.randint(-3, 3)}/{rng.randint(1, 2)}"]
+        factors += [rng.choice(variables) for _ in range(rng.randint(0, 2))]
+        if rng.random() < 0.5:
+            factors.append(f"{rng.choice(('sin', 'cos'))}({rng.choice(chart.coords)})")
+        text = "*".join(factors)
+        if rng.random() < 0.4:
+            text += f"/{rng.choice(chart.coords)}^{rng.randint(1, 2)}"
+        return text
+
+    xi, *eta = (" + ".join(term() for _ in range(rng.randint(1, 2)))
+                for _ in range(chart.dim + 1))
+    return make_field(chart, "X", xi, eta)
+
+
+def test_on_shell_residuals_match_second_prolongation_on_random_fields(tmp_path):
+    sphere = tmp_path / "sphere.metric"
+    sphere.write_text(SPHERE)
+    # fewer fields on the 4D charts, where the tree route is slowest
+    counts = {"vaidya_bonner.metric": 8, "vaidya_bonner_M1_Qt.metric": 8,
+              "vaidya_bonner_Mt_Qt2.metric": 8, DATA / "flat_plane.metric": 38,
+              sphere: 38}
+    rng = random.Random(24)
+    for path, count in counts.items():
+        system = geodesic_system(load_metric(path))
+        for _ in range(count):
+            X = random_field(system.chart, rng)
+            assert liepoint_residuals(X, system) == reference_residuals(X, system), (
+                path, [str(c) for c in X.components])
+    assert sum(counts.values()) >= 100

@@ -14,6 +14,7 @@ from liesym.cli import main
 from liesym.errors import FormatError
 from liesym.files import generators_to_text, load_generators, load_metric, resolve_input_path
 from liesym.symexpr.canonical import MAX_NESTING
+from liesym.symmetry import MAX_ANSATZ_DEGREE
 
 
 class TestMetricFiles:
@@ -167,6 +168,10 @@ OPTIMAL = ("optimal", "vb_general.gens", "--metric", "vaidya_bonner.metric")
 @pytest.mark.parametrize("argv, option", [
     ((*INTEGRATE, "--step", "0", "--span", "1"), "--step"),
     ((*INTEGRATE, "--step", "nan", "--span", "1"), "--step"),
+    (("integrate", "vaidya_bonner_M1_Qt.metric", "--init", "0", "10", "nan", "0",
+      "1", "0", "0", "0.05", "--step", "0.001", "--span", "0.0004"), "--init"),
+    (("integrate", "vaidya_bonner_M1_Qt.metric", "--init", "0", "10", "1.5", "0",
+      "inf", "0", "0", "0.05", "--step", "0.001", "--span", "0.01"), "--init"),
     ((*INTEGRATE, "--step", "-0.1", "--span", "1"), "--step"),
     ((*INTEGRATE, "--step", "0.01", "--span", "inf"), "--span"),
     ((*INTEGRATE, "--step", "0.01", "--span", "-1"), "--span"),
@@ -174,8 +179,12 @@ OPTIMAL = ("optimal", "vb_general.gens", "--metric", "vaidya_bonner.metric")
     ((*OPTIMAL, "--samples", "0"), "--samples"),
     ((*OPTIMAL, "--samples", "1000001"), "--samples"),
     (("analyze", "vaidya_bonner_M1_Qt.metric", "--ansatz-degree", "-1"), "--ansatz-degree"),
-], ids=["step-0", "step-nan", "step-negative", "span-inf", "span-negative",
-        "samples-negative", "samples-0", "samples-over-cap", "ansatz-degree-negative"])
+    (("analyze", "vaidya_bonner_M1_Qt.metric", "--ansatz-degree", str(MAX_ANSATZ_DEGREE + 1)),
+     "--ansatz-degree"),
+    (("analyze", "vaidya_bonner_M1_Qt.metric", "--ansatz-degree", "10" * 15), "--ansatz-degree"),
+], ids=["step-0", "step-nan", "init-nan", "init-inf", "step-negative", "span-inf",
+        "span-negative", "samples-negative", "samples-0", "samples-over-cap",
+        "ansatz-degree-negative", "ansatz-degree-over-cap", "ansatz-degree-huge"])
 def test_out_of_range_numeric_argument_exits_2(capsys, argv, option):
     with pytest.raises(SystemExit) as stop:
         main(list(argv))

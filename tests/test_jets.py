@@ -1,4 +1,4 @@
-"""Total derivative and prolongation."""
+"""Total derivative and first prolongation."""
 
 import random
 from fractions import Fraction
@@ -6,13 +6,24 @@ from fractions import Fraction
 import pytest
 
 from liesym.charts import CoordChart
-from liesym.errors import ChartError, JetOrderError
-from liesym.jets import BundleVectorField, prolong, symbol, total
+from liesym.errors import ChartError
+from liesym.jets import BundleVectorField, prolong, symbol, total_coefficients
 from liesym.symexpr import collect_ratfunc, derive
 from liesym.symexpr.poly import RAT_ONE, RatFunc
+from liesym.symmetry import liepoint_residuals
 
 from conftest import make_field, rf
 from reference_calculus import add, fold, mul, num, sym
+
+
+def first(X) -> tuple:
+    """The velocity coefficients eta_(1)^a of X's first prolongation."""
+    x1 = prolong(X)
+    return tuple(x1[v] for v in X.chart.jets1)
+
+
+def total(rf, chart):
+    return derive(rf, total_coefficients(chart))
 
 
 class TestTotalDerivative:
@@ -22,47 +33,40 @@ class TestTotalDerivative:
     def test_square(self, chart):
         assert (total(rf("r^2"), chart) - rf("2*r*rdot")).is_zero()
 
-    def test_velocity(self, chart):
-        assert (total(rf("tdot"), chart) - rf("tddot")).is_zero()
-
-    def test_order_cap(self, chart):
-        with pytest.raises(JetOrderError):
-            total(rf("tddot"), chart)
+    def test_velocity(self, chart, vb_system):
+        on_shell = total_coefficients(chart, vb_system.accelerations)
+        assert (derive(rf("tdot"), on_shell) - vb_system.accelerations[0]).is_zero()
 
 
 class TestProlong:
     def test_rotation_generator_constant(self, chart):
         X = make_field(chart, "X", "0", ["0", "0", "0", "1"])
-        pf = prolong(X, 2)
-        assert all(c.is_zero() for c in pf.first)
-        assert all(c.is_zero() for c in pf.second)
+        assert all(c.is_zero() for c in first(X))
 
     def test_parameter_scaling(self, chart):
         X = make_field(chart, "X", "s", ["0", "0", "0", "0"])
-        pf = prolong(X, 2)
-        for c, e1, e2 in zip(chart.coords, pf.first, pf.second):
+        for c, e1 in zip(chart.coords, first(X)):
             assert (e1 + symbol(chart.jet1(c))).is_zero()
-            assert (e2 + rf("2") * symbol(chart.jet2(c))).is_zero()
+
+    def test_prolongation_extends_the_field(self, chart):
+        X = make_field(chart, "X", "s", ["t", "r", "0", "1"])
+        x1 = prolong(X)
+        assert set(x1) == {chart.param, *chart.coords, *chart.jets1}
+        assert all(x1[k] == v for k, v in X.coefficients().items())
 
     def test_rotation_field_recursion_equals_direct_expansion(self, chart):
         X = make_field(chart, "X", "0",
                        ["0", "0", "-cos(phi)", "sin(phi)*cot(theta)"])
-        pf = prolong(X, 1)
-        assert (pf.first[2] - rf("sin(phi)*phidot")).is_zero()
+        e1 = first(X)
+        assert (e1[2] - rf("sin(phi)*phidot")).is_zero()
         expected_phi = rf(
             "-thetadot*sin(phi)/sin(theta)^2 + cot(theta)*cos(phi)*phidot"
         )
-        assert (pf.first[3] - expected_phi).is_zero()
+        assert (e1[3] - expected_phi).is_zero()
 
     def test_zero_field_prolongs_to_zero(self, chart):
         X = make_field(chart, "Z", "0", ["0", "0", "0", "0"])
-        pf = prolong(X, 2)
-        assert all(c.is_zero() for c in pf.first + pf.second)
-
-    def test_order_validation(self, chart):
-        X = make_field(chart, "X", "1", ["0", "0", "0", "0"])
-        with pytest.raises(JetOrderError):
-            prolong(X, 3)
+        assert all(c.is_zero() for c in prolong(X).values())
 
     def test_jet_symbols_rejected_in_components(self, chart):
         with pytest.raises(ChartError):
@@ -118,7 +122,7 @@ class TestRecursionConsistency:
         rng = random.Random(777)
         for _ in range(200):
             X = random_polynomial_field(chart, rng)
-            pf = prolong(X, 1)
+            e1 = first(X)
             for idx, c in enumerate(chart.coords):
                 expected = derive(X.eta[idx], {chart.param: RAT_ONE})
                 for b in chart.coords:
@@ -128,23 +132,17 @@ class TestRecursionConsistency:
                     expected = expected - (
                         derive(X.xi, {b: RAT_ONE}) * symbol(chart.jet1(b)) * symbol(chart.jet1(c))
                     )
-                assert (pf.first[idx] - expected).is_zero()
+                assert (e1[idx] - expected).is_zero()
 
     def test_prolongation_degree_bounds(self, chart):
         rng = random.Random(999)
         for _ in range(25):
             X = random_polynomial_field(chart, rng)
-            pf = prolong(X, 2)
-            for e1 in pf.first:
+            for e1 in first(X):
                 degrees = [sum(m) for m in collect_ratfunc(e1, chart.jets1)]
                 assert all(d <= 2 for d in degrees)
-            for e2 in pf.second:
-                both = list(chart.jets1) + list(chart.jets2)
-                for mono in collect_ratfunc(e2, both):
-                    assert sum(mono[:4]) <= 3
-                    assert sum(mono[4:]) <= 1
 
-    def test_linearity_of_prolongation(self, chart):
+    def test_linearity_of_prolongation(self, chart, vb_system):
         rng = random.Random(888)
         for _ in range(30):
             X = random_polynomial_field(chart, rng)
@@ -154,9 +152,9 @@ class TestRecursionConsistency:
             ra, rb = RatFunc.const(a), RatFunc.const(b)
             combo = BundleVectorField(
                 chart, [ra * x + rb * y for x, y in zip(X.components, Y.components)])
-            pc = prolong(combo, 2)
-            px = prolong(X, 2)
-            py = prolong(Y, 2)
+            pc, px, py = first(combo), first(X), first(Y)
             for i in range(chart.dim):
-                assert (pc.first[i] - (ra * px.first[i] + rb * py.first[i])).is_zero()
-                assert (pc.second[i] - (ra * px.second[i] + rb * py.second[i])).is_zero()
+                assert (pc[i] - (ra * px[i] + rb * py[i])).is_zero()
+            rc, rx, ry = (liepoint_residuals(F, vb_system) for F in (combo, X, Y))
+            for i in range(chart.dim):
+                assert (rc[i] - (ra * rx[i] + rb * ry[i])).is_zero()

@@ -9,7 +9,7 @@ from liesym.charts import CoordChart
 from liesym.errors import AnsatzError, VerificationError
 from liesym.geometry import Metric, geodesic_lagrangian, geodesic_system
 from liesym.files import load_metric
-from liesym.jets import total
+from liesym.jets import total_coefficients
 from liesym.linalg import express_in_basis, sparse_rref
 from liesym.symexpr import (
     NonPolynomialError,
@@ -102,7 +102,7 @@ class TestFirstIntegrals:
         X = make_field(chart, "X", "0", ["0", "0", "0", "1"])
         integral = noether_first_integral(X, vb_lagrangian)
         assert (integral - rf("-2*r^2*sin(theta)^2*phidot")).is_zero()
-        d = substitute_atoms(total(integral, chart), vb_system.on_shell.get)
+        d = derive(integral, total_coefficients(chart, vb_system.accelerations))
         assert d.is_zero()
 
     def test_parameter_translation_gives_lagrangian(self, chart, vb_lagrangian):
@@ -117,7 +117,7 @@ class TestFirstIntegrals:
             "2*r^2*cos(phi)*thetadot - 2*r^2*sin(phi)*cos(theta)*sin(theta)*phidot"
         )
         assert (integral - expected).is_zero()
-        d = substitute_atoms(total(integral, chart), vb_system.on_shell.get)
+        d = derive(integral, total_coefficients(chart, vb_system.accelerations))
         assert d.is_zero()
 
     def test_failing_field_has_no_first_integral(self, chart, vb_lagrangian):
@@ -171,10 +171,6 @@ class TestVelocityDegreeCheck:
                         _assert_velocity_degree(res, chart, degree - 1, "residual")
                 degrees.append(degree)
         assert degrees and all(d == 3 for d in degrees)
-
-    def test_acceleration_symbols_raise(self, chart):
-        with pytest.raises(VerificationError, match="acceleration symbols"):
-            _assert_velocity_degree(rf("tdot + r*rddot"), chart, 3, "residual")
 
     def test_degree_above_bound_raises(self, chart):
         _assert_velocity_degree(rf("tdot^2*rdot/r + M(t)", {"M": ("t",)}), chart, 3, "residual")
