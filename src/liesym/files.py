@@ -11,6 +11,11 @@ Metric files:
 Generator files:
     gen <name> = <xi-expr> | <eta-expr> | ... | <eta-expr>
 
+Files are read as UTF-8, whatever the locale.  A `param`, `coords` or
+`angles` line, a function, a component `g i j` or a generator name
+declared twice is an error at the second declaration, since one of
+the two would be dropped.
+
 Bare preset names (e.g. vaidya_bonner.metric) resolve against the
 packaged data directory when no such file exists on disk.  A metric
 whose determinant is canonically zero is rejected when it loads
@@ -57,10 +62,20 @@ def resolve_input_path(path) -> Path:
 
 
 def _content_lines(path: Path):
+    """(line number, line without comment) for each line with content.
+    The file is read as UTF-8 whatever the locale; a byte that is not
+    UTF-8 is reported at its line."""
     try:
-        text = path.read_text()
+        data = path.read_bytes()
     except OSError as exc:
         raise FormatError(path, 0, f"cannot read file: {exc}")
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the loop below numbers splitlines(); so count the lines of the
+        # valid prefix with the bad byte's own line
+        lineno = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        raise FormatError(path, lineno, f"not UTF-8: byte 0x{data[exc.start]:02x}")
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
@@ -74,9 +89,12 @@ def load_metric(path) -> Metric:
     angles = ()
     functions = {}
     entries = {}
+    first = {}  # what a line declares -> the line that first declared it
     for lineno, line in _content_lines(path):
         head, _, rest = line.partition(" ")
         rest = rest.strip()
+        if head in ("param", "coords", "angles"):
+            _first_time(path, lineno, first, head, f"{head} line")
         if head == "param":
             if not rest or " " in rest:
                 raise FormatError(path, lineno, "param takes exactly one name")
@@ -91,12 +109,14 @@ def load_metric(path) -> Metric:
             name, args, err = _parse_function_decl(rest)
             if err:
                 raise FormatError(path, lineno, err)
+            _first_time(path, lineno, first, ("function", name), f"function {name}")
             functions[name] = args
         elif head == "g":
             try:
                 idx_i, idx_j, expr_text = _split_component(rest)
             except ValueError as exc:
                 raise FormatError(path, lineno, str(exc))
+            _first_time(path, lineno, first, (idx_i, idx_j), f"component g {idx_i} {idx_j}")
             entries[(idx_i, idx_j)] = (expr_text, lineno)
         else:
             raise FormatError(path, lineno, f"unknown directive {head!r}")
@@ -130,6 +150,14 @@ def load_metric(path) -> Metric:
     if metric.det.is_zero():
         raise SingularMetricError(f"{path}: metric determinant is canonically zero")
     return metric
+
+
+def _first_time(path, lineno, first, key, what):
+    """Record that `lineno` declares `key`; a second declaration is an
+    error, since one of the two values would be dropped silently."""
+    if key in first:
+        raise FormatError(path, lineno, f"repeated {what} (first on line {first[key]})")
+    first[key] = lineno
 
 
 def _allowed_symbols(names, functions) -> set:
@@ -182,6 +210,7 @@ def load_generators(path, chart: CoordChart, functions=None) -> list:
     path = resolve_input_path(path)
     allowed = _allowed_symbols((chart.param, *chart.coords), functions)
     fields = []
+    first = {}
     for lineno, line in _content_lines(path):
         if not line.startswith("gen "):
             raise FormatError(path, lineno, "generator lines must start with 'gen'")
@@ -190,6 +219,7 @@ def load_generators(path, chart: CoordChart, functions=None) -> list:
         name = name.strip()
         if not eq or not name:
             raise FormatError(path, lineno, "expected 'gen <name> = ...'")
+        _first_time(path, lineno, first, name, f"generator name {name}")
         pieces = [p.strip() for p in body.split("|")]
         if len(pieces) != chart.dim + 1:
             raise FormatError(

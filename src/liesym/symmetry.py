@@ -15,12 +15,16 @@ functions xi, eta^a are opaque-function atoms.  Determining equations
 are the coefficients of the residuals over velocity monomials.  Each is
 linear in the unknown jets, so the solver expands the unknowns in a
 finite ansatz: the equation's numerator is split by unknown jet once,
-each basis derivative is derived once from the next-lower order, and
-the rows are the kernel-monomial coefficients of their products.
-Equations are assembled in order, and columns their rows force to zero
-are pinned before the next one, which builds products only for the
-free columns.  It returns the exact rational nullspace as vector
-fields.
+and the rows are the kernel-monomial coefficients of its products with
+the basis derivatives.  An ansatz function is a product of factors
+that share no symbol (a monomial, one kernel per angle), so each
+factor is derived once per order into a table, and a basis derivative
+is the product of its factors' derivatives, reduced as it stands.
+The products' terms go straight into integer row buckets, one integer
+scale per equation.  Equations are assembled in order, and columns
+their rows force to zero are pinned before the next one, which builds
+products only for the free columns.  It returns the exact rational
+nullspace as vector fields.
 """
 
 from __future__ import annotations
@@ -35,7 +39,17 @@ from .jets import BundleVectorField, prolong, symbol, total_coefficients
 from .linalg import ZeroPins, sparse_nullspace
 from .symexpr import collect_ratfunc, derive, fn_ratfunc, split_monomials, substitute_atoms
 from .symexpr.nodes import op_atom, sym_atom
-from .symexpr.poly import RAT_ONE, RAT_ZERO, Poly, RatFunc, poly_divexact, poly_lcm, rat_sum
+from .symexpr.poly import (
+    RAT_ONE,
+    RAT_ZERO,
+    Poly,
+    RatFunc,
+    _mono_mul,
+    _reduce_monomial,
+    poly_divexact,
+    poly_lcm,
+    rat_sum,
+)
 
 UNKNOWN_XI = "xi"
 # The --ansatz-degree cap: analyze on a bundled 4D metric takes about
@@ -210,15 +224,38 @@ def determining_system(target: Metric | GeodesicSystem, mode: str) -> Determinin
 
 class Ansatz:
     """Finite basis of (s, x) functions, as canonical RatFuncs, spanning
-    each unknown."""
+    each unknown.
 
-    def __init__(self, basis: tuple, degree: int = 2, kernels: tuple = ()):
+    `factors[k]` is a tuple of RatFuncs whose product is basis[k]; the
+    solver derives factors that share no symbol apart (see
+    `_basis_derivatives`).  `default_ansatz` gives each function its
+    monomial and its angle kernels; by default a function is its own
+    single factor."""
+
+    def __init__(self, basis: tuple, degree: int = 2, kernels: tuple = (), factors=None):
         self.basis = basis
         self.degree = degree
         self.kernels = kernels
+        self.factors = tuple((b,) for b in basis) if factors is None else factors
 
     def __len__(self):
         return len(self.basis)
+
+
+def _product(parts) -> RatFunc:
+    """The product of RatFuncs in pairwise disjoint atoms, as Polys.
+
+    No rewrite rule acts on a monomial of atoms from different factors,
+    so the products of the numerators and of the denominators are
+    already reduced; the denominators are integral, primitive, with
+    positive leads, and so is their product, which shares no atom with
+    the numerators' product."""
+    num, den = parts[0].num, parts[0].den
+    for p in parts[1:]:
+        num = num * p.num
+        if not p.den.is_const():
+            den = p.den if den.is_const() else den * p.den
+    return RatFunc(num, den, reduced=True)
 
 
 def default_ansatz(chart: CoordChart, degree: int = 2) -> Ansatz:
@@ -226,7 +263,8 @@ def default_ansatz(chart: CoordChart, degree: int = 2) -> Ansatz:
     non-angle coordinates, times per-angle trig kernels.
 
     The first declared angle carries {1, sin, cos, cot, 1/sin}; later
-    angles carry {1, sin, cos}.
+    angles carry {1, sin, cos}.  Each function's factors are its
+    monomial and its non-constant kernels.
     """
     poly_vars = [chart.param] + [c for c in chart.coords if c not in chart.angles]
     monos = []
@@ -251,16 +289,18 @@ def default_ansatz(chart: CoordChart, degree: int = 2) -> Ansatz:
             kernel_names.append(f"{a}: 1, sin, cos")
         kernel_lists.append(kern)
     basis = []
+    factors = []
     seen = set()
     for mono in monos:
-        for kerns in itertools.product(*kernel_lists) if kernel_lists else [()]:
-            rf = mono
-            for k in kerns:
-                rf = rf * k
+        for kerns in itertools.product(*kernel_lists):
+            parts = tuple(f for f in (mono, *kerns) if f is not RAT_ONE) or (RAT_ONE,)
+            rf = _product(parts)
             if rf.key() not in seen:
                 seen.add(rf.key())
                 basis.append(rf)
-    return Ansatz(tuple(basis), degree=degree, kernels=tuple(kernel_names))
+                factors.append(parts)
+    return Ansatz(tuple(basis), degree=degree, kernels=tuple(kernel_names),
+                  factors=tuple(factors))
 
 
 def _check_derivative_closure(ansatz: Ansatz, chart: CoordChart):
@@ -280,26 +320,80 @@ def _check_derivative_closure(ansatz: Ansatz, chart: CoordChart):
                 )
 
 
-def _basis_derivatives(basis, args):
+def _owned_args(factors, args, known):
+    """Per factor, the positions in `args` of its symbols, when every
+    atom of every factor names a symbol and no two factors share one;
+    else None.  `known` caches each factor's symbols by identity, None
+    when an atom names none."""
+    taken = set()
+    out = []
+    for f in factors:
+        if id(f) not in known:
+            per_atom = [a.free_symbols() for a in f.atoms()]
+            known[id(f)] = frozenset().union(*per_atom) if all(per_atom) else None
+        symbols = known[id(f)]
+        if symbols is None or symbols & taken:
+            return None
+        taken |= symbols
+        out.append(tuple(i for i, v in enumerate(args) if v in symbols))
+    return tuple(out)
+
+
+def _basis_derivatives(ansatz: Ansatz, args):
     """derivative(k, orders) -> canonical RatFunc of d^orders basis[k].
 
-    Each derivative is derived from the next-lower order and cached by
-    (k, orders), so every one is computed once; the atom derivatives of
-    each d/dv are shared across the basis."""
-    cache = {}
+    Each factor is derived once per order, from the next-lower order,
+    into a table keyed by the factor's identity; factors are shared
+    across the basis, and the atom derivatives of each d/dv across the
+    factors.  d^orders basis[k] is the product of each factor's
+    derivative in the orders of its own symbols (`_product`), and 0
+    when an order falls on a symbol of no factor.  That needs factors
+    that share no symbol and no symbol-free atom (such as 2^(1/2)),
+    which is checked once; a function whose factors fail it is derived
+    as one factor.  Derivatives of a factor stay within its symbols,
+    and by derivative closure (`_check_derivative_closure`) within
+    atoms that name a symbol, so the products stay disjoint.
+    Products are not cached: each is built for a free column only."""
     memos = [{} for _ in args]
+    zero = (0,) * len(args)
+    tables = {}  # id(factor) -> {orders: derivative}, the factor at zero
+    known = {}
+    specs = []  # per function: (its factors' tables, the args each factor owns)
+    for b, factors in zip(ansatz.basis, ansatz.factors):
+        owned = _owned_args(factors, args, known)
+        if owned is None:
+            factors = (b,)
+            owned = (tuple(i for i, v in enumerate(args) if v in b.free_symbols()),)
+        specs.append((tuple(tables.setdefault(id(f), {zero: f}) for f in factors), owned))
+    projections = {}  # (owned, orders) -> per-factor orders, None if 0
+
+    def factor_derivative(table, orders):
+        hit = table.get(orders)
+        if hit is None:
+            i = max(j for j, o in enumerate(orders) if o)
+            lower = orders[:i] + (orders[i] - 1,) + orders[i + 1:]
+            hit = derive(factor_derivative(table, lower), {args[i]: RAT_ONE}, memos[i])
+            table[orders] = hit
+        return hit
 
     def entry(k, orders):
-        hit = cache.get((k, orders))
-        if hit is None:
-            if any(orders):
-                i = max(j for j, o in enumerate(orders) if o)
-                lower = orders[:i] + (orders[i] - 1,) + orders[i + 1:]
-                hit = derive(entry(k, lower), {args[i]: RAT_ONE}, memos[i])
-            else:
-                hit = basis[k]
-            cache[(k, orders)] = hit
-        return hit
+        factor_tables, owned = specs[k]
+        key = (owned, orders)
+        if key not in projections:
+            inside = sum(orders) == sum(orders[i] for own in owned for i in own)
+            projections[key] = tuple(
+                tuple(o if i in own else 0 for i, o in enumerate(orders)) for own in owned
+            ) if inside else None
+        subs = projections[key]
+        if subs is None:
+            return RAT_ZERO
+        parts = []
+        for table, sub in zip(factor_tables, subs):
+            d = factor_derivative(table, sub)
+            if d.is_zero():
+                return RAT_ZERO
+            parts.append(d)
+        return parts[0] if len(parts) == 1 else _product(parts)
 
     return entry
 
@@ -349,11 +443,15 @@ def solve_determining(system: DeterminingSystem, ansatz: Ansatz) -> list:
 
     Rows are assembled on canonical forms: each equation's numerator is
     split once into integral coefficients A of the unknown jets d^a u;
-    with the basis derivatives d^a b_k brought over one common
-    denominator, the coefficient of each kernel monomial in
-    sum A * d^a b_k gives one integer row over the columns (u, k).  A
-    cleared derivative depends only on (k, a) and that denominator, so
-    equations sharing one reuse it.
+    with the basis derivatives d^a b_k (`_basis_derivatives`) brought
+    over one common denominator L, the coefficient of each kernel
+    monomial in sum A * (L / den) * num(d^a b_k) gives one integer row
+    over the columns (u, k).  A * (L / den) is formed once per jet and
+    denominator; its terms times those of each numerator go straight
+    into the row buckets, monomials merged by `_mono_mul` and rewritten
+    by `_reduce_monomial` where a rule acts, every entry scaled by one
+    integer of the equation.  Such a row is a positive multiple of the
+    row of the product polynomials, so the RREF is the same.
 
     After each equation, every column its rows force to zero is pinned
     (`linalg.ZeroPins`), and later equations build products only for
@@ -366,49 +464,56 @@ def solve_determining(system: DeterminingSystem, ansatz: Ansatz) -> list:
     chart = system.chart
     args = (chart.param, *chart.coords)
     _check_derivative_closure(ansatz, chart)
-    derivative = _basis_derivatives(ansatz.basis, args)
+    derivative = _basis_derivatives(ansatz, args)
     nb = len(ansatz.basis)
     unknowns = list(system.unknowns)
     names = set(unknowns)
-    col_of = {(u, k): i * nb + k for i, u in enumerate(unknowns) for k in range(nb)}
+    offset = {u: i * nb for i, u in enumerate(unknowns)}  # column of (u, k): offset[u] + k
 
     pins = ZeroPins()
-    cleared = {}  # (k, orders, lcm key) -> d^orders b_k brought over the lcm
     for eq in system.equations:
         coeffs = _split_by_unknown(eq, names, args)
         terms = [
-            (col, A, k, orders, d)
-            for (name, orders), A in coeffs.items()
+            (col, jet, d)
+            for jet in coeffs
             for k in range(nb)
-            if (col := col_of[(name, k)]) not in pins.pinned
-            and not (d := derivative(k, orders)).is_zero()
+            if (col := offset[jet[0]] + k) not in pins.pinned
+            and not (d := derivative(k, jet[1])).is_zero()
         ]
         dens = {d.den.key(): d.den for *_, d in terms}
         lcm = poly_lcm(dens.values())
         cofactor = {key: poly_divexact(lcm, den) for key, den in dens.items()}
+        scaled = {}  # (jet, den key) -> A * lcm / den
         products = []
-        for col, A, k, orders, d in terms:
-            ck = (k, orders, lcm.key())
-            if ck not in cleared:
-                cleared[ck] = d.num * cofactor[d.den.key()]
-            products.append((col, A * cleared[ck]))
+        for col, jet, d in terms:
+            sk = (jet, d.den.key())
+            if sk not in scaled:
+                scaled[sk] = coeffs[jet] * cofactor[sk[1]]
+            products.append((col, scaled[sk], d.num))
         # one integer scale for the whole equation keeps its rows integral
-        scale = math.lcm(*(P.den for _, P in products))
+        scale = math.lcm(*{P.den * num.den for _, P, num in products})
         buckets = {}
-        for col, P in products:
-            f = scale // P.den
-            for mono, c in P.terms.items():
-                row = buckets.setdefault(mono, {})
-                row[col] = row.get(col, 0) + c * f
+        for col, P, num in products:
+            f = scale // (P.den * num.den)
+            for m1, c1 in P.terms.items():
+                c1 *= f
+                for m2, c2 in num.terms.items():
+                    mono, fold = _mono_mul(m1, m2)
+                    if fold:
+                        for m3, c3 in _reduce_monomial(mono).terms.items():
+                            row = buckets.setdefault(m3, {})
+                            row[col] = row.get(col, 0) + c1 * c2 * c3
+                    else:
+                        row = buckets.setdefault(mono, {})
+                        row[col] = row.get(col, 0) + c1 * c2
         pins.add(buckets.values())
-    basis_vectors = sparse_nullspace(pins.system(), len(col_of))
-    zero = (0,) * len(args)
+    basis_vectors = sparse_nullspace(pins.system(), len(unknowns) * nb)
     fields = []
     for i, vec in enumerate(basis_vectors):
         comps = [
             rat_sum(
-                RatFunc.const(c) * derivative(k, zero)
-                for k in range(nb) if (c := vec[col_of[(u, k)]])
+                RatFunc.const(c) * ansatz.basis[k]
+                for k in range(nb) if (c := vec[offset[u] + k])
             )
             for u in unknowns
         ]

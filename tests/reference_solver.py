@@ -5,7 +5,9 @@ rows force to zero while it assembles, and builds later products only
 for the free columns.  This module assembles every (jet, basis) product
 of every equation over all columns, as the solver did before pinning,
 so tests can check that both row sets have one RREF and give the same
-fields.
+fields.  It derives the basis functions whole, each derivative from the
+next-lower order (`basis_derivatives`), where the solver multiplies
+derivatives of each function's factors.
 """
 
 import math
@@ -13,12 +15,33 @@ import math
 from liesym.errors import AnsatzError
 from liesym.jets import BundleVectorField
 from liesym.linalg import sparse_nullspace
-from liesym.symexpr.poly import RatFunc, poly_divexact, poly_lcm, rat_sum
-from liesym.symmetry import (
-    _basis_derivatives,
-    _check_derivative_closure,
-    _split_by_unknown,
-)
+from liesym.symexpr import derive
+from liesym.symexpr.poly import RAT_ONE, RatFunc, poly_divexact, poly_lcm, rat_sum
+from liesym.symmetry import _check_derivative_closure, _split_by_unknown
+
+
+def basis_derivatives(basis, args):
+    """derivative(k, orders) -> canonical RatFunc of d^orders basis[k].
+
+    Each derivative is derived from the next-lower order and cached by
+    (k, orders), so every one is computed once; the atom derivatives of
+    each d/dv are shared across the basis."""
+    cache = {}
+    memos = [{} for _ in args]
+
+    def entry(k, orders):
+        hit = cache.get((k, orders))
+        if hit is None:
+            if any(orders):
+                i = max(j for j, o in enumerate(orders) if o)
+                lower = orders[:i] + (orders[i] - 1,) + orders[i + 1:]
+                hit = derive(entry(k, lower), {args[i]: RAT_ONE}, memos[i])
+            else:
+                hit = basis[k]
+            cache[(k, orders)] = hit
+        return hit
+
+    return entry
 
 
 def solve(system, ansatz):
@@ -29,7 +52,7 @@ def solve(system, ansatz):
         raise AnsatzError("empty ansatz")
     args = (system.chart.param, *system.chart.coords)
     _check_derivative_closure(ansatz, system.chart)
-    derivative = _basis_derivatives(ansatz.basis, args)
+    derivative = basis_derivatives(ansatz.basis, args)
     nb = len(ansatz.basis)
     col_of = {(u, k): i * nb + k
               for i, u in enumerate(system.unknowns) for k in range(nb)}

@@ -557,3 +557,64 @@ def test_line_with_two_faults_names_one_and_exits_2(tmp_path, files, argv, where
     out = _run_cli(*argv, cwd=tmp_path)
     assert out.returncode == 2
     assert out.stderr == f"error: {where}: {cause}\n"
+
+
+@pytest.mark.parametrize("where", ["metric", "generators"])
+def test_byte_that_is_not_utf8_exits_2_at_its_line(tmp_path, capsys, where):
+    # a Latin-1 comment: the file is read as UTF-8 whatever the locale
+    metric, gens = FLAT_PLANE.encode(), TRANSLATIONS.encode()
+    if where == "metric":
+        metric = metric.replace(b"g 1 1 = 1", "g 1 1 = 1  # café".encode("latin-1"))
+        line = "in.metric:4"
+    else:
+        gens += "# naïve\n".encode("latin-1")
+        line = "in.gens:3"
+    (tmp_path / "in.metric").write_bytes(metric)
+    (tmp_path / "in.gens").write_bytes(gens)
+    code = main(["verify", str(tmp_path / "in.metric"), str(tmp_path / "in.gens"),
+                 "--liepoint"])
+    assert code == 2
+    assert capsys.readouterr().err.endswith(f"{line}: not UTF-8: byte 0x"
+                                            f"{'e9' if where == 'metric' else 'ef'}\n")
+
+
+def test_utf8_comment_reads(tmp_path, capsys):
+    (tmp_path / "in.metric").write_bytes(
+        FLAT_PLANE.replace("g 1 1 = 1", "g 1 1 = 1  # café, φ").encode())
+    (tmp_path / "in.gens").write_bytes((TRANSLATIONS + "# naïve\n").encode())
+    code = main(["verify", str(tmp_path / "in.metric"), str(tmp_path / "in.gens"),
+                 "--liepoint"])
+    assert code == 0
+
+
+@pytest.mark.parametrize("metric, gens, where, cause", [
+    (FLAT_PLANE + "g 0 0 = 2\n", TRANSLATIONS, "in.metric:5",
+     "repeated component g 0 0 (first on line 3)"),
+    ("param s\n" + FLAT_PLANE, TRANSLATIONS, "in.metric:2",
+     "repeated param line (first on line 1)"),
+    (FLAT_PLANE.replace("coords x y\n", "coords x y\ncoords x y\n"), TRANSLATIONS,
+     "in.metric:3", "repeated coords line (first on line 2)"),
+    (FLAT_PLANE.replace("coords x y\n", "coords x y\nangles\nangles\n"), TRANSLATIONS,
+     "in.metric:4", "repeated angles line (first on line 3)"),
+    (FLAT_PLANE.replace("coords x y\n", "coords x y\nfunction M(x)\nfunction M(y)\n"),
+     TRANSLATIONS, "in.metric:4", "repeated function M (first on line 3)"),
+    (FLAT_PLANE, TRANSLATIONS + "gen T_s = 1 | 0 | 0\n", "in.gens:3",
+     "repeated generator name T_s (first on line 1)"),
+], ids=["component", "param", "coords", "angles", "function", "generator-name"])
+def test_repeated_declaration_exits_2_at_the_repeat(tmp_path, metric, gens, where, cause):
+    (tmp_path / "in.metric").write_text(metric)
+    (tmp_path / "in.gens").write_text(gens)
+    out = _run_cli("verify", "in.metric", "in.gens", "--liepoint", cwd=tmp_path)
+    assert out.returncode == 2
+    assert out.stderr == f"error: {where}: {cause}\n"
+
+
+def test_two_functions_and_both_triangles_of_one_component_are_not_repeats(tmp_path):
+    # distinct functions are no repeat; g 1 0 after g 0 1 is reported as
+    # a lower-triangle entry
+    text = FLAT_PLANE.replace("coords x y\n", "coords x y\nfunction M(x)\nfunction Q(y)\n")
+    (tmp_path / "two.metric").write_text(text)
+    assert set(load_metric(tmp_path / "two.metric").functions) == {"M", "Q"}
+    (tmp_path / "tri.metric").write_text(FLAT_PLANE + "g 0 1 = 0\ng 1 0 = 0\n")
+    with pytest.raises(FormatError, match="tri.metric:6: specify the upper triangle only"):
+        load_metric(tmp_path / "tri.metric")
