@@ -510,6 +510,20 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
     common = patoms & qatoms
     if not common:
         return POLY_ONE
+    # An atom of one side that no rewrite ties to another (not cos, sin
+    # or a power) is free, so a common divisor divides each coefficient
+    # of that side in it.
+    free = [a for a in patoms ^ qatoms if not a.fold and (a.kind != "fn" or a.payload[0] != "sin")]
+    if free and not any(a.fold == 2 for a in patoms | qatoms):
+        atom = max(free)
+        if atom in qatoms:
+            p, q = q, p
+        g = q
+        for c in p.coeffs_in(atom).values():
+            g = poly_gcd(c, g)
+            if g.is_const():
+                return POLY_ONE
+        return g.primitive_part()
     # Products of coefficients that both carry cos(u) or B^(1/2) reduce
     # (cos^2 -> 1 - sin^2, folding into B), so a pseudo-remainder in sin(u)
     # or in an atom of B need not lower the degree and may never end.

@@ -9,22 +9,18 @@ Residual conventions:
     Dhat = D_s + G^a d_{xdot^a}; all residuals vanish iff the field
     generates a point symmetry.
 
-Lagrangians, residuals, first integrals, determining equations
-and ansatz functions are canonical RatFuncs; the unknown coefficient
-functions xi, eta^a are opaque-function atoms.  Determining equations
-are the coefficients of the residuals over velocity monomials.  Each is
-linear in the unknown jets, so the solver expands the unknowns in a
-finite ansatz: the equation's numerator is split by unknown jet once,
-and the rows are the kernel-monomial coefficients of its products with
-the basis derivatives.  An ansatz function is a product of factors
-that share no symbol (a monomial, one kernel per angle), so each
-factor is derived once per order into a table, and a basis derivative
-is the product of its factors' derivatives, reduced as it stands.
-The products' terms go straight into integer row buckets, one integer
-scale per equation.  Equations are assembled in order, and columns
-their rows force to zero are pinned before the next one, which builds
-products only for the free columns.  It returns the exact rational
-nullspace as vector fields.
+Lagrangians, residuals, first integrals and ansatz functions are
+canonical RatFuncs.  The residuals are linear in the unknowns xi,
+eta^a, so the generic field's residuals are built as linear forms, maps
+from unknown jets (u, orders) to coefficients that hold no unknown; a
+determining equation is one residual's map of coefficients of one
+velocity monomial.  The solver expands the unknowns in a finite ansatz
+of products of factors that share no symbol (a monomial, one kernel per
+angle), derives each factor once per order, and puts the products of
+each equation's cleared coefficients with the basis derivatives
+straight into integer row buckets.  Columns that an equation's rows
+force to zero are pinned before the next equation.  It returns the
+exact rational nullspace as vector fields.
 """
 
 from __future__ import annotations
@@ -38,11 +34,10 @@ from .geometry import GeodesicSystem, Metric, geodesic_lagrangian
 from .jets import BundleVectorField, prolong, symbol, total_coefficients
 from .linalg import ZeroPins, sparse_nullspace
 from .symexpr import collect_ratfunc, derive, fn_ratfunc, split_monomials, substitute_atoms
-from .symexpr.nodes import op_atom, sym_atom
+from .symexpr.nodes import sym_atom
 from .symexpr.poly import (
     RAT_ONE,
     RAT_ZERO,
-    Poly,
     RatFunc,
     _mono_mul,
     _reduce_monomial,
@@ -51,14 +46,9 @@ from .symexpr.poly import (
     rat_sum,
 )
 
-UNKNOWN_XI = "xi"
 # The --ansatz-degree cap: analyze on a bundled 4D metric takes about
 # 17 s at this degree on a 2-vCPU host.
 MAX_ANSATZ_DEGREE = 26
-
-
-def _unknown_names(chart: CoordChart):
-    return [UNKNOWN_XI] + [f"eta{i + 1}" for i in range(chart.dim)]
 
 
 def _assert_velocity_degree(rf, chart: CoordChart, bound: int, what: str):
@@ -172,9 +162,10 @@ def noether_first_integral(field: BundleVectorField, lagrangian: RatFunc) -> Rat
 class DeterminingSystem:
     """Collected coefficient equations, each required to vanish.
 
-    Equations are nonzero canonical RatFuncs in (s, x) and the unknown
-    function atoms; `sources` records the velocity monomial each
-    equation came from."""
+    An equation sum A * d^orders u is the map {(u, orders): A}, its
+    jets sorted, each A a nonzero RatFunc in (s, x).  `sources` holds
+    the residual and velocity monomial of each equation; `unknowns`
+    labels the columns: xi, eta1, ..."""
 
     def __init__(self, chart: CoordChart, mode: str, equations: tuple, sources: tuple,
                  unknowns: tuple):
@@ -188,38 +179,72 @@ class DeterminingSystem:
         return len(self.equations)
 
 
-def determining_system(target: Metric | GeodesicSystem, mode: str) -> DeterminingSystem:
-    """Collect determining equations, with symbolic xi, eta unknowns,
-    for a Metric's geodesic Lagrangian (noether) or for a geodesic
-    system (liepoint)."""
+def _combine(terms) -> dict:
+    """sum c * form over (RatFunc c, linear form) pairs, with no zero
+    entry; a linear form maps unknown jets (u, orders) to RatFuncs."""
+    parts = {}
+    for c, form in terms:
+        for jet, a in form.items():
+            parts.setdefault(jet, []).append(a if c is RAT_ONE else c * a)
+    return {jet: a for jet, ps in parts.items()
+            if not (a := ps[0] if len(ps) == 1 else rat_sum(ps)).is_zero()}
+
+
+def _derive_form(form: dict, coefficients: dict, args) -> dict:
+    """The derivation sum_v c_v d/dv of a linear form, by the Leibniz
+    rule: each coefficient is derived, and each jet's orders are raised
+    by the derivation's (s, x) coefficients."""
+    terms = [(RAT_ONE, {jet: derive(a, coefficients) for jet, a in form.items()})]
+    for i, v in enumerate(args):
+        if v in coefficients:
+            terms.append((coefficients[v], {(u, o[:i] + (o[i] + 1,) + o[i + 1:]): a
+                                            for (u, o), a in form.items()}))
+    return _combine(terms)
+
+
+def _residual_forms(target, mode: str, unknowns) -> list:
+    """The residuals of the field with components `unknowns`, as linear
+    forms in their jets, term by term as `jets.prolong`,
+    `noether_residual` and `liepoint_residuals` write them."""
+    chart = target.chart
+    args = (chart.param, *chart.coords)
+    xi, *eta = ({(u, (0,) * len(args)): RAT_ONE} for u in unknowns)
+    total = total_coefficients(chart)
+    dxi = _derive_form(xi, total, args)
+    x1 = dict(zip(args, (xi, *eta)))
+    for v, form in zip(chart.jets1, eta):
+        x1[v] = _combine([(RAT_ONE, _derive_form(form, total, args)), (-symbol(v), dxi)])
     if mode == "noether":
         lagrangian = geodesic_lagrangian(target)
-    elif mode != "liepoint":
+        return [_combine([(derive(lagrangian, {v: RAT_ONE}), form) for v, form in x1.items()]
+                         + [(lagrangian, dxi)])]
+    on_shell = total_coefficients(chart, target.accelerations)
+    dxi = _derive_form(xi, on_shell, args)
+    return [
+        _combine([(RAT_ONE, _derive_form(x1[v], on_shell, args)), (-g, dxi)]
+                 + [(-derive(g, {w: RAT_ONE}), form) for w, form in x1.items()])
+        for v, g in zip(chart.jets1, target.accelerations)
+    ]
+
+
+def determining_system(target: Metric | GeodesicSystem, mode: str) -> DeterminingSystem:
+    """Collect the determining equations of a Metric's geodesic
+    Lagrangian (noether) or of a geodesic system (liepoint): per residual
+    and velocity monomial, the coefficient of each unknown jet."""
+    if mode not in ("noether", "liepoint"):
         raise ValueError("mode must be 'noether' or 'liepoint'")
     chart = target.chart
-    names = _unknown_names(chart)
-    clash = set(names) & ({chart.param} | set(chart.coords))
-    if clash:
-        raise AnsatzError(f"chart names collide with unknown functions: {sorted(clash)}")
-    args = (chart.param, *chart.coords)
-    generic = BundleVectorField(
-        chart, tuple(RatFunc.atom(op_atom(name, args, (0,) * len(args))) for name in names))
-    if mode == "noether":
-        residuals = [noether_residual(generic, lagrangian)]
-    else:
-        residuals = liepoint_residuals(generic, target)
-    equations = []
-    sources = []
-    seen = set()
-    for eq_index, residual in enumerate(residuals):
-        for mono, coeff in collect_ratfunc(residual, chart.jets1).items():
-            key = coeff.key()
-            if key in seen:
-                continue
-            seen.add(key)
-            equations.append(coeff)
-            sources.append((eq_index, mono))
-    return DeterminingSystem(chart, mode, tuple(equations), tuple(sources), tuple(names))
+    unknowns = ("xi", *(f"eta{i + 1}" for i in range(chart.dim)))
+    kept = {}  # each distinct map -> (it, its first source)
+    for eq_index, form in enumerate(_residual_forms(target, mode, unknowns)):
+        by_mono = {}
+        for jet, a in sorted(form.items()):
+            for mono, coeff in collect_ratfunc(a, chart.jets1).items():
+                by_mono.setdefault(mono, {})[jet] = coeff
+        for mono, eq in sorted(by_mono.items()):
+            kept.setdefault(tuple((jet, c.key()) for jet, c in eq.items()), (eq, (eq_index, mono)))
+    return DeterminingSystem(chart, mode, tuple(eq for eq, _ in kept.values()),
+                             tuple(source for _, source in kept.values()), unknowns)
 
 
 class Ansatz:
@@ -398,60 +423,21 @@ def _basis_derivatives(ansatz: Ansatz, args):
     return entry
 
 
-def _mentions_unknown(atom, names) -> bool:
-    if atom.kind == "op":
-        return atom.payload[0] in names
-    if atom.kind == "fn":
-        return any(_mentions_unknown(a, names) for a in atom.payload[1].atoms())
-    if atom.kind == "pow":
-        return any(_mentions_unknown(a, names) for a in atom.payload[0].atoms())
-    return False
-
-
-def _split_by_unknown(rf, names, args) -> dict:
-    """Coefficients A[(name, orders)] of a canonical equation num/den that
-    is linear and homogeneous in the unknown jets: num * num.den = sum
-    A * jet, so every A is integral; a common factor leaves the
-    equation's rows unchanged."""
-    for a in rf.atoms():
-        if a.kind == "op" and a.payload[0] in names and a.payload[1] != args:
-            raise AnsatzError(f"unexpected unknown arguments {a.payload[1]}")
-    nonlinear = AnsatzError("determining equations must be linear in the unknowns")
-    if any(_mentions_unknown(a, names) for a in rf.den.atoms()):
-        raise nonlinear
-    parts = {}
-    for mono, coeff in rf.num.terms.items():
-        jet = None
-        rest = []
-        for atom, exp in mono:
-            if not _mentions_unknown(atom, names):
-                rest.append((atom, exp))
-            elif atom.kind == "op" and jet is None and exp == 1:
-                jet = (atom.payload[0], atom.payload[2])
-            else:
-                raise nonlinear
-        if jet is None:
-            raise AnsatzError("inhomogeneous term in a determining equation")
-        parts.setdefault(jet, {})[tuple(rest)] = coeff
-    return {jet: Poly(terms) for jet, terms in parts.items()}
-
-
 def solve_determining(system: DeterminingSystem, ansatz: Ansatz) -> list:
     """Expand each unknown in the ansatz, collect over all kernel
     monomials, and return the exact nullspace as vector fields
     (reduced echelon pivot order).
 
-    Rows are assembled on canonical forms: each equation's numerator is
-    split once into integral coefficients A of the unknown jets d^a u;
-    with the basis derivatives d^a b_k (`_basis_derivatives`) brought
-    over one common denominator L, the coefficient of each kernel
-    monomial in sum A * (L / den) * num(d^a b_k) gives one integer row
-    over the columns (u, k).  A * (L / den) is formed once per jet and
-    denominator; its terms times those of each numerator go straight
-    into the row buckets, monomials merged by `_mono_mul` and rewritten
-    by `_reduce_monomial` where a rule acts, every entry scaled by one
-    integer of the equation.  Such a row is a positive multiple of the
-    row of the product polynomials, so the RREF is the same.
+    Rows are assembled on canonical forms.  An equation's coefficients
+    are cleared over the lcm of their denominators into polynomials A;
+    with the basis derivatives d^a b_k (`_basis_derivatives`) over one
+    common denominator L, the coefficient of each kernel monomial in
+    sum A * (L / den) * num(d^a b_k) is one integer row over the
+    columns (u, k).  A * (L / den) is formed once per jet and
+    denominator, and its terms times those of each numerator go
+    straight into row buckets (`_mono_mul`, `_reduce_monomial` where a
+    rule acts), scaled by one integer per equation: a positive multiple
+    of the row of the product polynomials, with the same RREF.
 
     After each equation, every column its rows force to zero is pinned
     (`linalg.ZeroPins`), and later equations build products only for
@@ -466,13 +452,12 @@ def solve_determining(system: DeterminingSystem, ansatz: Ansatz) -> list:
     _check_derivative_closure(ansatz, chart)
     derivative = _basis_derivatives(ansatz, args)
     nb = len(ansatz.basis)
-    unknowns = list(system.unknowns)
-    names = set(unknowns)
-    offset = {u: i * nb for i, u in enumerate(unknowns)}  # column of (u, k): offset[u] + k
+    offset = {u: i * nb for i, u in enumerate(system.unknowns)}  # column of (u, k): offset[u] + k
 
     pins = ZeroPins()
     for eq in system.equations:
-        coeffs = _split_by_unknown(eq, names, args)
+        common = poly_lcm({a.den.key(): a.den for a in eq.values()}.values())
+        coeffs = {jet: a.num * poly_divexact(common, a.den) for jet, a in eq.items()}
         terms = [
             (col, jet, d)
             for jet in coeffs
@@ -507,7 +492,7 @@ def solve_determining(system: DeterminingSystem, ansatz: Ansatz) -> list:
                         row = buckets.setdefault(mono, {})
                         row[col] = row.get(col, 0) + c1 * c2
         pins.add(buckets.values())
-    basis_vectors = sparse_nullspace(pins.system(), len(unknowns) * nb)
+    basis_vectors = sparse_nullspace(pins.system(), len(offset) * nb)
     fields = []
     for i, vec in enumerate(basis_vectors):
         comps = [
@@ -515,7 +500,7 @@ def solve_determining(system: DeterminingSystem, ansatz: Ansatz) -> list:
                 RatFunc.const(c) * ansatz.basis[k]
                 for k in range(nb) if (c := vec[offset[u] + k])
             )
-            for u in unknowns
+            for u in system.unknowns
         ]
         fields.append(BundleVectorField(chart, comps, name=f"X{i + 1}"))
     return fields

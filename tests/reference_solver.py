@@ -17,7 +17,7 @@ from liesym.jets import BundleVectorField
 from liesym.linalg import sparse_nullspace
 from liesym.symexpr import derive
 from liesym.symexpr.poly import RAT_ONE, RatFunc, poly_divexact, poly_lcm, rat_sum
-from liesym.symmetry import _check_derivative_closure, _split_by_unknown
+from liesym.symmetry import _check_derivative_closure
 
 
 def basis_derivatives(basis, args):
@@ -56,11 +56,12 @@ def solve(system, ansatz):
     nb = len(ansatz.basis)
     col_of = {(u, k): i * nb + k
               for i, u in enumerate(system.unknowns) for k in range(nb)}
-    names = set(system.unknowns)
     rows = []
     cleared = {}
     for eq in system.equations:
-        coeffs = _split_by_unknown(eq, names, args)
+        # the equation's coefficients over their common denominator
+        common = poly_lcm({a.den.key(): a.den for a in eq.values()}.values())
+        coeffs = {jet: a.num * poly_divexact(common, a.den) for jet, a in eq.items()}
         terms = [
             (col_of[(name, k)], A, k, orders, d)
             for (name, orders), A in coeffs.items()

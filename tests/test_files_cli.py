@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -335,14 +336,42 @@ class TestCliReports:
         assert payload["nullspace_dim"] == 4
         assert payload["mode"] == "noether"
         gens = tmp_path / "solved.gens"
-        lines = [
-            f"gen {g['name']} = " + " | ".join([g["xi"]] + g["eta"])
-            for g in payload["generators"]
-        ]
-        gens.write_text("\n".join(lines) + "\n")
+        gens.write_text(_gens_text(payload))
         code = main(["verify", "vaidya_bonner_M1_Qt.metric", str(gens), "--noether"])
         capsys.readouterr()
         assert code == 0
+
+
+def _gens_text(payload) -> str:
+    return "".join(f"gen {g['name']} = " + " | ".join([g["xi"]] + g["eta"]) + "\n"
+                   for g in payload["generators"])
+
+
+@pytest.mark.parametrize("name, mode, dim", [
+    ("schwarzschild.metric", "noether", 5),
+    ("schwarzschild.metric", "liepoint", 6),
+    ("schwarzschild_tr.metric", "noether", 2),
+    ("schwarzschild_tr.metric", "liepoint", 3),
+])
+def test_schwarzschild_analyze_within_a_time_budget(tmp_path, capsys, name, mode, dim):
+    # the metric divides by r - 2; the solve, and the check of every field
+    # it finds, must each take seconds at most
+    path = str(Path(__file__).parent / "data" / name)
+    start = time.monotonic()
+    code = main(["analyze", path, f"--{mode}", "--format", "json"])
+    analyzed = time.monotonic() - start
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert payload["nullspace_dim"] == dim
+    assert all(g["pass"] for g in payload["generators"])
+    gens = tmp_path / "solved.gens"
+    gens.write_text(_gens_text(payload))
+    start = time.monotonic()
+    code = main(["verify", path, str(gens), f"--{mode}"])
+    verified = time.monotonic() - start
+    capsys.readouterr()
+    assert code == 0
+    assert analyzed < 5 and verified < 5
 
 
 def _run_cli(*argv, cwd=None, timeout=None):

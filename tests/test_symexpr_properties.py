@@ -207,15 +207,15 @@ PLAIN_ATOMS = [_atom_of(t) for t in ("x", "y", "r", "sin(theta)", "cos(theta)", 
 POWER_ATOMS = [_atom_of(t) for t in ("r^(1/3)", "r^(2/3)", "r^(1/2)", "(x + 1)^(1/2)", "sqrt(2)")]
 
 
-def _random_terms(rng, n):
+def _random_terms(rng, n, atoms=PLAIN_ATOMS, powers=POWER_ATOMS):
     """n random canonical terms: cos to exponent <= 1, at most one power
     atom, rational coefficients."""
     terms = {}
     for _ in range(n):
         mono = {a: 1 if a.fold else rng.randint(1, 3)
-                for a in rng.sample(PLAIN_ATOMS, rng.randint(0, 3))}
-        if rng.random() < 0.5:
-            mono[rng.choice(POWER_ATOMS)] = 1
+                for a in rng.sample(atoms, rng.randint(0, 3))}
+        if powers and rng.random() < 0.5:
+            mono[rng.choice(powers)] = 1
         mono = tuple(sorted(mono.items(), key=lambda t: t[0].key()))
         terms[mono] = Fraction(rng.choice([-1, 1]) * rng.randint(1, 12), rng.randint(1, 8))
     return terms
@@ -298,6 +298,25 @@ def test_poly_division_gcd_and_fractions_match_fraction_reference():
             _assert_same(got[0], want[0])
             _assert_same(got[1], want[1])
     assert exact >= 100 and gcds >= 100
+
+
+def test_gcd_with_atoms_of_one_side_matches_fraction_reference():
+    """The gcd path for an atom that only one argument has, against the
+    primitive PRS of the reference: a common factor over the plain atoms
+    (cos and sin included), and a cofactor that also carries z or exp(z)."""
+    rng = random.Random(1111)
+    extra = [_atom_of("z"), _atom_of("exp(z)")]
+    shared = 0
+    for _ in range(150):
+        g, b = (_random_terms(rng, rng.randint(1, 2), PLAIN_ATOMS, ()) for _ in range(2))
+        a = _random_terms(rng, 2, PLAIN_ATOMS + extra, ())
+        rp, rq = ref.RefPoly(a) * ref.RefPoly(g), ref.RefPoly(b) * ref.RefPoly(g)
+        for x, y, rx, ry in [(_from_rationals(rp.terms), _from_rationals(rq.terms), rp, rq),
+                             (_from_rationals(rq.terms), _from_rationals(rp.terms), rq, rp)]:
+            got = poly_gcd(x, y)
+            _assert_same(got, ref.gcd(rx, ry))
+            shared += not got.is_const()
+    assert shared >= 100
 
 
 def test_single_term_division_gcd_and_fractions_match_fraction_reference():

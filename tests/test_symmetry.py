@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -15,9 +16,8 @@ from liesym.symexpr import (
     NonPolynomialError,
     collect_ratfunc,
     derive,
-    substitute_atoms,
 )
-from liesym.symexpr.poly import RAT_ONE, RAT_ZERO
+from liesym.symexpr.poly import RAT_ONE, RAT_ZERO, rat_sum
 from liesym.symmetry import (
     Ansatz,
     _assert_velocity_degree,
@@ -38,6 +38,9 @@ import reference_solver
 from conftest import make_field, rf
 from reference_calculus import evaluate_rational
 from reference_linalg import rank as reference_rank
+from test_jets import random_polynomial_field
+
+DATA = Path(__file__).parent / "data"
 
 
 class TestNoetherResidual:
@@ -198,8 +201,14 @@ class TestDeterminingSystem:
         ds = determining_system(vb_general, "noether")
         jets = set(vb_general.chart.jets1) | set(vb_general.chart.jets2)
         for eq in ds.equations:
-            assert not (eq.free_symbols() & jets)
-            assert not eq.is_zero()
+            assert eq
+            assert list(eq) == sorted(eq)
+            for (u, orders), coeff in eq.items():
+                assert u in ds.unknowns and len(orders) == 5
+                assert not (coeff.free_symbols() & jets)
+                assert not any(a.kind == "op" and a.payload[0] in ds.unknowns
+                               for a in coeff.atoms())
+                assert not coeff.is_zero()
 
     def test_velocity_squared_equation_mentions_radial_unknown(self, vb_general):
         # the thetadot^2 coefficient couples eta2 and the theta-derivative
@@ -207,24 +216,60 @@ class TestDeterminingSystem:
         ds = determining_system(vb_general, "noether")
         tagged = dict(zip(ds.sources, ds.equations))
         eq = tagged[(0, (0, 0, 2, 0))]
-        names = {
-            a.payload[0]
-            for a in eq.atoms()
-            if a.kind == "op"
-        }
-        assert "eta2" in names and "eta3" in names
+        assert ("eta2", (0, 0, 0, 0, 0)) in eq
+        assert ("eta3", (0, 0, 0, 1, 0)) in eq
 
     def test_cross_velocity_equation(self, vb_general):
         ds = determining_system(vb_general, "noether")
         tagged = dict(zip(ds.sources, ds.equations))
         eq = tagged[(0, (1, 0, 1, 0))]
-        atoms = {
-            a.payload[:2] + (a.payload[2],)
-            for a in eq.atoms()
-            if a.kind == "op" and a.payload[0] == "eta1"
-        }
         # contains the theta-derivative of the time component eta1
-        assert any(orders[3] == 1 for (_, _, orders) in atoms)
+        assert any(u == "eta1" and orders[3] == 1 for u, orders in eq)
+
+
+def _jet_value(component, orders, args):
+    for v, order in zip(args, orders):
+        for _ in range(order):
+            component = derive(component, {v: RAT_ONE})
+    return component
+
+
+class TestDeterminingMapsMatchResiduals:
+    """Each equation's map, applied to a concrete field, is the velocity
+    monomial coefficient that its source names in the field's residual
+    as `verify` computes it; every other nonzero coefficient is the
+    value of some kept equation."""
+
+    @pytest.mark.parametrize("mode", ["noether", "liepoint"])
+    @pytest.mark.parametrize("path", [DATA / "flat_plane.metric", "vaidya_bonner.metric",
+                                      DATA / "schwarzschild.metric"],
+                             ids=["flat_plane", "vaidya_bonner", "schwarzschild"])
+    def test_maps_applied_to_random_fields(self, path, mode):
+        metric = load_metric(path)
+        chart = metric.chart
+        args = (chart.param, *chart.coords)
+        target = geodesic_lagrangian(metric) if mode == "noether" else geodesic_system(metric)
+        ds = determining_system(metric if mode == "noether" else target, mode)
+        rng = random.Random(4242)
+        for _ in range(3):
+            field = random_polynomial_field(chart, rng)
+            if mode == "noether":
+                residuals = [noether_residual(field, target)]
+            else:
+                residuals = liepoint_residuals(field, target)
+            collected = [collect_ratfunc(r, chart.jets1) for r in residuals]
+            components = dict(zip(ds.unknowns, field.components))
+            values = []
+            for eq, (index, mono) in zip(ds.equations, ds.sources):
+                value = rat_sum(coeff * _jet_value(components[u], orders, args)
+                                for (u, orders), coeff in eq.items())
+                assert (value - collected[index].get(mono, RAT_ZERO)).is_zero()
+                values.append(value)
+            named = set(ds.sources)
+            for index, coeffs in enumerate(collected):
+                for mono, coeff in coeffs.items():
+                    if (index, mono) not in named:
+                        assert any((coeff - v).is_zero() for v in values)
 
 
 def brute_force_nullity(metric, degree, rows_per_equation=8):
@@ -244,13 +289,7 @@ def brute_force_nullity(metric, degree, rows_per_equation=8):
     rows = []
     deriv_cache = {}
     for eq in ds.equations:
-        atoms = [a for a in eq.atoms() if a.kind == "op"]
-        coeff_of = {}
-        for a in atoms:
-            picks = {b: RAT_ONE if b == a else RAT_ZERO for b in atoms}
-            coeff_of[a] = substitute_atoms(eq, picks.get)
-        for a in atoms:
-            orders = a.payload[2]
+        for _, orders in eq:
             for k in range(nb):
                 if (orders, k) not in deriv_cache:
                     b = ansatz.basis[k]
@@ -265,9 +304,8 @@ def brute_force_nullity(metric, degree, rows_per_equation=8):
             point = {v: Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for v in args}
             try:
                 row = [Fraction(0)] * ncols
-                for a in atoms:
-                    name, _, orders = a.payload
-                    cval = evaluate_rational(coeff_of[a], point)
+                for (name, orders), coeff in eq.items():
+                    cval = evaluate_rational(coeff, point)
                     if not cval:
                         continue
                     for k in range(nb):
@@ -480,55 +518,16 @@ class TestAnsatz:
 
 
 class TestDeterminingEquationShape:
-    """solve_determining rejects equations that are not linear and
-    homogeneous in the unknown jets with the declared arguments."""
-
-    UNKNOWNS = {"xi": ("s", "x"), "eta1": ("s", "x")}
-
-    @classmethod
-    def _solve(cls, *equations, functions=UNKNOWNS):
-        chart = CoordChart("s", ("x",))
-        system = DeterminingSystem(
-            chart, "liepoint",
-            tuple(rf(e, functions) for e in equations),
-            tuple((0, (k,)) for k in range(len(equations))),
-            tuple(cls.UNKNOWNS),
-        )
-        return solve_determining(system, default_ansatz(chart, 1))
+    """solve_determining reads hand-built equations: maps from unknown
+    jets to coefficients in (s, x)."""
 
     def test_linear_homogeneous_accepted(self):
         # xi_s = 0 and eta1 = 0 leave xi = c0 + c1*x
-        sols = self._solve("D(xi, s)", "eta1(s, x)")
-        assert len(sols) == 2
-
-    @pytest.mark.parametrize("eq", [
-        "xi(s, x)^2",
-        "xi(s, x)*D(eta1, x)",
-        "sin(xi(s, x))",
-        "D(xi, s)/xi(s, x)",
-    ])
-    def test_nonlinear_rejected(self, eq):
-        with pytest.raises(AnsatzError, match="linear in the unknowns"):
-            self._solve(eq)
-
-    def test_inhomogeneous_rejected(self):
-        with pytest.raises(AnsatzError, match="inhomogeneous"):
-            self._solve("xi(s, x) + 1")
-
-    @pytest.mark.parametrize("eq", ["xi(s)", "eta1(x, s)"])
-    def test_wrong_unknown_arguments_rejected(self, eq):
-        with pytest.raises(AnsatzError, match="unexpected unknown arguments"):
-            self._solve(eq, functions=None)
-
-    @pytest.mark.parametrize("eq, message, functions", [
-        ("xi(s, x)^2", "linear in the unknowns", UNKNOWNS),
-        ("D(xi, s)*D(xi, x)", "linear in the unknowns", UNKNOWNS),
-        ("xi(s, x) + 1", "inhomogeneous", UNKNOWNS),
-        ("xi(s)", "unexpected unknown arguments", None),
-    ])
-    def test_malformed_equation_rejected_after_its_columns_are_pinned(self, eq, message,
-                                                                      functions):
-        # xi = 0 and eta1 = 0 pin every column before the last equation,
-        # which is still split and rejected
-        with pytest.raises(AnsatzError, match=message):
-            self._solve("xi(s, x)", "eta1(s, x)", eq, functions=functions)
+        chart = CoordChart("s", ("x",))
+        system = DeterminingSystem(
+            chart, "liepoint",
+            ({("xi", (1, 0)): RAT_ONE}, {("eta1", (0, 0)): RAT_ONE}),
+            ((0, (0,)), (0, (1,))),
+            ("xi", "eta1"),
+        )
+        assert len(solve_determining(system, default_ansatz(chart, 1))) == 2
