@@ -95,7 +95,11 @@ def inverse_metric(metric: Metric):
 
 def christoffel(metric: Metric):
     """Gamma^i_{jk} = (1/2) g^{il} (g_{lj,k} + g_{lk,j} - g_{jk,l}),
-    indexed gamma[i][j][k]."""
+    indexed gamma[i][j][k].
+
+    The bracket is symmetric in j, k, so it and Gamma^i_{jk} are
+    computed for j <= k and mirrored; terms with a zero g^{il} or a
+    zero bracket are left out of the sum."""
     n = metric.chart.dim
     coords = metric.chart.coords
     g = metric.components
@@ -104,20 +108,18 @@ def christoffel(metric: Metric):
         [[derive(g[i][j], {coords[k]: RAT_ONE}) for k in range(n)] for j in range(n)]
         for i in range(n)
     ]
+    pairs = [(j, k) for j in range(n) for k in range(j, n)]
+    bracket = {(l, j, k): b for l in range(n) for j, k in pairs
+               if not (b := dg[l][j][k] + dg[l][k][j] - dg[j][k][l]).is_zero()}
     half = RatFunc.const(Fraction(1, 2))
-    return [
-        [
-            [
-                half * rat_sum(
-                    ginv[i][l] * (dg[l][j][k] + dg[l][k][j] - dg[j][k][l])
-                    for l in range(n)
-                )
-                for k in range(n)
-            ]
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
+    gamma = [[[None] * n for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j, k in pairs:
+            gamma[i][j][k] = gamma[i][k][j] = half * rat_sum(
+                ginv[i][l] * bracket[l, j, k]
+                for l in range(n) if (l, j, k) in bracket and not ginv[i][l].is_zero()
+            )
+    return gamma
 
 
 def geodesic_system(metric: Metric) -> GeodesicSystem:

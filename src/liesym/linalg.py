@@ -123,8 +123,10 @@ class ZeroPins:
     solution.  Such a column is pinned and deleted from every kept row,
     which may leave another single-entry row, until none is left.  Rows
     are indexed by column, as in `sparse_rref`, so a pin touches only
-    the rows that hold its column.  `system()` has the same solutions,
-    hence the same row space and RREF, as all the rows added."""
+    the rows that hold its column.  The kept rows plus one unit row
+    {c: 1} per pinned column have the same solutions, hence the same
+    row space and RREF, as all the rows added; `nullspace` solves only
+    the kept rows, over the free columns."""
 
     def __init__(self):
         self.pinned = set()
@@ -160,10 +162,30 @@ class ZeroPins:
                 elif len(holder) == 1:
                     singles.append(rid)
 
-    def system(self) -> list:
-        """The kept rows, then one unit row {c: 1} per pinned column."""
-        return ([row for row in self._rows if row]
-                + [{c: 1} for c in sorted(self.pinned)])
+    def kept(self) -> list:
+        """The kept rows: each has two entries or more, none pinned."""
+        return [row for row in self._rows if row]
+
+    def nullspace(self, ncols: int):
+        """`sparse_nullspace` of all the rows added, over columns
+        0..ncols-1.
+
+        The kept rows hold no pinned column, so with the unit rows of
+        the pinned columns the system is block diagonal: its RREF is the
+        kept rows' RREF on the free columns, re-indexed in order, plus
+        the unit rows.  A pinned column is a pivot, so the basis has one
+        vector per free non-pivot column, in the same order, each 0 at
+        every pinned column."""
+        free = [c for c in range(ncols) if c not in self.pinned]
+        index = {c: i for i, c in enumerate(free)}
+        rows = [{index[c]: v for c, v in row.items()} for row in self.kept()]
+        basis = []
+        for w in sparse_nullspace(rows, len(free)):
+            v = [Fraction(0)] * ncols
+            for c, x in zip(free, w):
+                v[c] = x
+            basis.append(v)
+        return basis
 
 
 def sparse_nullspace(rows, ncols: int):

@@ -433,7 +433,10 @@ def poly_divexact(p: Poly, d: Poly) -> Poly:
     Otherwise fraction-free long division on the integer numerators:
     each step scales the remainder by lc(d) / gcd(lc(d), lc(rem)) so
     that its leading term cancels, and the quotient is divided by the
-    product of those scales at the end."""
+    product of those scales at the end.  The remainder is a dict with a
+    heap of its monomials (`_Descending`), pushed as they enter it, so
+    a step reads its leading term without scanning every term; an entry
+    whose monomial has left the dict is dropped when it surfaces."""
     if not d.terms:
         raise ZeroDivisionError("polynomial division by zero")
     if len(d.terms) == 1:
@@ -447,13 +450,20 @@ def poly_divexact(p: Poly, d: Poly) -> Poly:
                 raise ValueError("inexact polynomial division")
             quot[qm] = c
         return _scaled(Poly(quot), d.den, dc * p.den)
+    from heapq import heapify, heappop, heappush
+
     dm, dc = d.leading()
     divisor = Poly(d.terms)
     quot = {}
     scale = 1
-    rem = Poly(p.terms)
-    while rem.terms:
-        rm, rc = rem.leading()
+    rem = dict(p.terms)
+    heap = [_Descending(m) for m in rem]
+    heapify(heap)
+    while rem:
+        while heap[0].mono not in rem:
+            heappop(heap)
+        rm = heap[0].mono
+        rc = rem[rm]
         qm = _mono_div(rm, dm)
         if qm is None:
             raise ValueError("inexact polynomial division")
@@ -462,11 +472,33 @@ def poly_divexact(p: Poly, d: Poly) -> Poly:
         if a != 1:
             scale *= a
             quot = {m: c * a for m, c in quot.items()}
-            rem = Poly({m: c * a for m, c in rem.terms.items()})
+            rem = {m: c * a for m, c in rem.items()}
         quot[qm] = b
-        rem = rem - Poly({qm: b}) * divisor
+        for m, c in (Poly({qm: b}) * divisor).terms.items():
+            nc = rem.get(m, 0) - c
+            if not nc:
+                del rem[m]
+            else:
+                if m not in rem:
+                    heappush(heap, _Descending(m))
+                rem[m] = nc
     # p / d = (quot / scale) * d.den / p.den
     return _scaled(Poly(quot), d.den, scale * p.den)
+
+
+class _Descending:
+    """A heap entry for a monomial, the greatest under `monomial_gt`
+    first: its key, the reversed `monomial_key`, compares as
+    `monomial_gt` walks, from the largest atom down."""
+
+    __slots__ = ("key", "mono")
+
+    def __init__(self, mono):
+        self.key = monomial_key(mono)[::-1]
+        self.mono = mono
+
+    def __lt__(self, other):
+        return self.key > other.key
 
 
 def poly_lcm(polys) -> Poly:

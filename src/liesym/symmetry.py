@@ -19,8 +19,9 @@ of products of factors that share no symbol (a monomial, one kernel per
 angle), derives each factor once per order, and puts the products of
 each equation's cleared coefficients with the basis derivatives
 straight into integer row buckets.  Columns that an equation's rows
-force to zero are pinned before the next equation.  It returns the
-exact rational nullspace as vector fields.
+force to zero are pinned before the next equation, which runs over the
+free columns only, and so does the nullspace.  It returns the exact
+rational nullspace as vector fields.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .charts import CoordChart
 from .errors import AnsatzError, VerificationError
 from .geometry import GeodesicSystem, Metric, geodesic_lagrangian
 from .jets import BundleVectorField, prolong, symbol, total_coefficients
-from .linalg import ZeroPins, sparse_nullspace
+from .linalg import ZeroPins
 from .symexpr import collect_ratfunc, derive, fn_ratfunc, split_monomials, substitute_atoms
 from .symexpr.nodes import sym_atom
 from .symexpr.poly import (
@@ -378,7 +379,7 @@ def _basis_derivatives(ansatz: Ansatz, args):
     as one factor.  Derivatives of a factor stay within its symbols,
     and by derivative closure (`_check_derivative_closure`) within
     atoms that name a symbol, so the products stay disjoint.
-    Products are not cached: each is built for a free column only."""
+    Each product is built once, when a free column first asks for it."""
     memos = [{} for _ in args]
     zero = (0,) * len(args)
     tables = {}  # id(factor) -> {orders: derivative}, the factor at zero
@@ -391,6 +392,7 @@ def _basis_derivatives(ansatz: Ansatz, args):
             owned = (tuple(i for i, v in enumerate(args) if v in b.free_symbols()),)
         specs.append((tuple(tables.setdefault(id(f), {zero: f}) for f in factors), owned))
     projections = {}  # (owned, orders) -> per-factor orders, None if 0
+    products = {}  # (k, orders) -> d^orders basis[k]
 
     def factor_derivative(table, orders):
         hit = table.get(orders)
@@ -401,7 +403,7 @@ def _basis_derivatives(ansatz: Ansatz, args):
             table[orders] = hit
         return hit
 
-    def entry(k, orders):
+    def product(k, orders):
         factor_tables, owned = specs[k]
         key = (owned, orders)
         if key not in projections:
@@ -419,6 +421,12 @@ def _basis_derivatives(ansatz: Ansatz, args):
                 return RAT_ZERO
             parts.append(d)
         return parts[0] if len(parts) == 1 else _product(parts)
+
+    def entry(k, orders):
+        hit = products.get((k, orders))
+        if hit is None:
+            hit = products[k, orders] = product(k, orders)
+        return hit
 
     return entry
 
@@ -440,11 +448,15 @@ def solve_determining(system: DeterminingSystem, ansatz: Ansatz) -> list:
     of the row of the product polynomials, with the same RREF.
 
     After each equation, every column its rows force to zero is pinned
-    (`linalg.ZeroPins`), and later equations build products only for
-    the columns still free.  A pinned column is 0 in every solution, so
-    an equation restricted to the free columns keeps its solutions, and
-    the kept rows plus one unit row per pinned column have the row
-    space, hence the RREF, of the rows over all columns."""
+    (`linalg.ZeroPins`), and later equations run each jet over its
+    unknown's free basis indices only; an equation that reaches no free
+    column is skipped before its coefficients are cleared.  A pinned
+    column is 0 in every solution, so an equation restricted to the
+    free columns keeps its solutions.  The nullspace is that of the
+    kept rows over the free columns, with 0 at each pinned column
+    (`ZeroPins.nullspace`): the kept rows plus one unit row per pinned
+    column have the row space, hence the RREF and the nullspace basis,
+    of the rows over all columns."""
     if not ansatz.basis:
         raise AnsatzError("empty ansatz")
     chart = system.chart
@@ -455,16 +467,18 @@ def solve_determining(system: DeterminingSystem, ansatz: Ansatz) -> list:
     offset = {u: i * nb for i, u in enumerate(system.unknowns)}  # column of (u, k): offset[u] + k
 
     pins = ZeroPins()
+    free = {u: range(nb) for u in system.unknowns}  # u -> basis indices k of free columns
     for eq in system.equations:
+        terms = [
+            (offset[jet[0]] + k, jet, d)
+            for jet in eq
+            for k in free[jet[0]]
+            if not (d := derivative(k, jet[1])).is_zero()
+        ]
+        if not terms:
+            continue
         common = poly_lcm({a.den.key(): a.den for a in eq.values()}.values())
         coeffs = {jet: a.num * poly_divexact(common, a.den) for jet, a in eq.items()}
-        terms = [
-            (col, jet, d)
-            for jet in coeffs
-            for k in range(nb)
-            if (col := offset[jet[0]] + k) not in pins.pinned
-            and not (d := derivative(k, jet[1])).is_zero()
-        ]
         dens = {d.den.key(): d.den for *_, d in terms}
         lcm = poly_lcm(dens.values())
         cofactor = {key: poly_divexact(lcm, den) for key, den in dens.items()}
@@ -491,8 +505,12 @@ def solve_determining(system: DeterminingSystem, ansatz: Ansatz) -> list:
                     else:
                         row = buckets.setdefault(mono, {})
                         row[col] = row.get(col, 0) + c1 * c2
+        pinned = len(pins.pinned)
         pins.add(buckets.values())
-    basis_vectors = sparse_nullspace(pins.system(), len(offset) * nb)
+        if len(pins.pinned) > pinned:
+            free = {u: [k for k in ks if offset[u] + k not in pins.pinned]
+                    for u, ks in free.items()}
+    basis_vectors = pins.nullspace(len(offset) * nb)
     fields = []
     for i, vec in enumerate(basis_vectors):
         comps = [

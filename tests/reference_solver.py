@@ -1,13 +1,15 @@
 """The unpruned ansatz row assembly: a reference for tests.
 
 `liesym.symmetry.solve_determining` pins the columns that single-entry
-rows force to zero while it assembles, and builds later products only
-for the free columns.  This module assembles every (jet, basis) product
-of every equation over all columns, as the solver did before pinning,
-so tests can check that both row sets have one RREF and give the same
-fields.  It derives the basis functions whole, each derivative from the
-next-lower order (`basis_derivatives`), where the solver multiplies
-derivatives of each function's factors.
+rows force to zero while it assembles, builds later products only for
+the free columns, and solves the kept rows over those.  This module
+assembles every (jet, basis) product of every equation over all
+columns, as the solver did before pinning, so tests can check that
+both row sets have one RREF and give the same fields; `pinned_system`
+writes the solver's rows over all columns.  It derives the basis
+functions whole, each derivative from the next-lower order
+(`basis_derivatives`), where the solver multiplies derivatives of each
+function's factors.
 """
 
 import math
@@ -42,6 +44,12 @@ def basis_derivatives(basis, args):
         return hit
 
     return entry
+
+
+def pinned_system(pins):
+    """The rows a `ZeroPins` stands for: its kept rows, then one unit row
+    {c: 1} per pinned column.  They have the RREF of every row added."""
+    return pins.kept() + [{c: 1} for c in sorted(pins.pinned)]
 
 
 def solve(system, ansatz):

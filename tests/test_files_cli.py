@@ -374,6 +374,21 @@ def test_schwarzschild_analyze_within_a_time_budget(tmp_path, capsys, name, mode
     assert analyzed < 5 and verified < 5
 
 
+def test_nested_sine_analyze_within_a_time_budget(capsys):
+    # every sine level lengthens the exact long divisions of the fraction
+    # reductions, so a division step must find its leading term without
+    # scanning the whole remainder
+    path = str(Path(__file__).parent / "data" / "nested_sine9.metric")
+    start = time.monotonic()
+    code = main(["analyze", path, "--liepoint", "--format", "json"])
+    elapsed = time.monotonic() - start
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert payload["nullspace_dim"] == 6
+    assert all(g["pass"] for g in payload["generators"])
+    assert elapsed < 4
+
+
 def _run_cli(*argv, cwd=None, timeout=None):
     # the child imports the same liesym as this process, installed or not
     src = str(Path(liesym.__file__).resolve().parents[1])
@@ -391,7 +406,7 @@ def test_console_entry_point():
     assert "analyze" in out.stdout
 
 
-STARTUP_FREE = ("dataclasses", "inspect", "json", "importlib.resources", "typing")
+STARTUP_FREE = ("dataclasses", "inspect", "json", "importlib.resources", "typing", "heapq")
 
 
 def _modules_after(code):

@@ -8,7 +8,8 @@ of `reference_linalg`, and checks them against the definitions:
 A v = 0, rank + nullity = ncols, and a target outside the span has no
 coordinates.  A second seeded suite of sparse integer systems, fed to
 `ZeroPins` in batches, checks that pinning forced-zero columns keeps
-the RREF.
+the RREF, and that the nullspace of the kept rows over the free columns
+is the nullspace of every row added.
 """
 
 import random
@@ -17,6 +18,7 @@ from fractions import Fraction
 import pytest
 
 import reference_linalg as ref
+from reference_solver import pinned_system
 from liesym.liealg import span_rref
 from liesym.linalg import ZeroPins, express_in_basis, rank, sparse_nullspace, sparse_rref
 
@@ -167,14 +169,14 @@ def test_pin_suite_covers_the_edge_cases():
     assert sum(any(len(r) > 1 and r.keys() <= pins.pinned for r in rows)
                for rows, _, pins in cases) >= 30
     assert sum(any(rows.count(r) > 1 for r in rows) for rows, *_ in cases) >= 30
-    assert sum(0 < len(pins.pinned) < ncols and len(pins.system()) > len(pins.pinned)
+    assert sum(0 < len(pins.pinned) < ncols and len(pins.kept()) > 0
                for _, ncols, pins in cases) >= 30
 
 
 @pytest.mark.parametrize("seed", PIN_SEEDS)
 def test_zero_pins_keep_the_rref(seed):
     rows, ncols, pins = _pinned(seed)
-    system = pins.system()
+    system = pinned_system(pins)
     pivot_rows, pivots = sparse_rref(system, ncols)
     assert (pivot_rows, pivots) == sparse_rref(rows, ncols)
     dense = [[Fraction(r.get(c, 0)) for c in range(ncols)] for r in rows]
@@ -187,16 +189,24 @@ def test_zero_pins_keep_the_rref(seed):
     # none is left with a single entry
     for v in ref.nullspace(dense, ncols):
         assert not any(v[c] for c in pins.pinned)
-    kept = system[:len(system) - len(pins.pinned)]
-    assert system[len(kept):] == [{c: 1} for c in sorted(pins.pinned)]
-    assert all(len(r) > 1 and not r.keys() & pins.pinned for r in kept)
+    assert all(len(r) > 1 and not r.keys() & pins.pinned for r in pins.kept())
+
+
+@pytest.mark.parametrize("seed", PIN_SEEDS)
+def test_free_column_nullspace_is_the_full_nullspace(seed):
+    rows, ncols, pins = _pinned(seed)
+    basis = pins.nullspace(ncols)
+    assert basis == sparse_nullspace(rows, ncols)
+    assert basis == sparse_nullspace(pinned_system(pins), ncols)
+    assert all(type(x) is Fraction for v in basis for x in v)
+    assert all(not v[c] for v in basis for c in pins.pinned)
 
 
 UNIT_SEEDS = range(40)
 
 
 def unit_heavy_system(seed):
-    """(integer dict rows, ncols) shaped like `ZeroPins.system()`: a few
+    """(integer dict rows, ncols) shaped like `pinned_system`: a few
     dense rows, some of them sums of others, then unit rows {c: 1} for
     most columns.  Dense rows reach into unit-row columns in half the
     seeds, so back substitution clears pivots out of earlier rows."""

@@ -11,7 +11,7 @@ from liesym.errors import AnsatzError, VerificationError
 from liesym.geometry import Metric, geodesic_lagrangian, geodesic_system
 from liesym.files import load_metric
 from liesym.jets import total_coefficients
-from liesym.linalg import express_in_basis, sparse_rref
+from liesym.linalg import ZeroPins, express_in_basis, sparse_rref
 from liesym.symexpr import (
     NonPolynomialError,
     collect_ratfunc,
@@ -374,9 +374,10 @@ def _pinning_metric(name):
 
 
 class TestPinnedAssembly:
-    """The solver pins forced-zero columns while it assembles; the rows it
-    hands to the nullspace must have the RREF of every row of the
-    unpruned assembly, and give the same fields."""
+    """The solver pins forced-zero columns while it assembles and solves
+    its kept rows over the free columns; those rows plus a unit row per
+    pinned column must have the RREF of every row of the unpruned
+    assembly, and give the same fields."""
 
     @pytest.mark.parametrize("name, mode, dim", PINNING_CASES)
     def test_matches_unpruned_assembly(self, monkeypatch, name, mode, dim):
@@ -384,22 +385,48 @@ class TestPinnedAssembly:
         target = metric if mode == "noether" else geodesic_system(metric)
         system = determining_system(target, mode)
         ansatz = default_ansatz(metric.chart, 2)
-        handed = []
-        nullspace = liesym.symmetry.sparse_nullspace
+        solved = []
 
-        def spy(rows, ncols):
-            handed.append((rows, ncols))
-            return nullspace(rows, ncols)
+        class SpyPins(ZeroPins):
+            def nullspace(self, ncols):
+                solved.append((self, ncols))
+                return super().nullspace(ncols)
 
-        monkeypatch.setattr(liesym.symmetry, "sparse_nullspace", spy)
+        monkeypatch.setattr(liesym.symmetry, "ZeroPins", SpyPins)
         fields = solve_determining(system, ansatz)
-        (rows, ncols), = handed
+        (pins, ncols), = solved
         ref_rows, ref_ncols, ref_fields = reference_solver.solve(system, ansatz)
         assert ncols == ref_ncols
+        assert all(len(r) > 1 and not r.keys() & pins.pinned for r in pins.kept())
+        rows = reference_solver.pinned_system(pins)
         assert sparse_rref(rows, ncols) == sparse_rref(ref_rows, ref_ncols)
         assert len(fields) == len(ref_fields) == dim
         assert [[c.key() for c in f.components] for f in fields] == \
             [[c.key() for c in f.components] for f in ref_fields]
+
+    @pytest.mark.parametrize("mode", ["noether", "liepoint"])
+    @pytest.mark.parametrize("name", [
+        "flat_plane", "vaidya_bonner.metric", "vaidya_bonner_M1_Qt.metric",
+        "vaidya_bonner_Mt_Qt2.metric", "schwarzschild.metric",
+    ])
+    def test_equation_order_does_not_change_the_fields(self, name, mode):
+        # which columns get pinned, and when, depends on the order of the
+        # equations; the nullspace basis must not
+        metric = load_metric(str(DATA / name)) if name == "schwarzschild.metric" \
+            else _pinning_metric(name)
+        target = metric if mode == "noether" else geodesic_system(metric)
+        system = determining_system(target, mode)
+        ansatz = default_ansatz(metric.chart, 2)
+        expected = [[c.key() for c in f.components] for f in solve_determining(system, ansatz)]
+        for seed in range(2):
+            order = list(range(len(system)))
+            random.Random(seed).shuffle(order)
+            shuffled = DeterminingSystem(system.chart, mode,
+                                         tuple(system.equations[i] for i in order),
+                                         tuple(system.sources[i] for i in order),
+                                         system.unknowns)
+            fields = solve_determining(shuffled, ansatz)
+            assert [[c.key() for c in f.components] for f in fields] == expected
 
 
 class TestSolverOnConcreteMetrics:
