@@ -21,9 +21,11 @@ class CoordChart:
             raise ChartError("parameter and coordinate names must be distinct")
         if len(self.coords) < 1:
             raise ChartError("need at least one coordinate")
-        for a in self.angles:
+        for i, a in enumerate(self.angles):
             if a not in self.coords:
                 raise ChartError(f"angle {a!r} is not a coordinate")
+            if a in self.angles[:i]:
+                raise ChartError(f"angle {a!r} is declared twice")
         jets = set(self.jets1 + self.jets2)
         if jets & set(names):
             raise ChartError("coordinate names collide with jet symbol names")

@@ -12,9 +12,10 @@ Generator files:
     gen <name> = <xi-expr> | <eta-expr> | ... | <eta-expr>
 
 Files are read as UTF-8, whatever the locale.  A `param`, `coords` or
-`angles` line, a function, a component `g i j` or a generator name
-declared twice is an error at the second declaration, since one of
-the two would be dropped.
+`angles` line, an angle, a function, a component `g i j` or a
+generator name declared twice is an error at the second declaration,
+since one of the two would be dropped or, for an angle, give the ansatz
+factors that share a symbol.
 
 Bare preset names (e.g. vaidya_bonner.metric) resolve against the
 packaged data directory when no such file exists on disk.  A metric
@@ -105,6 +106,8 @@ def load_metric(path) -> Metric:
                 raise FormatError(path, lineno, "coords needs at least one name")
         elif head == "angles":
             angles = tuple(rest.split())
+            for a in angles:
+                _first_time(path, lineno, first, ("angle", a), f"angle {a}")
         elif head == "function":
             name, args, err = _parse_function_decl(rest)
             if err:

@@ -15,12 +15,12 @@ eta^a, so the generic field's residuals are built as linear forms, maps
 from unknown jets (u, orders) to coefficients that hold no unknown; a
 determining equation is one residual's map of coefficients of one
 velocity monomial.  The solver expands the unknowns in a finite ansatz
-of products of factors that share no symbol (a monomial, one kernel per
-angle), derives each factor once per order, and puts the products of
-each equation's cleared coefficients with the basis derivatives
-straight into integer row buckets.  Columns that an equation's rows
-force to zero are pinned before the next equation, which runs over the
-free columns only, and so does the nullspace.  It returns the exact
+whose functions are a monomial times one kernel per angle, takes the
+monomials' derivatives in closed form and each kernel's once per order,
+and puts the products of each equation's cleared coefficients with the
+basis derivatives straight into integer row buckets.  Columns that an
+equation's rows force to zero are pinned before the next equation,
+which runs over the free columns only, and so does the nullspace.  It returns the exact
 rational nullspace as vector fields.
 """
 
@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from functools import cache
 
 from .charts import CoordChart
 from .errors import AnsatzError, VerificationError
@@ -252,30 +253,59 @@ class Ansatz:
     """Finite basis of (s, x) functions, as canonical RatFuncs, spanning
     each unknown.
 
-    `factors[k]` is a tuple of RatFuncs whose product is basis[k]; the
-    solver derives factors that share no symbol apart (see
-    `_basis_derivatives`).  `default_ansatz` gives each function its
-    monomial and its angle kernels; by default a function is its own
-    single factor."""
+    basis[k] is a monomial in `poly_vars` times one kernel per angle:
+    `parts[k]` holds its exponents, one per poly var, and its kernel
+    indices, one per pair (angle, kernels) of `angle_kernels`.  The poly
+    vars and angles are distinct symbols, and every atom of a kernel
+    names its angle alone, so the factors of a function share no symbol
+    (`_product`).  `kernels` names each angle's kernels for reports."""
 
-    def __init__(self, basis: tuple, degree: int = 2, kernels: tuple = (), factors=None):
-        self.basis = basis
+    def __init__(self, poly_vars: tuple, angle_kernels: tuple, parts: tuple, degree: int = 2,
+                 kernels: tuple = ()):
+        names = (*poly_vars, *(a for a, _ in angle_kernels))
+        if len(set(names)) != len(names) or any(
+                atom.free_symbols() != {a}
+                for a, ks in angle_kernels for k in ks for atom in k.atoms()):
+            raise AnsatzError("ansatz factors must share no symbol")
+        self.poly_vars = poly_vars
+        self.angle_kernels = angle_kernels
+        self.parts = parts
         self.degree = degree
         self.kernels = kernels
-        self.factors = tuple((b,) for b in basis) if factors is None else factors
+        monos = {}
+        basis = []
+        for exps, kerns in parts:
+            if exps not in monos:
+                monos[exps] = _monomial(poly_vars, exps)
+            chosen = (ks[i] for (_, ks), i in zip(angle_kernels, kerns))
+            basis.append(_product([monos[exps], *chosen]))
+        self.basis = tuple(basis)
 
     def __len__(self):
         return len(self.basis)
 
 
+def _monomial(names, exps) -> RatFunc:
+    """prod names[i]^exps[i]."""
+    out = RAT_ONE
+    for v, e in zip(names, exps):
+        if e:
+            out = out * symbol(v) ** e
+    return out
+
+
 def _product(parts) -> RatFunc:
-    """The product of RatFuncs in pairwise disjoint atoms, as Polys.
+    """The product of RatFuncs in pairwise disjoint atoms, as Polys;
+    RAT_ONE factors are skipped.
 
     No rewrite rule acts on a monomial of atoms from different factors,
     so the products of the numerators and of the denominators are
     already reduced; the denominators are integral, primitive, with
     positive leads, and so is their product, which shares no atom with
     the numerators' product."""
+    parts = [p for p in parts if p is not RAT_ONE]
+    if len(parts) < 2:
+        return parts[0] if parts else RAT_ONE
     num, den = parts[0].num, parts[0].den
     for p in parts[1:]:
         num = num * p.num
@@ -289,44 +319,29 @@ def default_ansatz(chart: CoordChart, degree: int = 2) -> Ansatz:
     non-angle coordinates, times per-angle trig kernels.
 
     The first declared angle carries {1, sin, cos, cot, 1/sin}; later
-    angles carry {1, sin, cos}.  Each function's factors are its
-    monomial and its non-constant kernels.
+    angles carry {1, sin, cos}.  The basis runs over the monomials, in
+    `itertools.product` order of their exponents, and per monomial over
+    the kernel choices in the same order.
     """
-    poly_vars = [chart.param] + [c for c in chart.coords if c not in chart.angles]
-    monos = []
-    for exps in itertools.product(range(degree + 1), repeat=len(poly_vars)):
-        if sum(exps) > degree:
-            continue
-        mono = RAT_ONE
-        for v, e in zip(poly_vars, exps):
-            if e:
-                mono = mono * symbol(v) ** e
-        monos.append(mono)
-    kernel_lists = []
-    kernel_names = []
+    poly_vars = (chart.param, *(c for c in chart.coords if c not in chart.angles))
+    angle_kernels = []
+    names = []
     for pos, a in enumerate(chart.angles):
+        sin, cos = fn_ratfunc("sin", symbol(a)), fn_ratfunc("cos", symbol(a))
         if pos == 0:
-            sin = fn_ratfunc("sin", symbol(a))
-            kern = [RAT_ONE, sin, fn_ratfunc("cos", symbol(a)),
-                    fn_ratfunc("cot", symbol(a)), sin.inverse()]
-            kernel_names.append(f"{a}: 1, sin, cos, cot, csc")
+            angle_kernels.append((a, (RAT_ONE, sin, cos, fn_ratfunc("cot", symbol(a)),
+                                      sin.inverse())))
+            names.append(f"{a}: 1, sin, cos, cot, csc")
         else:
-            kern = [RAT_ONE, fn_ratfunc("sin", symbol(a)), fn_ratfunc("cos", symbol(a))]
-            kernel_names.append(f"{a}: 1, sin, cos")
-        kernel_lists.append(kern)
-    basis = []
-    factors = []
-    seen = set()
-    for mono in monos:
-        for kerns in itertools.product(*kernel_lists):
-            parts = tuple(f for f in (mono, *kerns) if f is not RAT_ONE) or (RAT_ONE,)
-            rf = _product(parts)
-            if rf.key() not in seen:
-                seen.add(rf.key())
-                basis.append(rf)
-                factors.append(parts)
-    return Ansatz(tuple(basis), degree=degree, kernels=tuple(kernel_names),
-                  factors=tuple(factors))
+            angle_kernels.append((a, (RAT_ONE, sin, cos)))
+            names.append(f"{a}: 1, sin, cos")
+    parts = tuple(
+        (exps, kerns)
+        for exps in itertools.product(range(degree + 1), repeat=len(poly_vars))
+        if sum(exps) <= degree
+        for kerns in itertools.product(*(range(len(ks)) for _, ks in angle_kernels))
+    )
+    return Ansatz(poly_vars, tuple(angle_kernels), parts, degree=degree, kernels=tuple(names))
 
 
 def _check_derivative_closure(ansatz: Ansatz, chart: CoordChart):
@@ -346,89 +361,53 @@ def _check_derivative_closure(ansatz: Ansatz, chart: CoordChart):
                 )
 
 
-def _owned_args(factors, args, known):
-    """Per factor, the positions in `args` of its symbols, when every
-    atom of every factor names a symbol and no two factors share one;
-    else None.  `known` caches each factor's symbols by identity, None
-    when an atom names none."""
-    taken = set()
-    out = []
-    for f in factors:
-        if id(f) not in known:
-            per_atom = [a.free_symbols() for a in f.atoms()]
-            known[id(f)] = frozenset().union(*per_atom) if all(per_atom) else None
-        symbols = known[id(f)]
-        if symbols is None or symbols & taken:
-            return None
-        taken |= symbols
-        out.append(tuple(i for i, v in enumerate(args) if v in symbols))
-    return tuple(out)
-
-
 def _basis_derivatives(ansatz: Ansatz, args):
     """derivative(k, orders) -> canonical RatFunc of d^orders basis[k].
 
-    Each factor is derived once per order, from the next-lower order,
-    into a table keyed by the factor's identity; factors are shared
-    across the basis, and the atom derivatives of each d/dv across the
-    factors.  d^orders basis[k] is the product of each factor's
-    derivative in the orders of its own symbols (`_product`), and 0
-    when an order falls on a symbol of no factor.  That needs factors
-    that share no symbol and no symbol-free atom (such as 2^(1/2)),
-    which is checked once; a function whose factors fail it is derived
-    as one factor.  Derivatives of a factor stay within its symbols,
-    and by derivative closure (`_check_derivative_closure`) within
-    atoms that name a symbol, so the products stay disjoint.
-    Each product is built once, when a free column first asks for it."""
-    memos = [{} for _ in args]
-    zero = (0,) * len(args)
-    tables = {}  # id(factor) -> {orders: derivative}, the factor at zero
-    known = {}
-    specs = []  # per function: (its factors' tables, the args each factor owns)
-    for b, factors in zip(ansatz.basis, ansatz.factors):
-        owned = _owned_args(factors, args, known)
-        if owned is None:
-            factors = (b,)
-            owned = (tuple(i for i, v in enumerate(args) if v in b.free_symbols()),)
-        specs.append((tuple(tables.setdefault(id(f), {zero: f}) for f in factors), owned))
-    projections = {}  # (owned, orders) -> per-factor orders, None if 0
-    products = {}  # (k, orders) -> d^orders basis[k]
+    basis[k] is a monomial times one kernel per angle, factors in
+    disjoint symbols (`Ansatz`), so d^orders basis[k] is the product
+    (`_product`) of the monomial's derivative in the orders of the poly
+    vars, a falling factorial times the lowered monomial, and of each
+    kernel's derivative in its angle's order; it is 0 when an order
+    falls on a symbol of neither.  Each kernel is derived once per
+    order, from the next-lower order; monomial derivatives and products
+    are cached as well, a product built when a free column first asks
+    for it.  By derivative closure (`_check_derivative_closure`) a
+    kernel's derivatives stay within the atoms of its angle, so the
+    products stay disjoint."""
+    at = {v: i for i, v in enumerate(args)}
+    mono_at = tuple(at[v] for v in ansatz.poly_vars)
+    angle_at = tuple(at[a] for a, _ in ansatz.angle_kernels)
+    outside = tuple(i for i in range(len(args)) if i not in mono_at + angle_at)
+    memos = [{} for _ in angle_at]
 
-    def factor_derivative(table, orders):
-        hit = table.get(orders)
-        if hit is None:
-            i = max(j for j, o in enumerate(orders) if o)
-            lower = orders[:i] + (orders[i] - 1,) + orders[i + 1:]
-            hit = derive(factor_derivative(table, lower), {args[i]: RAT_ONE}, memos[i])
-            table[orders] = hit
-        return hit
+    @cache
+    def kernel(j, i, order):
+        if order == 0:
+            return ansatz.angle_kernels[j][1][i]
+        return derive(kernel(j, i, order - 1), {args[angle_at[j]]: RAT_ONE}, memos[j])
 
+    @cache
+    def monomial(exps, orders):
+        c = math.prod(math.perm(e, o) for e, o in zip(exps, orders))
+        lowered = _monomial(ansatz.poly_vars, [e - o for e, o in zip(exps, orders)])
+        return lowered if c == 1 else RatFunc.const(c) * lowered
+
+    @cache
     def product(k, orders):
-        factor_tables, owned = specs[k]
-        key = (owned, orders)
-        if key not in projections:
-            inside = sum(orders) == sum(orders[i] for own in owned for i in own)
-            projections[key] = tuple(
-                tuple(o if i in own else 0 for i, o in enumerate(orders)) for own in owned
-            ) if inside else None
-        subs = projections[key]
-        if subs is None:
+        exps, kerns = ansatz.parts[k]
+        mono_orders = tuple(orders[i] for i in mono_at)
+        if any(orders[i] for i in outside) or any(o > e for e, o in zip(exps, mono_orders)):
             return RAT_ZERO
-        parts = []
-        for table, sub in zip(factor_tables, subs):
-            d = factor_derivative(table, sub)
+        parts = [monomial(exps, mono_orders)]
+        for j, i in enumerate(kerns):
+            d = kernel(j, i, orders[angle_at[j]])
             if d.is_zero():
                 return RAT_ZERO
             parts.append(d)
-        return parts[0] if len(parts) == 1 else _product(parts)
+        return _product(parts)
 
-    def entry(k, orders):
-        hit = products.get((k, orders))
-        if hit is None:
-            hit = products[k, orders] = product(k, orders)
-        return hit
-
-    return entry
+    return product
 
 
 def solve_determining(system: DeterminingSystem, ansatz: Ansatz) -> list:

@@ -1,12 +1,12 @@
-"""The solver's per-factor derivative tables against whole-function
-derivation.
+"""The solver's derivative tables against whole-function derivation.
 
-`symmetry._basis_derivatives` derives each factor of an ansatz function
-apart and multiplies the factor derivatives; `reference_solver` derives
-the whole function, each order from the next-lower one.  Both must give
-the same canonical RatFunc for every function and every order up to 2,
-the highest order a determining equation holds.  The tables are keyed
-by object identity, so the suite runs under more than one hash seed.
+Each default ansatz function is a monomial times one kernel per angle;
+`symmetry._basis_derivatives` takes the monomial's derivatives in closed
+form, derives each kernel once per order and multiplies the parts, while
+`reference_solver` derives the whole function, each order from the
+next-lower one.  Both must give the same canonical RatFunc for every
+function and every order up to 2, the highest order a determining
+equation holds.  The suite runs under more than one hash seed.
 """
 
 import itertools
@@ -15,8 +15,10 @@ from pathlib import Path
 import pytest
 
 from liesym.charts import CoordChart
+from liesym.errors import AnsatzError
 from liesym.files import load_metric
-from liesym.symexpr.poly import RAT_ONE
+from liesym.jets import symbol
+from liesym.symexpr.poly import RAT_ONE, RatFunc
 from liesym.symmetry import Ansatz, _basis_derivatives, default_ansatz
 
 import reference_solver
@@ -55,34 +57,56 @@ def test_default_ansatz_tables_match_chain(name, degree):
     _assert_tables_match_chain(default_ansatz(chart, degree), chart)
 
 
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+@pytest.mark.parametrize("name", sorted(CHARTS))
+def test_default_ansatz_functions_are_canonical(name, degree):
+    # the basis is built with `_product`, which trusts its factors to
+    # share no atom; re-reducing each function must change nothing
+    for b in default_ansatz(CHARTS[name](), degree).basis:
+        assert RatFunc(b.num, b.den).key() == b.key(), str(b)
+
+
 @pytest.mark.parametrize("name", sorted(CHARTS))
 def test_default_ansatz_factors_multiply_to_basis(name):
+    # the recorded exponents and kernel indices, multiplied out by plain
+    # RatFunc arithmetic, give each basis function
     ansatz = default_ansatz(CHARTS[name](), 2)
-    for b, factors in zip(ansatz.basis, ansatz.factors):
+    assert len(ansatz.parts) == len(ansatz.basis)
+    for b, (exps, kerns) in zip(ansatz.basis, ansatz.parts):
         product = RAT_ONE
-        for f in factors:
-            product = product * f
+        for v, e in zip(ansatz.poly_vars, exps):
+            product = product * symbol(v) ** e
+        for (_, kernels), i in zip(ansatz.angle_kernels, kerns):
+            product = product * kernels[i]
         assert product.key() == b.key()
 
 
-def test_hand_built_single_factor_ansatz():
+def test_hand_built_ansatz():
+    # kernels and parts of one's own choosing on the radiating chart; s
+    # and phi are neither poly vars nor angles, so every derivative in
+    # them is 0
     chart = CHARTS["vaidya_bonner"]()
-    basis = tuple(rf(t) for t in (
-        "r^2*sin(theta)", "cos(theta)/r", "s*cot(theta)*sin(phi)", "t*r/sin(theta)", "1"))
-    ansatz = Ansatz(basis, degree=0)
-    assert ansatz.factors == tuple((b,) for b in basis)
+    ansatz = Ansatz(
+        ("t", "r"),
+        (("theta", (rf("sin(theta)"), rf("cot(theta)"), rf("1/sin(theta)"), rf("cos(theta)^2"))),),
+        (((0, 2), (0,)), ((0, 0), (1,)), ((1, 1), (2,)), ((3, 2), (3,))),
+        degree=0,
+    )
+    assert [b.key() for b in ansatz.basis] == [rf(t).key() for t in (
+        "r^2*sin(theta)", "cot(theta)", "t*r/sin(theta)", "t^3*r^2*cos(theta)^2")]
     _assert_tables_match_chain(ansatz, chart)
 
 
-def test_factors_that_share_a_symbol_or_a_constant_atom_are_derived_whole():
-    # sin(theta) and cos(theta) share theta; 2^(1/2) names no symbol, and
-    # the product of its two factors is not reduced as it stands
-    chart = CHARTS["vaidya_bonner"]()
-    pairs = [
-        (rf("sin(theta)*cos(theta)"), (rf("sin(theta)"), rf("cos(theta)"))),
-        (rf("r*t"), (rf("2^(1/2)*r"), rf("t/2^(1/2)"))),
-        (rf("s*r^2*sin(phi)"), (rf("s"), rf("r^2"), rf("sin(phi)"))),
-    ]
-    ansatz = Ansatz(tuple(b for b, _ in pairs), degree=0,
-                    factors=tuple(f for _, f in pairs))
-    _assert_tables_match_chain(ansatz, chart)
+def test_factors_that_share_a_symbol_or_a_constant_atom_are_rejected():
+    # `_product` needs factors in disjoint atoms: a poly var that is
+    # also an angle, a repeated angle, a kernel that names a second
+    # symbol, and 2^(1/2), which names none, so two kernels could both
+    # hold it
+    for poly_vars, angle_kernels in [
+        (("s", "theta"), (("theta", (rf("sin(theta)"),)),)),
+        (("s",), (("theta", (rf("sin(theta)"),)), ("theta", (rf("cos(theta)"),)))),
+        (("s",), (("theta", (rf("r*sin(theta)"),)),)),
+        (("s",), (("theta", (rf("2^(1/2)*sin(theta)"),)),)),
+    ]:
+        with pytest.raises(AnsatzError, match="share no symbol"):
+            Ansatz(poly_vars, angle_kernels, ())

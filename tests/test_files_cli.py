@@ -642,9 +642,11 @@ def test_utf8_comment_reads(tmp_path, capsys):
      "in.metric:4", "repeated angles line (first on line 3)"),
     (FLAT_PLANE.replace("coords x y\n", "coords x y\nfunction M(x)\nfunction M(y)\n"),
      TRANSLATIONS, "in.metric:4", "repeated function M (first on line 3)"),
+    (FLAT_PLANE.replace("coords x y\n", "coords x y\nangles y y\n"), TRANSLATIONS,
+     "in.metric:3", "repeated angle y (first on line 3)"),
     (FLAT_PLANE, TRANSLATIONS + "gen T_s = 1 | 0 | 0\n", "in.gens:3",
      "repeated generator name T_s (first on line 1)"),
-], ids=["component", "param", "coords", "angles", "function", "generator-name"])
+], ids=["component", "param", "coords", "angles", "function", "angle", "generator-name"])
 def test_repeated_declaration_exits_2_at_the_repeat(tmp_path, metric, gens, where, cause):
     (tmp_path / "in.metric").write_text(metric)
     (tmp_path / "in.gens").write_text(gens)

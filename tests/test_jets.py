@@ -88,6 +88,12 @@ class TestChartValidation:
         with pytest.raises(ChartError):
             CoordChart("s", ("x",), ("theta",))
 
+    def test_repeated_angle(self):
+        # the ansatz would multiply two kernels of one angle as if they
+        # shared no symbol
+        with pytest.raises(ChartError, match="angle 'phi' is declared twice"):
+            CoordChart("s", ("r", "phi"), ("phi", "phi"))
+
     def test_unknown_function_name_clash(self):
         # the unknowns are column labels, not atoms, so a coordinate may
         # be named xi: the free particle's eight point symmetries

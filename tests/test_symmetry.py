@@ -533,7 +533,7 @@ class TestAnsatz:
     def test_not_derivative_closed_rejected(self, chart, vb_general):
         # d/dr sin(r^2) introduces the kernel cos(r^2) that the basis
         # cannot express
-        bad = Ansatz((rf("sin(r^2)"),), degree=0)
+        bad = Ansatz((), (("r", (rf("sin(r^2)"),)),), (((), (0,)),), degree=0)
         ds = determining_system(vb_general, "noether")
         with pytest.raises(AnsatzError):
             solve_determining(ds, bad)
@@ -541,7 +541,7 @@ class TestAnsatz:
     def test_empty_rejected(self, vb_general):
         ds = determining_system(vb_general, "noether")
         with pytest.raises(AnsatzError):
-            solve_determining(ds, Ansatz((), degree=0))
+            solve_determining(ds, Ansatz((), (), (), degree=0))
 
 
 class TestDeterminingEquationShape:
