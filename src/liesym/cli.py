@@ -25,7 +25,7 @@ from .errors import (
 from .files import load_generators, load_metric
 from .geometry import geodesic_lagrangian, geodesic_system
 from .liealg import levi_split, structure_constants
-from .numeric import drift_along_trace, integrate_geodesic, step_count
+from .numeric import integrate_watching, step_count
 from .optimal import (
     MAX_SAMPLES,
     OptimalSystemError,
@@ -199,7 +199,7 @@ def cmd_optimal(args) -> int:
 
 def cmd_integrate(args) -> int:
     try:
-        step_count(args.step, args.span)
+        steps = step_count(args.step, args.span)
     except IntegrationError as exc:
         args.usage_error(f"argument --span/--step: {exc}")
     metric = load_metric(args.metric)
@@ -229,9 +229,6 @@ def cmd_integrate(args) -> int:
     missing = set(metric.functions) - set(bindings)
     if missing:
         raise FormatError("<bind>", 0, f"unbound functions: {sorted(missing)}")
-    system = geodesic_system(metric)
-    trace = integrate_geodesic(system, bindings, args.init[:n], args.init[n:],
-                               args.step, args.span)
     lagrangian = geodesic_lagrangian(metric)
     watches = [("lagrangian", lagrangian)]
     for c in chart.coords:
@@ -239,12 +236,13 @@ def cmd_integrate(args) -> int:
                      for row in metric.components for comp in row)
         if cyclic:
             watches.append((f"momentum_{c}", derive(lagrangian, {chart.jet1(c): RAT_ONE})))
-    lines = [f"steps: {len(trace.samples) - 1}", f"step: {trace.step!r}"]
-    s_end, x_end, v_end = trace.samples[-1]
+    (s_end, x_end, v_end), drifts = integrate_watching(
+        geodesic_system(metric), bindings, [expr for _, expr in watches],
+        args.init[:n], args.init[n:], args.step, args.span)
+    lines = [f"steps: {steps}", f"step: {args.step!r}"]
     lines.append("final s: " + repr(s_end))
     lines.append("final x: " + " ".join(repr(v) for v in x_end))
     lines.append("final xdot: " + " ".join(repr(v) for v in v_end))
-    drifts = drift_along_trace([expr for _, expr in watches], trace, chart, bindings)
     for (label, _), drift in zip(watches, drifts):
         lines.append(f"drift {label}: {drift!r}")
     sys.stdout.write("\n".join(lines) + "\n")

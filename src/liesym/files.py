@@ -127,10 +127,13 @@ def load_metric(path) -> Metric:
         raise FormatError(path, 0, "missing param line")
     if coords is None:
         raise FormatError(path, 0, "missing coords line")
-    try:
-        chart = CoordChart(param, coords, angles)
-    except ChartError as exc:
-        raise FormatError(path, 0, str(exc))
+    # A chart error is reported at the line it comes from: first the
+    # parameter and coordinates alone, then the angles among them.
+    for key, chart_angles in (("coords", ()), ("angles", angles)):
+        try:
+            chart = CoordChart(param, coords, chart_angles)
+        except ChartError as exc:
+            raise FormatError(path, first[key], str(exc))
     n = chart.dim
     allowed = _allowed_symbols(chart.coords, functions)
     comps = [[RAT_ZERO] * n for _ in range(n)]

@@ -17,24 +17,19 @@ makes exact, and, for the inverse of a sum in a function argument, on
 (its Poly, -1).  A denominator is written before its numerator, the
 order in which they run, so every binding precedes its uses.
 
-`compile_numeric` wraps one such body into a function of positional
-floats that returns every component.  `integrate_geodesic` is classical
-fixed-step RK4 (Hairer, Norsett & Wanner, Solving ODEs I, II.1), which
-keeps drift measurements deterministic.  It generates one function per
-system that runs the whole loop on scalar locals, with the body inlined
-once per stage, and appends every sample (s, x, xdot) to one flat
-array('d'); `GeodesicTrace.samples` is a read-only view over it.
-`drift_along_trace` evaluates the watched functions at the first sample
-with `compile_numeric`, then generates one loop from the same body that
-runs over every later sample of the flat array and keeps each running
-maximum deviation in a local.
+`integrate_watching` is classical fixed-step RK4 (Hairer, Norsett &
+Wanner, Solving ODEs I, II.1), which keeps drift measurements
+deterministic.  It generates one function per system and set of
+watched functions that runs the whole loop on scalar locals, with the
+accelerations inlined once per stage and the watched functions once at
+the initial state and once after each step, keeping each running
+maximum deviation in a local.  It returns the last state and those
+maxima, and stores no sample.
 """
 
 from __future__ import annotations
 
 import math
-import operator
-from array import array
 
 from .errors import IntegrationError
 from .geometry import GeodesicSystem
@@ -42,9 +37,9 @@ from .symexpr import substitute_function
 from .symexpr.poly import RatFunc
 
 _SINGULAR = 1e-12
-# span/step above this is rejected before any step is taken: every
-# sample is stored, and 10^6 samples on a four-dimensional chart take
-# 10^6 x 9 doubles, about 72 MB.
+# span/step above this is rejected before any step is taken.  No sample
+# is stored, so the cap bounds time, not memory: 10^6 steps on a
+# four-dimensional chart take a few seconds.
 MAX_STEPS = 10**6
 
 # Kernel function name -> math function, a global `_<name>` of the
@@ -179,68 +174,6 @@ def _define(name: str, params, body):
     return scope[name]
 
 
-def compile_numeric(rfs, names):
-    """Compile canonical RatFuncs into f(*values) -> tuple of floats.
-
-    `names` are the symbols bound, in order, to the positional
-    arguments.  A denominator within 1e-12 of zero, and a ValueError,
-    OverflowError, ZeroDivisionError or TypeError (a complex value that
-    reaches a float operation) of the arithmetic, raise IntegrationError
-    from the first component that meets one."""
-    args = {name: f"_x{i}" for i, name in enumerate(names)}
-    outputs = [f"_c{k}" for k in range(len(rfs))]
-    body = _emit(rfs, args, outputs, " " * 8)
-    body.append(f"        return ({''.join(o + ', ' for o in outputs)})")
-    return _define("_compiled", args.values(), body)
-
-
-class TraceSamples:
-    """Read-only sequence view of a flat trace: item k is the sample
-    (s, x, xdot), with x and xdot tuples of `dim` floats."""
-
-    __slots__ = ("_flat", "_dim")
-
-    def __init__(self, flat: array, dim: int):
-        self._flat = flat
-        self._dim = dim
-
-    def __len__(self) -> int:
-        return len(self._flat) // (1 + 2 * self._dim)
-
-    def __getitem__(self, k):
-        n = len(self)
-        k = operator.index(k)
-        if k < 0:
-            k += n
-        if not 0 <= k < n:
-            raise IndexError("trace sample index out of range")
-        return self._sample(k * (1 + 2 * self._dim))
-
-    def __iter__(self):
-        for i in range(0, len(self._flat), 1 + 2 * self._dim):
-            yield self._sample(i)
-
-    def _sample(self, i: int):
-        f, d = self._flat, self._dim
-        return f[i], tuple(f[i + 1:i + 1 + d]), tuple(f[i + 1 + d:i + 1 + 2 * d])
-
-
-class GeodesicTrace:
-    """Fixed-step trace of a geodesic on a `dim`-dimensional chart.
-
-    `flat` holds sample k as s, x^0..x^(dim-1), xdot^0..xdot^(dim-1) at
-    offset k * (1 + 2 * dim)."""
-
-    def __init__(self, step: float, dim: int, flat: array):
-        self.step = step
-        self.dim = dim
-        self.flat = flat
-
-    @property
-    def samples(self) -> TraceSamples:
-        return TraceSamples(self.flat, self.dim)
-
-
 def step_count(step: float, span: float) -> int:
     """round(span / step), the number of RK4 steps, at most MAX_STEPS."""
     ratio = span / step
@@ -257,15 +190,19 @@ def _bound(rf: RatFunc, function_bindings) -> RatFunc:
     return substitute_function(rf, function_bindings) if function_bindings else rf
 
 
-def _rk4_loop(rfs, names, n: int):
-    """f(s, x..., v..., h, steps, out): `steps` RK4 steps of xddot = the
-    components of `rfs`, appending each new sample to `out`.
+def _rk4_loop(rfs, watches, names, n: int):
+    """f(s, x..., v..., h, steps) -> ((s, x, xdot), drifts): `steps` RK4
+    steps of xddot = the components of `rfs`, watching each function of
+    `watches` along the way.
 
     `names` are the parameter, coordinate and velocity symbols.  Each
     stage evaluates the accelerations inline; the arithmetic is that of
     xi + half * d and xi + sixth * (d1 + 2 * d2 + 2 * d3 + d4) per
     component, as a list-based RK4 writes it, with the factor 2 written
-    2.0: the same product, without converting an int on every step."""
+    2.0: the same product, without converting an int on every step.
+    The watches are evaluated at the initial state and after each step's
+    finiteness check; drift k is the running max |watch k - its initial
+    value|, `if e > w: w = e` being max(w, e), NaN included."""
     pad = " " * 12
 
     def local(prefix):
@@ -274,6 +211,7 @@ def _rk4_loop(rfs, names, n: int):
     x, v = local("x"), local("v")
     x2, v2, x3, v3, x4, v4 = map(local, ("x2_", "v2_", "x3_", "v3_", "x4_", "v4_"))
     a1, a2, a3, a4 = map(local, ("a1_", "a2_", "a3_", "a4_"))
+    watched = range(len(watches))
 
     def stage(s, xs, vs, acc):
         return _emit(rfs, dict(zip(names, [s, *xs, *vs])), acc, pad)
@@ -285,8 +223,13 @@ def _rk4_loop(rfs, names, n: int):
         return [f"{pad}{d} = {d} + sixth * ({p} + 2.0 * {q} + 2.0 * {r} + {t})"
                 for d, p, q, r, t in zip(dst, k1, k2, k3, k4)]
 
+    def watch(outputs, indent):
+        return _emit(watches, dict(zip(names, ["s", *x, *v])), outputs, indent)
+
     state = [*x, *v]
     body = [
+        *watch([f"_f{i}" for i in watched], " " * 8),
+        *(f"        _w{i} = 0.0" for i in watched),
         "        half = 0.5 * h",
         "        sixth = h / 6.0",
         "        for k in range(steps):",
@@ -305,20 +248,28 @@ def _rk4_loop(rfs, names, n: int):
         f"{pad}s = (k + 1) * h",
         f"{pad}if not ({' and '.join(f'_isfinite({z})' for z in state)}):",
         f"{pad}    raise IntegrationError(f'non-finite state at s = {{s}}')",
-        f"{pad}out.extend((s, {', '.join(state)}))",
+        *watch([f"_c{i}" for i in watched], pad),
+        *(line for i in watched for line in (f"{pad}_e = abs(_c{i} - _f{i})",
+                                       f"{pad}if _e > _w{i}:",
+                                       f"{pad}    _w{i} = _e")),
+        f"        return (s, ({''.join(z + ', ' for z in x)}), "
+        f"({''.join(z + ', ' for z in v)})), [{', '.join(f'_w{i}' for i in watched)}]",
     ]
-    return _define("_rk4", ["s", *state, "h", "steps", "out"], body)
+    return _define("_rk4", ["s", *state, "h", "steps"], body)
 
 
-def integrate_geodesic(system: GeodesicSystem, function_bindings: dict,
-                       initial_position, initial_velocity,
-                       step: float, span: float) -> GeodesicTrace:
-    """Classical RK4 on xddot^i = G^i(s, x, xdot).
+def integrate_watching(system: GeodesicSystem, function_bindings: dict, watches,
+                       initial_position, initial_velocity, step: float, span: float):
+    """Classical RK4 on xddot^i = G^i(s, x, xdot), watching functions of
+    the state: ((s, x, xdot) after the last step, drifts), with drift k
+    the max absolute deviation of watches[k](s, x, xdot) from its
+    initial value over every step.  No sample is stored.
 
     `function_bindings` instantiates every opaque function (name ->
-    RatFunc in its declared arguments).  Raises IntegrationError on a
-    span/step over MAX_STEPS, near-singular denominators or non-finite
-    state.
+    RatFunc in its declared arguments), in the accelerations and in the
+    watches alike.  Raises IntegrationError on a span/step over
+    MAX_STEPS, near-singular denominators or non-finite state, from the
+    first evaluation, in step order, that meets one.
     """
     chart = system.chart
     n = chart.dim
@@ -326,42 +277,7 @@ def integrate_geodesic(system: GeodesicSystem, function_bindings: dict,
         raise IntegrationError(f"initial state must have {n} + {n} numbers")
     steps = step_count(step, span)
     rfs = [_bound(g, function_bindings) for g in system.accelerations]
-    rk4 = _rk4_loop(rfs, _state_names(chart), n)
+    watches = [_bound(w, function_bindings) for w in watches]
+    rk4 = _rk4_loop(rfs, watches, _state_names(chart), n)
     state = [0.0, *map(float, initial_position), *map(float, initial_velocity)]
-    flat = array("d", state)
-    h = float(step)
-    rk4(*state, h, steps, flat)
-    return GeodesicTrace(step=h, dim=n, flat=flat)
-
-
-def _drift_loop(rfs, names):
-    """f(flat, f0...): max |component k - f0[k]| over every sample of a
-    flat trace after its first; `if e > w: w = e` is max(w, e), NaN
-    included."""
-    args = {name: f"_x{i}" for i, name in enumerate(names)}
-    k = range(len(rfs))
-    pad = " " * 12
-    body = [
-        *(f"        _w{i} = 0.0" for i in k),
-        f"        _rows = zip(*[iter(flat)] * {len(names)})",
-        "        next(_rows)",
-        f"        for {''.join(x + ', ' for x in args.values())}in _rows:",
-        *_emit(rfs, args, [f"_c{i}" for i in k], pad),
-        *(line for i in k for line in (f"{pad}_e = abs(_c{i} - _f{i})",
-                                       f"{pad}if _e > _w{i}:",
-                                       f"{pad}    _w{i} = _e")),
-        *([] if rfs else [f"{pad}pass"]),
-        f"        return [{', '.join(f'_w{i}' for i in k)}]",
-    ]
-    return _define("_drift", ["flat", *(f"_f{i}" for i in k)], body)
-
-
-def drift_along_trace(rfs, trace: GeodesicTrace, chart,
-                      function_bindings: dict | None = None) -> list:
-    """Max absolute deviation of each rf(s, x, xdot) in `rfs` from its
-    value at the first sample: that value by `compile_numeric`, every
-    later sample in one compiled loop over the flat trace."""
-    names = _state_names(chart)
-    rfs = [_bound(rf, function_bindings) for rf in rfs]
-    first = compile_numeric(rfs, names)(*trace.flat[:len(names)])
-    return _drift_loop(rfs, names)(trace.flat, *first)
+    return rk4(*state, float(step), steps)

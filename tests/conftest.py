@@ -2,6 +2,7 @@
 
 import pytest
 
+from liesym import numeric
 from liesym.charts import CoordChart
 from liesym.geometry import Metric, geodesic_lagrangian, geodesic_system
 from liesym.jets import BundleVectorField, symbol
@@ -12,6 +13,21 @@ from liesym.symmetry import default_ansatz, determining_system, solve_determinin
 def rf(text, functions=None):
     """The canonical RatFunc of an expression written as text."""
     return parse_expr(text, functions)[0]
+
+
+def compile_numeric(rfs, names):
+    """f(*values) -> tuple of floats: the program's code generator
+    applied to canonical RatFuncs, `names` the symbols bound, in order,
+    to the positional arguments.
+
+    A denominator within 1e-12 of zero, and a ValueError, OverflowError,
+    ZeroDivisionError or TypeError of the arithmetic, raise
+    IntegrationError from the first component that meets one."""
+    args = {name: f"_x{i}" for i, name in enumerate(names)}
+    outputs = [f"_c{k}" for k in range(len(rfs))]
+    body = numeric._emit(rfs, args, outputs, " " * 8)
+    body.append(f"        return ({''.join(o + ', ' for o in outputs)})")
+    return numeric._define("_compiled", args.values(), body)
 
 
 def geodesic_equations(system) -> tuple:

@@ -2,11 +2,12 @@
 
 `liesym.numeric` generates one straight-line function per system that
 runs the whole RK4 loop on scalar locals, binds each repeated power or
-function application once per evaluation, and stores the trace in one
-flat array.  This module keeps the earlier design: each component
-written from its Poly terms with nothing shared, one compiled call per
-RK4 stage, lists for the stage states and a list of (s, x, xdot) tuples
-for the trace.  A polynomial is the sum of its terms in descending
+function application once per evaluation, and watches functions of the
+state at every step without storing a sample.  This module keeps the
+earlier design: each component written from its Poly terms with nothing
+shared, one compiled call per RK4 stage, lists for the stage states, a
+list of (s, x, xdot) tuples for the trace, and the drifts measured over
+that list afterwards.  A polynomial is the sum of its terms in descending
 monomial order, each the coefficient times its atoms to their powers,
 left to right, as the kernel lays it out; a function argument is its
 numerator over its denominator.  Tests assert that both give the same

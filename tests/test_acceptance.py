@@ -36,7 +36,7 @@ from liesym.liealg import (
     structure_constants,
 )
 from liesym.linalg import express_in_basis
-from liesym.numeric import drift_along_trace, integrate_geodesic
+from liesym.numeric import integrate_watching
 from liesym.optimal import (
     separation_failures,
     default_representatives,
@@ -407,19 +407,14 @@ def test_criterion_7_property_suites(vb_general, vb_m1_qt, vb_mt_qt2,
 
 def test_criterion_8_numerical_first_integral_drift(vb_m1_qt, rotation_fields):
     started = time.monotonic()
-    chart = vb_m1_qt.chart
-    sys = geodesic_system(vb_m1_qt)
-    trace = integrate_geodesic(
-        sys, {}, [0.0, 10.0, math.pi / 2, 0.0], [1.0, 0.0, 0.0, 0.05], 1e-3, 10.0
-    )
     lagrangian = geodesic_lagrangian(vb_m1_qt)
-    [phi_drift] = drift_along_trace(
-        [rf("2*r^2*sin(theta)^2*phidot")], trace, chart)
-    rot_drifts = []
-    for X in rotation_fields[2:]:
-        integral = noether_first_integral(X, lagrangian)
-        rot_drifts.extend(drift_along_trace([integral], trace, chart))
-    [broken] = drift_along_trace([derive(lagrangian, {"tdot": RAT_ONE})], trace, chart)
+    rotation_integrals = [noether_first_integral(X, lagrangian) for X in rotation_fields[2:]]
+    _, [phi_drift, *rot_drifts, broken] = integrate_watching(
+        geodesic_system(vb_m1_qt), {},
+        [rf("2*r^2*sin(theta)^2*phidot"), *rotation_integrals,
+         derive(lagrangian, {"tdot": RAT_ONE})],
+        [0.0, 10.0, math.pi / 2, 0.0], [1.0, 0.0, 0.0, 0.05], 1e-3, 10.0,
+    )
     elapsed = time.monotonic() - started
     ok = (
         phi_drift < 1e-6

@@ -655,6 +655,23 @@ def test_repeated_declaration_exits_2_at_the_repeat(tmp_path, metric, gens, wher
     assert out.stderr == f"error: {where}: {cause}\n"
 
 
+@pytest.mark.parametrize("metric, where, cause", [
+    (FLAT_PLANE.replace("coords x y\n", "coords x y\nangles z\n"), "in.metric:3",
+     "angle 'z' is not a coordinate"),
+    (FLAT_PLANE.replace("coords x y\n", "coords x xdot\n"), "in.metric:2",
+     "coordinate names collide with jet symbol names"),
+    (FLAT_PLANE.replace("param s\n", "param x\n"), "in.metric:2",
+     "parameter and coordinate names must be distinct"),
+], ids=["angle-not-a-coordinate", "jet-name-collision", "param-is-a-coordinate"])
+def test_chart_error_exits_2_at_its_declaring_line(tmp_path, metric, where, cause):
+    # an angle error names the angles line, any other chart error the
+    # coords line
+    (tmp_path / "in.metric").write_text(metric)
+    out = _run_cli("analyze", "in.metric", cwd=tmp_path)
+    assert out.returncode == 2
+    assert out.stderr == f"error: {where}: {cause}\n"
+
+
 def test_two_functions_and_both_triangles_of_one_component_are_not_repeats(tmp_path):
     # distinct functions are no repeat; g 1 0 after g 0 1 is reported as
     # a lower-triangle entry

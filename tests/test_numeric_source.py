@@ -1,9 +1,9 @@
 """The Python source that the numeric code generator emits is unchanged.
 
 `tests/data/golden/numeric_source.txt` records every function body that
-`liesym.numeric` compiles for `integrate` on the bundled metrics: the
-RK4 loop, the watched functions at the first sample and the drift loop
-over the trace.  The vaidya_bonner metric is bound as in the integrate
+`liesym.numeric` compiles for `integrate` on the bundled metrics: one
+RK4 loop per run, which evaluates the watched functions at the initial
+state and after every step.  The vaidya_bonner metric is bound as in the integrate
 goldens (M = 1, Q = t) and with M = t, Q = t^2.  The source fixes the
 order of every float operation, so equal source gives bit-identical
 floats.  A last block compiles components whose function arguments and
@@ -19,9 +19,8 @@ from pathlib import Path
 
 import liesym.numeric
 from liesym.cli import main
-from liesym.numeric import compile_numeric
 
-from conftest import rf
+from conftest import compile_numeric, rf
 
 GOLDEN = Path(__file__).parent / "data" / "golden" / "numeric_source.txt"
 INIT = ["--init", "0", "10", "1.2", "0", "1", "0", "0.01", "0.05", "--step", "0.5", "--span", "1"]
