@@ -214,6 +214,8 @@ def cmd_integrate(args) -> int:
             raise FormatError("<bind>", 0, "--bind expects NAME=EXPR")
         if name not in metric.functions:
             raise FormatError("<bind>", 0, f"{name!r} is not a declared function")
+        if name in bindings:
+            raise FormatError("<bind>", 0, f"repeated binding of {name}")
         try:
             # No declared functions: an opaque call or D(...) marker is
             # rejected here, as a binding must be numeric.

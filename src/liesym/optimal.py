@@ -4,39 +4,31 @@ algebra: two central generators plus a rotation triple.
 Reduction schedule: rotate with the third generator to clear the fourth
 coefficient, rotate with the fourth generator to clear the third, then
 scale the leading surviving coefficient to one.  Rotation parameters
-follow atan2 semantics; when the rotation hypotenuse is rational the
-move is performed exactly, otherwise in floating point against a 1e-9
-match tolerance.
-
-Every value is read as an entry (value, float, (numerator,
-denominator)), so the exact tests run on integers: a pattern's fixed
-slots match on pairs, and x = a/b, y = c/d have a rational hypotenuse
-exactly when (ad)^2 + (cb)^2 is a perfect square r^2, the hypotenuse
-then being r/(bd).  From the first irrational rotation on, the
-reduction works on a plain list of floats.  `_reduce` records each move
-as a tuple (generator, parameter, exact (cos, sin) or None), and
-`_replay` re-applies such tuples, on Fractions for an exact reduction
-and on floats otherwise.
+follow atan2 semantics.  The reduction runs on floats and matches a
+representative's fixed slots within MATCH_TOL.  `_reduce` records each
+move as a pair (generator, parameter), and `_replay` re-applies the
+pairs through cos and sin of the parameter, so the cover reports how far
+the recorded moves land from the reduced vector.
 
 `verify_optimal_cover` runs the structure gate (`_check_structure`)
 once per cover, before drawing any sample, prepares the representative
-patterns once, and draws every value from one table of the entries of
-p/q, -9 <= p <= 9, 1 <= q <= 4, built per call: drawing converts no
-value and builds no Fraction.
+patterns once, and draws every value from one table of p/q,
+-9 <= p <= 9, 1 <= q <= 4, built per call as (float, text) pairs: the
+float is reduced and the text is printed for an unmatched sample.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import atan2, cos, hypot, isqrt, sin
+from math import atan2, cos, hypot, sin
 
 from .errors import LieSymError
 from .liealg import LieAlgebra
 
 MATCH_TOL = 1e-9
 # --samples above this is rejected before any sample is drawn: a sample
-# takes about 20 us, so the cap bounds a cover at about 20 s.
+# takes about 11 us, so the cap bounds a cover at about 11 s.
 MAX_SAMPLES = 10**6
 
 
@@ -105,55 +97,26 @@ def _check_structure(g: LieAlgebra):
             raise OptimalSystemError("generators 3..5 do not close as a rotation triple")
 
 
-def _float(v) -> float:
-    """float(v) for an int, Fraction or float.  A rational converts by
-    integer true division, the rounding Fraction.__float__ uses, without
-    its Python-level numbers.Rational dispatch."""
-    return v if type(v) is float else v.numerator / v.denominator
-
-
-def _entry(v: Fraction) -> tuple:
-    """v as the reduction reads it: (v, float(v), (numerator, denominator))."""
-    n, d = v.numerator, v.denominator
-    return v, n / d, (n, d)
-
-
 def _value_table() -> list:
-    """Every value a cover sample draws, as `_entry` values: row p + 9,
+    """Every value a cover sample draws, as (float, text): row p + 9,
     column q - 1 holds p/q, for -9 <= p <= 9 and 1 <= q <= 4."""
-    return [[_entry(Fraction(p, q)) for q in range(1, 5)] for p in range(-9, 10)]
+    return [[(p / q, str(Fraction(p, q))) for q in range(1, 5)] for p in range(-9, 10)]
 
 
 def _patterns(reps) -> list:
-    """Each representative as (case, fixed pairs, fixed floats, free
-    slots): a fixed slot is (index, (numerator, denominator)) and
-    (index, float value), a free one (index, name)."""
-    out = []
-    for rep in reps:
-        fixed = [(i, p) for i, p in enumerate(rep.pattern) if not isinstance(p, str)]
-        out.append((rep.case_id,
-                    tuple((i, (p.numerator, p.denominator)) for i, p in fixed),
-                    tuple((i, float(p)) for i, p in fixed),
-                    tuple((i, p) for i, p in enumerate(rep.pattern) if isinstance(p, str))))
-    return out
+    """Each representative as (case, fixed slots, free slots): a fixed
+    slot is (index, float value), a free one (index, name)."""
+    return [(rep.case_id,
+             tuple((i, float(p)) for i, p in enumerate(rep.pattern) if not isinstance(p, str)),
+             tuple((i, p) for i, p in enumerate(rep.pattern) if isinstance(p, str)))
+            for rep in reps]
 
 
-def _match_exact(pairs, patterns):
-    """The first pattern whose fixed slots equal `pairs`, else None."""
+def _match(vec, patterns):
+    """The first pattern whose fixed slots lie within MATCH_TOL of `vec`,
+    else None."""
     for pattern in patterns:
-        for i, p in pattern[1]:
-            if pairs[i] != p:
-                break
-        else:
-            return pattern
-    return None
-
-
-def _match_float(vec, patterns):
-    """The first pattern whose fixed slots lie within MATCH_TOL of the
-    floats `vec`, else None."""
-    for pattern in patterns:
-        for i, fp in pattern[2]:
+        for i, fp in pattern[1]:
             if abs(vec[i] - fp) > MATCH_TOL:
                 break
         else:
@@ -162,82 +125,54 @@ def _match_float(vec, patterns):
 
 
 def _reduce(vec, patterns) -> tuple:
-    """Reduce a nonzero list of `_entry` values, of an algebra that passed
+    """Reduce a nonzero list of floats, of an algebra that passed
     _check_structure, against _patterns(reps).
 
-    Returns (pattern, exact, moves, scale, output): the matched pattern
-    or None; whether the reduction stayed exact; the moves as tuples
-    (generator, parameter, exact (cos, sin) or None); the scale and the
-    output, Fractions when exact, floats otherwise."""
+    Returns (pattern, moves, scale, output): the matched pattern or
+    None, the moves as pairs (generator, parameter), the scale and the
+    output."""
     # already a representative: no moves
-    pattern = _match_exact([e[2] for e in vec], patterns)
+    pattern = _match(vec, patterns)
     if pattern is not None:
-        return pattern, True, [], Fraction(1), [e[0] for e in vec]
-    exact = True
+        return pattern, [], 1.0, list(vec)
     work = list(vec)
     moves = []
     # clear the fourth slot into the fifth, then the third into the
-    # fifth; the zeroed slot vanishes and the kept slot becomes the
-    # positive hypotenuse h, with cos = y/h and sine -x/h
+    # fifth; the zeroed slot vanishes up to round-off and the kept slot
+    # becomes the positive hypotenuse h, with cos = y/h and sine -x/h
     for gen in (2, 3):
         i, j = ROTATION_SLOTS[gen]
-        if exact:
-            (a, b), (c, d) = work[i][2], work[j][2]
-            if not a:
-                continue
-            # x = a/b and y = c/d: x^2 + y^2 = s/(bd)^2 is a rational
-            # square exactly when s is a square r^2, and then h = r/(bd)
-            s = (a * d) ** 2 + (c * b) ** 2
-            r = isqrt(s)
-            if r * r == s:
-                cos_v = Fraction(c * b, r)
-                sin_v = Fraction(-a * d, r)
-                moves.append((gen, atan2(_float(sin_v), _float(cos_v)), (cos_v, sin_v)))
-                work[i] = _entry(Fraction(0))
-                work[j] = _entry(Fraction(r, b * d))
-                continue
-            exact = False
-            work = [e[1] for e in work]
-        elif work[i] == 0:
-            continue
         x, y = work[i], work[j]
+        if x == 0:
+            continue
         h = hypot(x, y)
         cos_v = y / h
         sin_v = -x / h
-        moves.append((gen, atan2(sin_v, cos_v), None))
+        moves.append((gen, atan2(sin_v, cos_v)))
         work[i] = x * cos_v + y * sin_v
         work[j] = -x * sin_v + y * cos_v
     # after both rotations the third and fourth slots are clear, so the
     # scaling target is the first central slot, else the second, else
     # the surviving rotation norm
-    if exact:
-        work = [e[0] for e in work]
-    tol = 0 if exact else MATCH_TOL
-    if abs(work[0]) > tol:
+    if abs(work[0]) > MATCH_TOL:
         lead = 0
-    elif abs(work[1]) > tol:
+    elif abs(work[1]) > MATCH_TOL:
         lead = 1
-    elif abs(work[4]) > tol:
+    elif abs(work[4]) > MATCH_TOL:
         lead = 4
     else:
         raise OptimalSystemError("reduction produced the zero vector")
-    scale = Fraction(1) / work[lead] if exact else 1.0 / work[lead]
+    scale = 1.0 / work[lead]
     out = [v * scale for v in work]
-    if exact:
-        pattern = _match_exact([(v.numerator, v.denominator) for v in out], patterns)
-    else:
-        pattern = _match_float(out, patterns)
-    return pattern, exact, moves, scale, out
+    return _match(out, patterns), moves, scale, out
 
 
-def _replay(vec, moves, scale, exact: bool) -> list:
+def _replay(vec, moves, scale) -> list:
     """Re-apply the moves and the scale of a `_reduce` result to its
-    input `vec`, as Fractions when exact and as floats otherwise; each
-    move is a tuple (generator, parameter, exact (cos, sin) or None)."""
+    input `vec`; each move is a pair (generator, parameter)."""
     work = list(vec)
-    for gen, param, cos_sin in moves:
-        # every move of an exact reduction is exact
-        cos_v, sin_v = cos_sin if exact else (cos(param), sin(param))
+    for gen, param in moves:
+        cos_v, sin_v = cos(param), sin(param)
         # the row action of Ad(exp(param X_gen)), up to the sign of the
         # bracket constant, which the gate leaves free and the orbit
         # does not depend on
@@ -298,26 +233,19 @@ def verify_optimal_cover(g: LieAlgebra, reps=None, samples: int = 1000,
     drift_max = 0.0
     replay_max = 0.0
     for _ in range(samples):
-        vec = [choice(choice(rows)) for _ in slots]
-        a_in = [e[1] for e in vec]
-        if not any(a_in):
+        drawn = [choice(choice(rows)) for _ in slots]
+        vec = [e[0] for e in drawn]
+        if not any(vec):
             rejected += 1
             continue
-        pattern, exact, moves, scale, out = _reduce(vec, patterns)
+        pattern, moves, scale, out = _reduce(vec, patterns)
         if pattern is None:
-            unmatched.append([str(e[0]) for e in vec])
+            unmatched.append([e[1] for e in drawn])
             continue
         case = pattern[0]
         matched[case] = matched.get(case, 0) + 1
-        if exact:
-            # a few in a hundred: replayed on Fractions, then compared as
-            # floats
-            replayed = [_float(v) for v in _replay([e[0] for e in vec], moves, scale, True)]
-            out = [_float(v) for v in out]
-            scale = _float(scale)
-        else:
-            replayed = _replay(a_in, moves, scale, False)
-        drift_max = max(drift_max, _invariant_drift(a_in, out, scale))
+        replayed = _replay(vec, moves, scale)
+        drift_max = max(drift_max, _invariant_drift(vec, out, scale))
         replay_max = max(replay_max, max([abs(a - b) for a, b in zip(replayed, out)]))
     return {
         "samples": samples,

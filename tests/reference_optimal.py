@@ -1,13 +1,15 @@
 """The per-sample optimal-system cover on Fractions: a reference for tests.
 
 `liesym.optimal.verify_optimal_cover` reduces samples drawn from a table
-of prepared values, tests Pythagorean hypotenuses on integers and runs
-irrational reductions on plain floats.  This module keeps the earlier
-design: `randint` draws, one Fraction per drawn value, every move and
-match made on Fractions until a rotation is irrational, `_float`
-conversions of whole vectors after it, and a `ReductionTrace` per
-sample that `replay` and `_invariant_drift` read back.  Tests assert
-that both give the same report, float for float.
+of prepared values, every one on floats.  This module keeps an
+independent design: `randint` draws, one Fraction per drawn value, every
+move and match made on Fractions while each rotation's hypotenuse is
+rational (a Pythagorean pair), `_float` conversions of whole vectors
+after the first irrational one, and a `ReductionTrace` per sample that
+`replay` and `_invariant_drift` read back.  Tests assert that both give
+the same matches, float for float on long covers; on a short cover the
+round-off maxima may differ in their last digits, where the reference
+reduced a maximum's sample exactly.
 """
 
 import math

@@ -244,6 +244,21 @@ def test_opaque_call_in_binding_exits_2(capsys, expr, name):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("binds", [("M=1", "M=2", "Q=t"), ("M=1", "Q=t", "M=1"),
+                                   ("M=1", "M=1/0", "Q=t")])
+def test_repeated_binding_exits_2(capsys, binds):
+    # one of the two values would be dropped silently, as with a repeated
+    # declaration in a file
+    argv = ["integrate", "vaidya_bonner.metric"]
+    for bind in binds:
+        argv += ["--bind", bind]
+    code = main([*argv, *INIT, "--step", "0.01", "--span", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.strip() == "error: <bind>:0: repeated binding of M"
+
+
 class TestCliReports:
     def test_algebra_text_report(self, capsys):
         code = main(["algebra", "vb_general.gens", "--metric", "vaidya_bonner.metric"])

@@ -13,9 +13,10 @@ from liesym.geometry import Metric, geodesic_lagrangian, geodesic_system
 from liesym.numeric import MAX_STEPS, integrate_watching, step_count
 from liesym.symexpr import derive
 from liesym.symexpr.poly import RAT_ONE
+from liesym.symmetry import noether_first_integral, verify_noether
 
 import reference_numeric as reference
-from conftest import compile_numeric, rf
+from conftest import _noether_solve, compile_numeric, make_field, rf
 from reference_calculus import evaluate_rational
 
 
@@ -363,3 +364,65 @@ class TestRadiatingInstance:
         together = _equatorial_drifts(vb_m1_qt, watches)
         apart = [_equatorial_drifts(vb_m1_qt, [w])[0] for w in watches]
         assert together == apart
+
+
+def _seeded_states(dim, seed=8, count=3):
+    """`count` seeded initial (position, velocity) pairs: on the plane
+    anywhere in the unit box, on the radiating metrics outside r = 8,
+    off the equator, moving forward in t."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        if dim == 2:
+            yield [rng.uniform(-1, 1), rng.uniform(-1, 1)], [rng.uniform(-1, 1), rng.uniform(-1, 1)]
+        else:
+            yield ([0.0, rng.uniform(8, 12), rng.uniform(0.6, 1.4), rng.uniform(0, 2 * math.pi)],
+                   [1.0, rng.uniform(-0.1, 0.1), rng.uniform(-0.02, 0.02),
+                    rng.uniform(-0.05, 0.05)])
+
+
+def _integral_drifts(metric, fields, step, x0, v0, span=5.0):
+    """Drift of each field's first integral along one geodesic."""
+    lagrangian = geodesic_lagrangian(metric)
+    integrals = [noether_first_integral(field, lagrangian) for field in fields]
+    return integrate_watching(geodesic_system(metric), {}, integrals, x0, v0, step, span)[1]
+
+
+class TestNoetherIntegrals:
+    """Each Noether field the solver finds has a first integral, which
+    the integrator must conserve up to its own error: O(h^4) for RK4,
+    so halving the step divides the drift by about 16."""
+
+    STEP = 0.1
+
+    @pytest.mark.parametrize("instance, solve", [("vb_m1_qt", "m1qt_noether_solve"),
+                                                 ("vb_mt_qt2", "mtqt2_noether_solve")])
+    def test_curved_drift_falls_with_the_step(self, request, instance, solve):
+        metric = request.getfixturevalue(instance)
+        fields = request.getfixturevalue(solve)
+        lagrangian = geodesic_lagrangian(metric)
+        assert fields and all(verify_noether(f, lagrangian).passed for f in fields)
+        for x0, v0 in _seeded_states(4):
+            coarse = _integral_drifts(metric, fields, self.STEP, x0, v0)
+            fine = _integral_drifts(metric, fields, self.STEP / 2, x0, v0)
+            for h, drifts in ((self.STEP, coarse), (self.STEP / 2, fine)):
+                assert max(drifts) < 1e-4 * h**4, (h, drifts)
+            # read 14- to 23-fold
+            assert all(c >= 8 * f for c, f in zip(coarse, fine)), (coarse, fine)
+
+    def test_flat_plane_drift_is_round_off(self):
+        metric = _flat_plane()
+        fields = _noether_solve(metric)
+        assert len(fields) == 5
+        for x0, v0 in _seeded_states(2):
+            for h in (self.STEP, self.STEP / 2):
+                assert max(_integral_drifts(metric, fields, h, x0, v0)) < 1e-13
+
+    def test_failing_field_drifts(self, vb_m1_qt, chart):
+        # d_t is no Noether symmetry where Q = t; the same formula gives a
+        # candidate integral that drifts by orders of magnitude more
+        d_t = make_field(chart, "T", "0", ["1", "0", "0", "0"])
+        assert not verify_noether(d_t, geodesic_lagrangian(vb_m1_qt)).passed
+        for x0, v0 in _seeded_states(4):
+            for h in (self.STEP, self.STEP / 2):
+                [drift] = _integral_drifts(vb_m1_qt, [d_t], h, x0, v0)
+                assert drift > 1e-3
